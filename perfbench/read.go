@@ -17,7 +17,7 @@ const (
 	probeN     = 4096 // labeled probe points per serving run
 	batchSize  = 64   // points per batch-form request
 	clientsN   = 2    // closed-loop client connections (nproc on the bench host)
-	readRounds = 10   // single and batch phases alternate this many times
+	readRounds = 20   // single and batch phases alternate this many times
 	assignTail = 99   // percentile reported as assign_tail_ms
 )
 
@@ -29,9 +29,12 @@ func serveRead(cfg config) (*run, error) {
 	pts, _ := g.initial(serveN)
 	probes, labels := g.mixed(probeN)
 	singles, batches := singleBodies(probes), batchBodies(probes, batchSize)
-	// Fixed work sized to fill about --seconds on the bench host.
-	nSingle := 13000 * cfg.seconds
-	nBatch := 600 * cfg.seconds
+	// Fixed work: at --seconds 20 a 2-vCPU host spends about 10 s on the
+	// single-point and 21 s on the batch requests in its slower periods,
+	// half that in its faster ones. The batch form gets the larger share
+	// because its throughput varied most from run to run.
+	nSingle := 9000 * cfg.seconds
+	nBatch := 1200 * cfg.seconds
 
 	r := newRun()
 	var tr *tracer
