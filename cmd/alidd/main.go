@@ -237,7 +237,7 @@ func servePprof(ctx context.Context, logger *slog.Logger, addr string) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	hs := &http.Server{Addr: addr, Handler: mux}
+	hs := server.NewHTTPServer(addr, mux)
 	go func() {
 		<-ctx.Done()
 		shutCtx, cancel := context.WithTimeout(context.Background(), time.Second)

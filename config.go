@@ -9,6 +9,7 @@ import (
 	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/lsh"
+	"alid/internal/matrix"
 	"alid/internal/par"
 	"alid/internal/vec"
 )
@@ -86,6 +87,9 @@ func AutoConfig(points [][]float64) (Config, error) {
 	cfg := DefaultConfig()
 	if len(points) < 2 {
 		return cfg, fmt.Errorf("alid: need at least 2 points to auto-configure, got %d", len(points))
+	}
+	if _, err := matrix.RowsDim(points); err != nil {
+		return cfg, fmt.Errorf("alid: %w", err)
 	}
 	rng := rand.New(rand.NewSource(1))
 	sample := len(points)

@@ -46,6 +46,20 @@ func TestValidateParallelismRange(t *testing.T) {
 	}
 }
 
+// AutoConfig measures distances between rows, so ragged or
+// zero-dimensional input must come back as an error before the first
+// distance: the distance kernel panics on rows of different lengths.
+func TestAutoConfigRejectsBadShape(t *testing.T) {
+	for name, pts := range map[string][][]float64{
+		"ragged":   {{0, 0}, {1, 1}, {2}, {3, 3}, {4, 4}},
+		"zero-dim": {{}, {}, {}},
+	} {
+		if _, err := AutoConfig(pts); err == nil {
+			t.Errorf("%s input accepted", name)
+		}
+	}
+}
+
 // clusterScale must select the MEDIAN OF THE LOWER MODE of a bimodal q-NN
 // distance distribution. The fixtures pin the exact selected element; the
 // first one is the small-sample case where the former sorted[bestIdx/2+1]

@@ -116,11 +116,6 @@ type Oracle struct {
 	Kernel Kernel
 
 	computed atomic.Int64
-
-	// Upper-bound affinity LUT for the quantized prune scan (quant.go):
-	// depends only on the kernel, built lazily on first use.
-	lutOnce sync.Once
-	lut     []float64
 }
 
 // NewOracle validates the kernel and flattens the dataset into a Matrix.
@@ -349,7 +344,7 @@ func (o *Oracle) ColumnPoint(q []float64, qNormSq float64, rows []int, dst []flo
 // len(q)-strided) with their precomputed squared norms, instead of gathered
 // by dataset index. Packing trades memory for a sequential scan — the batched
 // Assign path stores each cluster's member rows back-to-back so the hot exact
-// re-check streams instead of gathers. The arithmetic is ColumnPoint's
+// scan streams instead of gathers. The arithmetic is ColumnPoint's
 // exactly: same Dot2 lane order, same cancellation fallback, same fused
 // transform pass — packed copies of the same rows yield bit-identical
 // affinities. Unlike ColumnPoint it does not touch the evaluation counter;
@@ -509,7 +504,7 @@ func (o *Oracle) ScorePacked(q []float64, qNormSq float64, rows, norms, w, dst [
 }
 
 // AddComputed credits n kernel evaluations to the oracle's counter. The
-// packed scan primitives (ColumnPointPacked, UpperPacked) leave accounting to
+// packed scan primitives (ColumnPointPacked, ScorePacked) leave accounting to
 // the caller, so a batch pipeline folds a whole batch's row counts into one
 // atomic add instead of paying one per candidate scan.
 func (o *Oracle) AddComputed(n int64) { o.computed.Add(n) }

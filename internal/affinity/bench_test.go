@@ -1,7 +1,6 @@
 package affinity
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -80,17 +79,13 @@ func BenchmarkSparseMulVec(b *testing.B) {
 	}
 }
 
-// BenchmarkCandScan is the quantized-vs-exact candidate-scan series: one
-// cluster-sized weighted scan (96 rows, d=16 — the serving workload's average
-// candidate) per op, measured three ways. "exact" is the batch pipeline's
-// packed exact re-check (ScorePacked — fused scan + weighted sum); "quant" is the
-// int8 chunk-walking bracket estimate (QuantScore); "upper" is the packed
-// float32 prune bound (UpperPacked) the batch pipeline runs before deciding
-// whether the exact scan is needed at all.
+// BenchmarkCandScan is the candidate-scan series: one cluster-sized weighted
+// scan (96 rows, d=16 — the serving workload's average candidate) per op,
+// through the batch pipeline's packed exact scorer (ScorePacked — fused scan
+// + weighted sum).
 func BenchmarkCandScan(b *testing.B) {
 	const nr, d = 96, 16
 	o := benchOracle(b, 4096, d)
-	o.Mat.Quantize()
 	rng := rand.New(rand.NewSource(7))
 	rows := make([]int, nr)
 	w := make([]float64, nr)
@@ -102,10 +97,9 @@ func BenchmarkCandScan(b *testing.B) {
 	for j := range q {
 		q[j] = rng.NormFloat64()
 	}
-	qn, qs := 0.0, 0.0
+	qn := 0.0
 	for _, x := range q {
 		qn += x * x
-		qs += x
 	}
 	packed := make([]float64, nr*d)
 	norms := make([]float64, nr)
@@ -113,56 +107,12 @@ func BenchmarkCandScan(b *testing.B) {
 		copy(packed[r*d:(r+1)*d], o.Point(m))
 		norms[r] = o.Mat.NormSq(m)
 	}
-	var pv []float32
-	var qvn, wf []float64
-	{
-		pv = make([]float32, nr*d)
-		qvn = make([]float64, nr)
-		wf = make([]float64, nr)
-		k := o.Kernel.K
-		for r, m := range rows {
-			qc := o.Mat.QuantChunkAt(m / 1024)
-			ri := m % 1024
-			z := qc.Data[ri*d : (ri+1)*d]
-			var nn float64
-			for j, x := range z {
-				vq := float32(qc.Off + qc.Scale*float64(x))
-				pv[r*d+j] = vq
-				nn += float64(vq) * float64(vq)
-			}
-			qvn[r] = nn
-			err := qc.Errs[ri] + 6.1e-8*math.Sqrt(qc.Norms[ri]) + 1e-30
-			wf[r] = w[r] * (1 + math.Expm1(k*err)) * (1 + 1e-12)
-		}
-	}
 	col := make([]float64, nr)
 
 	b.Run("exact", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
 			sink += o.ScorePacked(q, qn, packed, norms, w, col)
-		}
-		_ = sink
-	})
-	b.Run("quant", func(b *testing.B) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			s, _, ok := o.QuantScore(q, qn, qs, rows, w)
-			if !ok {
-				b.Fatal("refused")
-			}
-			sink += s
-		}
-		_ = sink
-	})
-	b.Run("upper", func(b *testing.B) {
-		var sink float64
-		for i := 0; i < b.N; i++ {
-			s, ok := o.UpperPacked(q, qn, pv, qvn, wf)
-			if !ok {
-				b.Fatal("refused")
-			}
-			sink += s
 		}
 		_ = sink
 	})

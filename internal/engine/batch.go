@@ -1,27 +1,17 @@
 // This file is the batched Assign pipeline: one snapshot load for a whole
 // batch of queries, candidate clusters resolved from the generation's lazy
 // bucket→cluster summary (one hash + one map lookup per LSH table — no
-// per-id enumeration), and a prune-then-prove scoring cascade per query:
+// per-id enumeration), and a two-step scoring cascade per query:
 //
 //  1. Anchor bound: one kernel evaluation per (query, candidate cluster)
 //     against the cluster's precomputed anchor/radius (batchindex.go) upper-
 //     bounds the exact score, and the anchor distance orders the walk so the
 //     most likely winner is scored first.
-//  2. Exact anchor-first scan: the nearest candidate is scored EXACTLY over
-//     its full member set (affinity.ScorePacked — the same kernel, rows and
-//     summation order as the single-point path, fused into one streaming
-//     pass), establishing a real exact score to prune against.
-//  3. Quantized scan: each remaining candidate's member set is scanned in
-//     descending weight order against the packed dequantized image of the
-//     int8 row mirrors (affinity.UpperPackedCut over batchindex.go's
-//     qv/qvn/qwf/qsuf arrays), accumulating a rigorous upper bound on its
-//     exact score — per-row quantization error folded in at pack time, the
-//     unscanned tail bounded by its precomputed weight mass. The scan stops
-//     as soon as the prune decision is settled in either direction: a
-//     candidate whose bound sits strictly below the best exact score so far
-//     is discarded without ever touching its float64 rows; survivors are
-//     re-checked exactly and the best exact score tightens as the walk
-//     proceeds.
+//  2. Exact scan: every candidate whose anchor bound reaches the best exact
+//     score so far is scored EXACTLY over its full member set
+//     (affinity.ScorePacked — the same kernel, rows and summation order as
+//     the single-point path, fused into one streaming pass), and the best
+//     exact score tightens as the walk proceeds.
 //
 // Winners and scores are bit-identical to N sequential Assign calls: both
 // paths see the same candidate clusters, every candidate is either exactly
@@ -32,8 +22,6 @@
 // candidate CLUSTERS examined, where the single-point path reports
 // deduplicated candidate points.
 //
-// When the quantized tier is unavailable (non-Euclidean kernel, unmirrored
-// rows) stage 3 degenerates to exact scans under the anchor bound alone.
 // The batch path never touches the writer and allocates nothing at steady
 // state: all arenas live in a pooled batchScratch that only ever grows.
 
@@ -46,12 +34,6 @@ import (
 	"alid/internal/obs"
 	"alid/internal/vec"
 )
-
-// quantMinMembers gates the quantized pre-scan: below this member count an
-// exact scan is about as cheap as the quantized estimate it would try to
-// avoid, so small clusters go straight to float64 rows. Purely a performance
-// threshold — both branches produce bit-identical answers.
-const quantMinMembers = 32
 
 // batchScratch is the per-batch workspace, pooled per published state. Every
 // slice is either fixed-size for the generation (markers) or a grow-only
@@ -140,32 +122,14 @@ func (e *Engine) assignBatchPinned(qs [][]float64, out []Assignment) ([]Assignme
 	return out, nClusters, nil
 }
 
-// AssignBatchFlat is AssignBatch over a row-major flat buffer holding
-// len(flat)/dim queries — the entry point for callers that already hold
-// contiguous rows (wire decoders, benchmark drivers). Only the slice-header
-// views are materialized; no coordinate is copied.
-func (e *Engine) AssignBatchFlat(flat []float64, dim int, out []Assignment) ([]Assignment, error) {
-	if dim <= 0 {
-		return nil, fmt.Errorf("engine: flat batch dimension %d", dim)
-	}
-	if len(flat)%dim != 0 {
-		return nil, fmt.Errorf("engine: flat batch of %d values is not a multiple of dimension %d", len(flat), dim)
-	}
-	qs := make([][]float64, len(flat)/dim)
-	for i := range qs {
-		qs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	return e.AssignBatchInto(qs, out)
-}
-
 // assignBatch runs the batched scoring pipeline over pre-validated queries.
 func (e *Engine) assignBatch(st *state, bs *batchScratch, qs [][]float64, out []Assignment) []Assignment {
 	bi := st.batchIdx()
 	kern := st.oracle.Kernel
-	var scanned int64 // rows kernel-scanned (quant + exact), credited per batch
+	var scanned int64 // rows kernel-scanned, credited per batch
 	// Prune-tier tallies, flushed with one atomic add per batch (not per
 	// query) to keep the hot loop free of shared-cacheline traffic.
-	var anchorPruned, quantPruned, exactScans, noise int64
+	var anchorPruned, exactScans, noise int64
 	// Reserve one marker generation per query; on wrap-around reset markers.
 	if bs.gen > ^uint32(0)-uint32(len(qs))-1 {
 		clear(bs.cmark)
@@ -219,8 +183,8 @@ func (e *Engine) assignBatch(st *state, bs *batchScratch, qs [][]float64, out []
 			ord[i+1] = x
 		}
 
-		// The walk: every candidate is exactly scored unless a rigorous bound
-		// (anchor or quantized) places it strictly below an exact competitor.
+		// The walk: every candidate is exactly scored unless its anchor bound
+		// places it strictly below an exact competitor.
 		bestScore := math.Inf(-1)
 		bestSlot := -1
 		for _, s32 := range ord {
@@ -232,18 +196,6 @@ func (e *Engine) assignBatch(st *state, bs *batchScratch, qs [][]float64, out []
 			ci := int(bs.cids[s])
 			cl := st.view.Clusters[ci]
 			lo, hi := int(bi.pkOff[ci]), int(bi.pkOff[ci+1])
-			if st.quant && bestSlot >= 0 && hi-lo >= quantMinMembers && bi.qok[ci] {
-				// Charged in full even though the cut usually exits early —
-				// the evaluation counter is a diagnostic, not a bit-stable
-				// quantity (the PR-4 convention).
-				scanned += int64(hi - lo)
-				ub, ok := st.oracle.UpperPackedCut(q, qn,
-					bi.qv[lo*st.dim:hi*st.dim], bi.qvn[lo:hi], bi.qwf[lo:hi], bi.qsuf[lo:hi], bestScore)
-				if ok && ub < bestScore {
-					quantPruned++
-					continue // quant-pruned: strictly below an exact score
-				}
-			}
 			exactScans++
 			scanned += int64(hi - lo)
 			bs.col = growF64(bs.col, hi-lo)
@@ -273,7 +225,6 @@ func (e *Engine) assignBatch(st *state, bs *batchScratch, qs [][]float64, out []
 	}
 	st.oracle.AddComputed(scanned)
 	e.met.scanAnchor.Add(anchorPruned)
-	e.met.scanQuant.Add(quantPruned)
 	e.met.scanExact.Add(exactScans)
 	e.met.noise.Add(noise)
 	return out

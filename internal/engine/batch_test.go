@@ -31,6 +31,67 @@ func mixedQueries(pts [][]float64, n int, seed int64) [][]float64 {
 	return qs
 }
 
+// nearTieQueries returns n points on (and a hair off) the perpendicular
+// bisector of the blob centers (0,0) and (12,12), where the two clusters'
+// scores nearly coincide.
+func nearTieQueries(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	qs := make([][]float64, n)
+	for i := range qs {
+		s := rng.Float64()*24 - 6
+		qs[i] = []float64{6 + s + rng.NormFloat64()*1e-9, 6 - s}
+	}
+	return qs
+}
+
+// requireLargeCluster fails the test unless some published cluster has more
+// than 64 members, so the crosschecks cover large supports.
+func requireLargeCluster(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, cl := range e.Clusters() {
+		if len(cl.Members) > 64 {
+			return
+		}
+	}
+	t.Fatal("no cluster has more than 64 members")
+}
+
+// fullScanOracle is the independent reference both assign paths must match:
+// every cluster owning an LSH candidate of q, in first-seen order, scored
+// over its full support (ColumnPoint plus a member-order weighted sum), the
+// first strict maximum winning.
+func fullScanOracle(t *testing.T, e *Engine) func(q []float64) (int, float64) {
+	t.Helper()
+	v := e.View()
+	o, err := affinity.NewOracleMatrix(v.Mat, e.Config().Core.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(q []float64) (int, float64) {
+		qn := vec.Dot(q, q)
+		seen := make(map[int]bool)
+		best, bestScore := -1, math.Inf(-1)
+		for _, id := range v.Index.Query(q) {
+			ci := v.Labels.At(int(id))
+			if ci < 0 || seen[ci] {
+				continue
+			}
+			seen[ci] = true
+			cl := v.Clusters[ci]
+			col := make([]float64, len(cl.Members))
+			o.ColumnPoint(q, qn, cl.Members, col)
+			var s float64
+			for t, w := range cl.Weights {
+				s += w * col[t]
+			}
+			if s > bestScore {
+				best, bestScore = ci, s
+			}
+		}
+		return best, bestScore
+	}
+}
+
 // sameAnswer reports whether a batch assignment matches a sequential one on
 // every semantic field. Candidates is deliberately excluded: the batch
 // pipeline counts candidate clusters, the single-point path counts
@@ -42,10 +103,8 @@ func sameAnswer(a, b Assignment) bool {
 
 // AssignBatch must be bit-identical to sequential Assign calls — winner,
 // score, density and infectivity, in order — on the same published state,
-// across batch sizes that exercise the full prune-then-prove cascade
-// (clusters larger than assignTopK included, so the anchor, quantized and
-// exact tiers are all live). Across batch sizes the results must agree on
-// every field, Candidates included.
+// across batch sizes, on clusters larger than 64 members. Across batch sizes
+// the results must agree on every field, Candidates included.
 func TestAssignBatchMatchesSequential(t *testing.T) {
 	pts, _ := testutil.Blobs(53, [][]float64{{0, 0}, {12, 12}}, 250, 0.05, 40, -20, 25)
 	e, err := New(engineConfig(), pts)
@@ -53,9 +112,7 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if st := e.state.Load(); !st.quant {
-		t.Fatal("quantized tier not active — batch crosscheck would not exercise it")
-	}
+	requireLargeCluster(t, e)
 
 	queries := mixedQueries(pts, 300, 54)
 	want := make([]Assignment, len(queries))
@@ -96,80 +153,24 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 			}
 		}
 	}
-
-	// Flat form: same answers from a row-major buffer.
-	flat := make([]float64, 0, 2*len(queries))
-	for _, q := range queries {
-		flat = append(flat, q...)
-	}
-	got, err := e.AssignBatchFlat(flat, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, a := range got {
-		if a != ref[i] {
-			t.Fatalf("flat query %d: %+v, batch-of-1 %+v", i, a, ref[i])
-		}
-	}
 }
 
-// The quantized first pass must be invisible: batch winners and scores must
-// match an independent full exact scan (no truncation, no quantization) —
-// including adversarial near-tie queries on the symmetry axis between two
-// mirrored blobs, where both clusters' scores collide within the quant
-// margin and both must be exactly re-checked.
-func TestAssignQuantizedMatchesExact(t *testing.T) {
+// AssignBatch must answer exactly the full-scan reference: the anchor
+// bound may skip a candidate only when it sits strictly below an exact
+// competitor, so winners and scores are bit-identical — including
+// adversarial near-tie queries on the symmetry axis between two mirrored
+// blobs, where both clusters' scores collide.
+func TestAssignBatchMatchesExact(t *testing.T) {
 	pts, _ := testutil.Blobs(57, [][]float64{{0, 0}, {12, 12}}, 220, 0.05, 30, -15, 22)
 	e, err := New(engineConfig(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	st := e.state.Load()
-	if !st.quant {
-		t.Fatal("quantized tier not active")
-	}
+	requireLargeCluster(t, e)
+	fullAssign := fullScanOracle(t, e)
 
-	v := e.View()
-	o, err := affinity.NewOracleMatrix(v.Mat, e.Config().Core.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAssign := func(q []float64) (int, float64) {
-		qn := vec.Dot(q, q)
-		seen := make(map[int]bool)
-		best, bestScore := -1, math.Inf(-1)
-		for _, id := range v.Index.Query(q) {
-			ci := v.Labels.At(int(id))
-			if ci < 0 || seen[ci] {
-				continue
-			}
-			seen[ci] = true
-			cl := v.Clusters[ci]
-			col := make([]float64, len(cl.Members))
-			o.ColumnPoint(q, qn, cl.Members, col)
-			var s float64
-			for t, w := range cl.Weights {
-				s += w * col[t]
-			}
-			if s > bestScore {
-				best, bestScore = ci, s
-			}
-		}
-		return best, bestScore
-	}
-
-	queries := mixedQueries(pts, 120, 58)
-	// Adversarial near-ties: points on (and a hair off) the perpendicular
-	// bisector of the two blob centers, where the two clusters' affinities
-	// nearly coincide and quantized bounds alone cannot separate them.
-	rng := rand.New(rand.NewSource(59))
-	for i := 0; i < 60; i++ {
-		s := rng.Float64()*24 - 6
-		eps := rng.NormFloat64() * 1e-9
-		queries = append(queries, []float64{6 + s + eps, 6 - s})
-	}
-
+	queries := append(mixedQueries(pts, 120, 58), nearTieQueries(60, 59)...)
 	got, err := e.AssignBatch(queries)
 	if err != nil {
 		t.Fatal(err)
@@ -178,12 +179,12 @@ func TestAssignQuantizedMatchesExact(t *testing.T) {
 	for i, q := range queries {
 		wantC, wantS := fullAssign(q)
 		if got[i].Cluster != wantC {
-			t.Fatalf("query %d: batch winner %d, exact winner %d", i, got[i].Cluster, wantC)
+			t.Fatalf("query %d: batch winner %d, full-scan winner %d", i, got[i].Cluster, wantC)
 		}
 		if wantC >= 0 {
 			assigned++
 			if got[i].Score != wantS {
-				t.Fatalf("query %d: batch score %v, exact score %v", i, got[i].Score, wantS)
+				t.Fatalf("query %d: batch score %v, full-scan score %v", i, got[i].Score, wantS)
 			}
 		}
 	}
@@ -226,14 +227,6 @@ func TestAssignBatchAtomicValidation(t *testing.T) {
 	}
 	if got := e.Stats().Assigns; got != before+2 {
 		t.Fatalf("assigns = %d, want %d", got, before+2)
-	}
-
-	// Flat-form shape validation.
-	if _, err := e.AssignBatchFlat([]float64{1, 2, 3}, 2, nil); err == nil {
-		t.Fatal("ragged flat batch accepted")
-	}
-	if _, err := e.AssignBatchFlat([]float64{1, 2}, 0, nil); err == nil {
-		t.Fatal("zero-dim flat batch accepted")
 	}
 }
 

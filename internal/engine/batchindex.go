@@ -15,7 +15,7 @@
 //     the Minkowski triangle inequality gives d(q,s) ≥ d(q,A) − d(A,s), so
 //     with rad = max over members of d(A,s):
 //
-//       score(q,c) = Σ w·exp(-k·d(q,s)) ≤ (Σw)·exp(-k·max(0, d(q,A) − rad)).
+//     score(q,c) = Σ w·exp(-k·d(q,s)) ≤ (Σw)·exp(-k·max(0, d(q,A) − rad)).
 //
 //     One kernel evaluation per (query, candidate cluster) discards far
 //     clusters before any member row is touched. rad and wsum are inflated
@@ -26,10 +26,8 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"alid/internal/affinity"
-	"alid/internal/matrix"
 	"alid/internal/vec"
 )
 
@@ -97,40 +95,12 @@ type batchIndex struct {
 	// pk packs each cluster's member rows contiguously (row-major, dim-
 	// strided) with their squared norms in pkn; cluster ci's members occupy
 	// packed rows [pkOff[ci], pkOff[ci+1]). The values are exact copies of
-	// the matrix rows, so the exact re-check streams sequential memory and
+	// the matrix rows, so the exact scan streams sequential memory and
 	// stays bit-identical to a gathered scan. Costs one extra O(n·d) copy of
 	// the member rows per generation — derived, never persisted.
 	pk    []float64
 	pkn   []float64
 	pkOff []int32
-	// The packed image of the quantized tier, sharing pkOff's per-cluster
-	// extents but NOT pk's row order — within each cluster the quant rows are
-	// packed in DESCENDING folded-weight order (bounds carry no
-	// bit-reproducibility constraint, unlike the exact rows, whose member
-	// order the reported score depends on). Mass then concentrates at the
-	// front of every scan, which is what lets UpperPackedCut decide a prune
-	// after a prefix: qsuf[i] is the inflated suffix mass Σ_{j≥i} qwf[j]
-	// within i's cluster, a rigorous bound on everything not yet scanned.
-	// qv holds
-	// each member's DEQUANTIZED mirror row (Off + Scale·z, stored float32 —
-	// half the memory traffic of the exact rows, which is what the prune scan
-	// is bound by), qvn the squared norms OF THE STORED float32 values
-	// (computed in float64, so the scan's norm identity measures the distance
-	// to exactly the row it dots), and qwf each row's weight folded with its
-	// rigorous displacement factor: the chunk-measured quantization error
-	// plus the float32 storage rounding (‖ṽ−ṽ₃₂‖ ≤ 2⁻²⁴·‖ṽ‖ per coordinate,
-	// plus a subnormal floor), pushed through 1+expm1(k·err) and inflated.
-	// The per-query quantized prune (affinity.UpperPacked) is then one dot +
-	// one LUT lookup + one multiply-add per row — no int8 decode, no chunk
-	// walk, no error bookkeeping at query time. qok[ci] is false when any
-	// member of ci lacked a current mirror at build time (unsealed or stale
-	// chunk); such clusters skip the quantized prune and scan exactly. Empty
-	// when the generation has no quantized tier.
-	qv   []float32
-	qvn  []float64
-	qwf  []float64
-	qsuf []float64
-	qok  []bool
 }
 
 // batchIdx returns the generation's batchIndex, building it on first use.
@@ -213,84 +183,6 @@ func buildBatchIndex(st *state) *batchIndex {
 			copy(bi.pk[at*d:(at+1)*d], v.Mat.Row(m))
 			bi.pkn[at] = v.Mat.NormSq(m)
 			at++
-		}
-	}
-	if st.quant {
-		bi.qv = make([]float32, total*d)
-		bi.qvn = make([]float64, total)
-		bi.qwf = make([]float64, total)
-		bi.qsuf = make([]float64, total)
-		bi.qok = make([]bool, nc)
-		k := kern.K
-		var perm []int
-		var tv []float32
-		var tn, tw []float64
-		for ci, cl := range v.Clusters {
-			bi.qok[ci] = true
-			at := int(bi.pkOff[ci])
-			for t, m := range cl.Members {
-				qc := v.Mat.QuantChunkAt(m >> matrix.ChunkShift)
-				ri := m & (matrix.ChunkRows - 1)
-				if qc == nil || ri >= qc.Rows {
-					bi.qok[ci] = false // stale/missing mirror: exact scans only
-					break
-				}
-				z := qc.Data[ri*d : (ri+1)*d]
-				row := bi.qv[at*d : (at+1)*d]
-				var nn float64
-				for j, x := range z {
-					vq := float32(qc.Off + qc.Scale*float64(x))
-					row[j] = vq
-					nn += float64(vq) * float64(vq)
-				}
-				if math.IsInf(nn, 0) {
-					bi.qok[ci] = false // float32 overflow: exact scans only
-					break
-				}
-				bi.qvn[at] = nn
-				// Row displacement from the exact row: the mirror's measured
-				// error plus the float32 storage rounding — relative 2⁻²⁴
-				// (≈6e-8, inflated) of the dequantized norm, plus a subnormal
-				// floor.
-				err := qc.Errs[ri] + 6.1e-8*math.Sqrt(qc.Norms[ri]) + 1e-30
-				bi.qwf[at] = cl.Weights[t] * (1 + math.Expm1(k*err)) * (1 + 1e-12)
-				at++
-			}
-			if !bi.qok[ci] {
-				continue
-			}
-			// Repack this cluster's quant rows in descending folded-weight
-			// order (index tie-break for a deterministic layout), then the
-			// inflated suffix masses the early-exit scan prunes against.
-			lo, hi := int(bi.pkOff[ci]), int(bi.pkOff[ci+1])
-			m := hi - lo
-			perm = perm[:0]
-			for i := 0; i < m; i++ {
-				perm = append(perm, i)
-			}
-			sort.Slice(perm, func(a, b int) bool {
-				wa, wb := bi.qwf[lo+perm[a]], bi.qwf[lo+perm[b]]
-				if wa != wb {
-					return wa > wb
-				}
-				return perm[a] < perm[b]
-			})
-			tv = append(tv[:0], bi.qv[lo*d:hi*d]...)
-			tn = append(tn[:0], bi.qvn[lo:hi]...)
-			tw = append(tw[:0], bi.qwf[lo:hi]...)
-			for i, p := range perm {
-				copy(bi.qv[(lo+i)*d:(lo+i+1)*d], tv[p*d:(p+1)*d])
-				bi.qvn[lo+i] = tn[p]
-				bi.qwf[lo+i] = tw[p]
-			}
-			var s float64
-			for i := hi - 1; i >= lo; i-- {
-				s += bi.qwf[i]
-				// The 1e-9 inflation dominates the fp rounding of summing a
-				// chunk's worth of nonnegative terms, keeping the suffix a
-				// rigorous bound on the true remaining weight mass.
-				bi.qsuf[i] = s * (1 + 1e-9)
-			}
 		}
 	}
 	for ci, cl := range v.Clusters {

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -180,34 +179,13 @@ type Stats struct {
 	EverSeenIDs int
 }
 
-// assignTopK is the truncation width of the assign-path scorer: only the
-// top-K support weights of a candidate cluster are scored in the first pass.
-// Since every affinity is at most 1, the weight mass outside the top-K
-// bounds the truncation error, and candidates whose bound reaches the best
-// truncated score are re-scored exactly — the reported winner and score are
-// always identical to full scoring (see Assign).
-const assignTopK = 64
-
-// clusterTrunc is the per-cluster truncated-scoring table built at publish
-// time. A nil rows slice marks a cluster small enough (≤ assignTopK
-// members) to always score exactly.
-type clusterTrunc struct {
-	rows  []int     // global ids of the top-K-weight members
-	w     []float64 // weights parallel to rows (descending, ties by position)
-	restW float64   // Σ weights outside rows; affinities ≤ 1 bound their score
-}
-
 // state is one immutable published generation.
 type state struct {
 	view   stream.View
 	oracle *affinity.Oracle // nil until the first commit
 	dim    int
-	trunc  []clusterTrunc // per-cluster truncation tables, len = clusters
-	pool   sync.Pool      // *scratch sized for this generation
-	bpool  sync.Pool      // *batchScratch sized for this generation
-	// quant marks the published matrix as fully mirrored for the int8
-	// candidate-scan tier (the batch pipeline's first scoring pass).
-	quant bool
+	pool   sync.Pool // *scratch sized for this generation
+	bpool  sync.Pool // *batchScratch sized for this generation
 	// bidx is the batch pipeline's candidate-retrieval structure
 	// (bucket→cluster summaries and anchor bounds), built lazily by the
 	// first batch against this generation — never at publish time, so
@@ -219,15 +197,13 @@ type state struct {
 // scratch is per-goroutine read-path workspace, pooled per state so steady
 // Assign traffic allocates nothing.
 type scratch struct {
-	sig    []int64
-	mark   []uint32 // per-point dedup marker, len N
-	cmark  []uint32 // per-cluster dedup marker
-	gen    uint32
-	cand   []int32
-	cids   []int
-	col    []float64
-	scores []float64 // truncated (or exact, for small clusters) scores per cid
-	bounds []float64 // upper bounds per cid: score + rest weight mass
+	sig   []int64
+	mark  []uint32 // per-point dedup marker, len N
+	cmark []uint32 // per-cluster dedup marker
+	gen   uint32
+	cand  []int32
+	cids  []int
+	col   []float64
 }
 
 func (s *state) getScratch() *scratch {
@@ -335,7 +311,7 @@ func New(cfg Config, initial [][]float64) (*Engine, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c, err := stream.New(initial, stream.Config{Core: cfg.Core, BatchSize: cfg.BatchSize, Retention: cfg.Retention, Quantize: true, Obs: reg, ObsLabels: shardFrag(cfg.ShardLabel)})
+	c, err := stream.New(initial, stream.Config{Core: cfg.Core, BatchSize: cfg.BatchSize, Retention: cfg.Retention, Obs: reg, ObsLabels: shardFrag(cfg.ShardLabel)})
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -363,7 +339,7 @@ func RestoreGeneration(cfg Config, mat *matrix.Matrix, idx index.Index, clusters
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	c, err := stream.RestoreGeneration(stream.Config{Core: cfg.Core, BatchSize: cfg.BatchSize, Retention: cfg.Retention, Quantize: true, Obs: reg, ObsLabels: shardFrag(cfg.ShardLabel)}, mat, idx, clusters, labels, commits, generation, retired)
+	c, err := stream.RestoreGeneration(stream.Config{Core: cfg.Core, BatchSize: cfg.BatchSize, Retention: cfg.Retention, Obs: reg, ObsLabels: shardFrag(cfg.ShardLabel)}, mat, idx, clusters, labels, commits, generation, retired)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -420,7 +396,6 @@ func (e *Engine) publish() {
 			mu = v.Index.SigLen()
 		}
 		nClusters := len(v.Clusters)
-		st.trunc = buildTrunc(v.Clusters)
 		st.pool.New = func() any {
 			return &scratch{
 				sig:   make([]int64, mu),
@@ -439,10 +414,6 @@ func (e *Engine) publish() {
 				cmark: make([]uint32, nClusters),
 			}
 		}
-		// The stream quantizes right before every published Snapshot, so a
-		// non-empty view always carries complete int8 mirrors for the batch
-		// pipeline's quantized first pass.
-		st.quant = v.Mat.Quantized() && kern.P == 2 && !kern.Jaccard
 	}
 	if old := e.state.Swap(st); old != nil && old.oracle != nil {
 		e.pastComputed.Add(old.oracle.Computed())
@@ -460,49 +431,6 @@ func (e *Engine) publish() {
 			slog.Int64("queued", e.queued.Load()),
 		)
 	}
-}
-
-// buildTrunc precomputes the top-K weight truncation table for every
-// cluster larger than assignTopK. Selection is deterministic: weights
-// descending, ties broken by member position, so live and restored engines
-// derive identical tables from identical clusters.
-func buildTrunc(clusters []*core.Cluster) []clusterTrunc {
-	out := make([]clusterTrunc, len(clusters))
-	for ci, cl := range clusters {
-		if len(cl.Members) <= assignTopK {
-			continue
-		}
-		pos := make([]int, len(cl.Members))
-		for i := range pos {
-			pos[i] = i
-		}
-		sort.Slice(pos, func(a, b int) bool {
-			if cl.Weights[pos[a]] != cl.Weights[pos[b]] {
-				return cl.Weights[pos[a]] > cl.Weights[pos[b]]
-			}
-			return pos[a] < pos[b]
-		})
-		tr := clusterTrunc{
-			rows: make([]int, assignTopK),
-			w:    make([]float64, assignTopK),
-		}
-		var topSum float64
-		for t := 0; t < assignTopK; t++ {
-			p := pos[t]
-			tr.rows[t] = cl.Members[p]
-			tr.w[t] = cl.Weights[p]
-			topSum += cl.Weights[p]
-		}
-		var total float64
-		for _, w := range cl.Weights {
-			total += w
-		}
-		if tr.restW = total - topSum; tr.restW < 0 {
-			tr.restW = 0
-		}
-		out[ci] = tr
-	}
-	return out
 }
 
 // run is the single writer: it drains the ingest queue, lets the stream
@@ -676,12 +604,8 @@ func queryErr(q []float64, dim int) error {
 // empty engine, or one sharing no LSH bucket with any clustered point,
 // returns Cluster = -1.
 //
-// Scoring is weight-truncated: candidate clusters are first scored over
-// their assignTopK heaviest support weights only, which caps the per-
-// candidate cost for giant clusters; every candidate whose upper bound
-// (truncated score + remaining weight mass, affinities being ≤ 1) reaches
-// the best truncated score is then re-scored exactly, so the winner and its
-// reported score are bit-identical to full scoring.
+// Every candidate cluster is scored exactly over its full support, in member
+// order; the first strict maximum in first-seen candidate order wins.
 func (e *Engine) Assign(q []float64) (Assignment, error) {
 	a, _, err := e.assignPinned(q)
 	return a, err
@@ -736,66 +660,21 @@ func (e *Engine) assignPinned(q []float64) (Assignment, int, error) {
 	}
 
 	qNormSq := vec.Dot(q, q)
-	// Pass 1: score each candidate cluster over its top-K support weights
-	// only (small clusters exactly). With every affinity ≤ 1, the weight
-	// mass outside the top-K upper-bounds what the truncated tail could
-	// contribute, so scores[k] ≤ exact ≤ bounds[k].
-	sc.scores = sc.scores[:0]
-	sc.bounds = sc.bounds[:0]
-	bestLower := math.Inf(-1)
-	for _, ci := range sc.cids {
-		var score, bound float64
-		if tr := &st.trunc[ci]; tr.rows != nil {
-			col := sc.colFor(len(tr.rows))
-			st.oracle.ColumnPoint(q, qNormSq, tr.rows, col)
-			for t, w := range tr.w {
-				score += w * col[t]
-			}
-			bound = score + tr.restW
-		} else {
-			cl := st.view.Clusters[ci]
-			col := sc.colFor(len(cl.Members))
-			st.oracle.ColumnPoint(q, qNormSq, cl.Members, col)
-			for t, w := range cl.Weights {
-				score += w * col[t]
-			}
-			bound = score
-		}
-		sc.scores = append(sc.scores, score)
-		sc.bounds = append(sc.bounds, bound)
-		if score > bestLower {
-			bestLower = score
-		}
-	}
-	// Pass 2: exact re-check of every candidate whose upper bound reaches
-	// the best truncated score — near ties included. Anything skipped has
-	// exact ≤ bound < bestLower ≤ the winner's exact score, so the winner
-	// (and its reported score, computed over the full member set in member
-	// order) is bit-identical to untruncated scoring.
 	best, bestScore := -1, math.Inf(-1)
-	pruned := 0
-	for k, ci := range sc.cids {
-		if sc.bounds[k] < bestLower {
-			pruned++
-			continue
-		}
-		score := sc.scores[k]
-		if tr := &st.trunc[ci]; tr.rows != nil {
-			cl := st.view.Clusters[ci]
-			col := sc.colFor(len(cl.Members))
-			st.oracle.ColumnPoint(q, qNormSq, cl.Members, col)
-			score = 0
-			for t, w := range cl.Weights {
-				score += w * col[t]
-			}
+	for _, ci := range sc.cids {
+		cl := st.view.Clusters[ci]
+		col := sc.colFor(len(cl.Members))
+		st.oracle.ColumnPoint(q, qNormSq, cl.Members, col)
+		var score float64
+		for t, w := range cl.Weights {
+			score += w * col[t]
 		}
 		if score > bestScore {
 			best, bestScore = ci, score
 		}
 	}
 	e.met.candPoints.Observe(int64(len(sc.cand)))
-	e.met.scanTrunc.Add(int64(pruned))
-	e.met.scanExact.Add(int64(len(sc.cids) - pruned))
+	e.met.scanExact.Add(int64(len(sc.cids)))
 	if best < 0 { // defensive: unreachable with finite inputs
 		e.met.noise.Inc()
 		e.met.assignSingle.ObserveSince(start)

@@ -273,82 +273,36 @@ func TestCloseFlushesBufferedPoints(t *testing.T) {
 	}
 }
 
-// Truncated scoring must be invisible: on clusters larger than assignTopK
-// the winner and its reported score must be bit-identical to the full
-// (untruncated) PR-2 algorithm — candidate clusters from the published LSH
-// index in first-seen order, each scored over its entire support, first
-// maximum wins.
-func TestAssignTruncatedMatchesFull(t *testing.T) {
+// Single-point Assign must answer exactly the reference algorithm:
+// candidate clusters from the published LSH index in first-seen order, each
+// scored over its entire support, first strict maximum wins — bit-identical
+// winner and score, on clusters larger than 64 members and on near-tie
+// queries between two mirrored blobs.
+func TestAssignMatchesFullScan(t *testing.T) {
 	pts, _ := testutil.Blobs(53, [][]float64{{0, 0}, {12, 12}}, 250, 0.05, 40, -20, 25)
 	e, err := New(engineConfig(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	big := 0
-	for _, cl := range e.Clusters() {
-		if len(cl.Members) > assignTopK {
-			big++
-		}
-	}
-	if big == 0 {
-		t.Fatal("no cluster exceeds assignTopK — truncation not exercised")
-	}
+	requireLargeCluster(t, e)
+	fullAssign := fullScanOracle(t, e)
 
-	v := e.View()
-	o, err := affinity.NewOracleMatrix(v.Mat, e.Config().Core.Kernel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullAssign := func(q []float64) (int, float64) {
-		qn := vec.Dot(q, q)
-		seen := make(map[int]bool)
-		best, bestScore := -1, math.Inf(-1)
-		for _, id := range v.Index.Query(q) {
-			ci := v.Labels.At(int(id))
-			if ci < 0 || seen[ci] {
-				continue
-			}
-			seen[ci] = true
-			cl := v.Clusters[ci]
-			col := make([]float64, len(cl.Members))
-			o.ColumnPoint(q, qn, cl.Members, col)
-			var s float64
-			for t, w := range cl.Weights {
-				s += w * col[t]
-			}
-			if s > bestScore {
-				best, bestScore = ci, s
-			}
-		}
-		return best, bestScore
-	}
-
-	rng := rand.New(rand.NewSource(54))
+	queries := append(mixedQueries(pts, 150, 54), nearTieQueries(60, 55)...)
 	assigned := 0
-	for qi := 0; qi < 150; qi++ {
-		var q []float64
-		switch qi % 3 {
-		case 0:
-			src := pts[rng.Intn(len(pts))]
-			q = []float64{src[0] + rng.NormFloat64()*0.2, src[1] + rng.NormFloat64()*0.2}
-		case 1:
-			q = []float64{rng.NormFloat64() * 3, rng.NormFloat64() * 3}
-		default:
-			q = []float64{rng.Float64()*50 - 15, rng.Float64()*50 - 15}
-		}
+	for qi, q := range queries {
 		a, err := e.Assign(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantC, wantS := fullAssign(q)
 		if a.Cluster != wantC {
-			t.Fatalf("query %d: truncated winner %d, full winner %d", qi, a.Cluster, wantC)
+			t.Fatalf("query %d: winner %d, full-scan winner %d", qi, a.Cluster, wantC)
 		}
 		if wantC >= 0 {
 			assigned++
 			if a.Score != wantS {
-				t.Fatalf("query %d: truncated score %v, full score %v", qi, a.Score, wantS)
+				t.Fatalf("query %d: score %v, full-scan score %v", qi, a.Score, wantS)
 			}
 		}
 	}
@@ -357,8 +311,7 @@ func TestAssignTruncatedMatchesFull(t *testing.T) {
 	}
 }
 
-// The assign path must stay allocation-free in steady state, truncation
-// tables included.
+// The assign path must stay allocation-free in steady state.
 func TestAssignAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")

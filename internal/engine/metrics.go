@@ -27,15 +27,10 @@ type engineMetrics struct {
 	candClusters *obs.Histogram
 
 	// Cluster-scan outcomes per query, one counter per cascade tier:
-	//   trunc_pruned — single path: upper bound below the best truncated
-	//                  score, never re-scored exactly;
 	//   anchor_pruned — batch path: anchor kernel bound below an exact
-	//                  competitor, float64 rows never touched;
-	//   quant_pruned — batch path: int8 upper bound settled the prune;
-	//   exact        — scored exactly over the full member set (either path).
-	scanTrunc  *obs.Counter
+	//                   competitor, member rows never touched;
+	//   exact         — scored exactly over the full member set (either path).
 	scanAnchor *obs.Counter
-	scanQuant  *obs.Counter
 	scanExact  *obs.Counter
 
 	noise *obs.Counter // assigns answered Cluster = -1
@@ -63,9 +58,7 @@ func newEngineMetrics(reg *obs.Registry, extra string) *engineMetrics {
 		candPoints:   obs.NewHistogram("alid_assign_candidates", "LSH candidates retrieved per query (points on the single path, clusters on the batch path).", l(`kind="points"`), 1),
 		candClusters: obs.NewHistogram("alid_assign_candidates", "LSH candidates retrieved per query (points on the single path, clusters on the batch path).", l(`kind="clusters"`), 1),
 
-		scanTrunc:  obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="trunc_pruned"`)),
 		scanAnchor: obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="anchor_pruned"`)),
-		scanQuant:  obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="quant_pruned"`)),
 		scanExact:  obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="exact"`)),
 
 		noise: obs.NewCounter("alid_assign_noise_total", "Assigns answered as noise (no maintained cluster shares a bucket).", l("")),
@@ -82,7 +75,7 @@ func newEngineMetrics(reg *obs.Registry, extra string) *engineMetrics {
 		reg.MustRegister(
 			m.assignSingle, m.assignBatch, m.batchPoints,
 			m.candPoints, m.candClusters,
-			m.scanTrunc, m.scanAnchor, m.scanQuant, m.scanExact,
+			m.scanAnchor, m.scanExact,
 			m.noise, m.ingestWait,
 			m.snapSave, m.snapLoad, m.saveBytes, m.loadBytes, m.deltaBytes,
 		)

@@ -89,16 +89,9 @@ type ShardedConfig struct {
 	Gather int
 }
 
-// shardAnswer is one shard's slot in a scattered single-point Assign:
-// the answer and the cluster count of the SAME pinned generation, plus the
+// shardBatch is one shard's slot in a scattered Assign or AssignBatch: the
+// answers and the cluster count of the SAME pinned generation, plus the
 // shard's error (merged deterministically — lowest shard index wins).
-type shardAnswer struct {
-	a        Assignment
-	clusters int
-	err      error
-}
-
-// shardBatch is one shard's slot in a scattered AssignBatch.
 type shardBatch struct {
 	out      []Assignment
 	clusters int
@@ -106,13 +99,45 @@ type shardBatch struct {
 }
 
 // gatherScratch is the pooled per-call scatter workspace: slot arrays for
-// the gather plus per-shard batch-answer arenas (grow-only), so steady
+// the gather plus per-shard answer arenas (grow-only), so steady
 // scatter-gather traffic allocates nothing at the router layer.
 type gatherScratch struct {
-	single []shardAnswer
-	batch  []shardBatch
-	bouts  [][]Assignment // per-shard batch arenas, recycled across calls
-	offs   []int          // cluster-count prefix sums, len n+1
+	slots []shardBatch
+	bouts [][]Assignment // per-shard answer arenas, recycled across calls
+	offs  []int          // cluster-count prefix sums, len n+1
+}
+
+// merge folds the per-shard answers of nq queries into out (resliced to
+// out[:0]): per query the best score wins with ties to the LOWEST shard
+// (strictly-greater keeps the earlier shard), the winning cluster id is
+// offset by the cluster counts of all lower shards, and Candidates sums
+// the shards' diagnostics. Shard errors resolve by lowest shard index.
+func (gs *gatherScratch) merge(res []shardBatch, nq int, out []Assignment) ([]Assignment, error) {
+	for i := range res {
+		if res[i].err != nil {
+			return nil, res[i].err
+		}
+	}
+	gs.offs = append(gs.offs[:0], 0)
+	for i := range res {
+		gs.offs = append(gs.offs, gs.offs[i]+res[i].clusters)
+	}
+	out = out[:0]
+	for j := 0; j < nq; j++ {
+		best := Assignment{Cluster: -1}
+		cands := 0
+		for i := range res {
+			a := res[i].out[j]
+			cands += a.Candidates
+			if a.Cluster >= 0 && (best.Cluster < 0 || a.Score > best.Score) {
+				best = a
+				best.Cluster = gs.offs[i] + a.Cluster
+			}
+		}
+		best.Candidates = cands
+		out = append(out, best)
+	}
+	return out, nil
 }
 
 // shardedMetrics is the router-level instrumentation. The per-shard engines
@@ -219,10 +244,9 @@ func (s *Sharded) finish(reg *obs.Registry) {
 	n := s.n
 	s.gpool.New = func() any {
 		return &gatherScratch{
-			single: make([]shardAnswer, n),
-			batch:  make([]shardBatch, n),
-			bouts:  make([][]Assignment, n),
-			offs:   make([]int, n+1),
+			slots: make([]shardBatch, n),
+			bouts: make([][]Assignment, n),
+			offs:  make([]int, n+1),
 		}
 	}
 	s.met = &shardedMetrics{
@@ -427,38 +451,19 @@ func (s *Sharded) Assign(q []float64) (Assignment, error) {
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	res := mapreduce.Scatter(s.n, s.width, gs.single, func(i int) shardAnswer {
+	res := mapreduce.Scatter(s.n, s.width, gs.slots, func(i int) shardBatch {
 		a, nc, err := s.shards[i].assignPinned(q)
-		return shardAnswer{a: a, clusters: nc, err: err}
+		gs.bouts[i] = append(gs.bouts[i][:0], a)
+		return shardBatch{out: gs.bouts[i], clusters: nc, err: err}
 	})
-	for i := range res {
-		if res[i].err != nil {
-			return Assignment{}, res[i].err
-		}
-	}
-	best := Assignment{Cluster: -1}
-	bestShard := -1
-	cands := 0
-	off := 0
-	for i := range res {
-		r := &res[i]
-		cands += r.a.Candidates
-		// Strictly-greater keeps the lowest shard on ties — the documented
-		// merge tie-break (shard-level first-seen order).
-		if r.a.Cluster >= 0 && (bestShard < 0 || r.a.Score > best.Score) {
-			best = r.a
-			best.Cluster = off + r.a.Cluster
-			bestShard = i
-		}
-		off += r.clusters
+	var one [1]Assignment
+	merged, err := gs.merge(res, 1, one[:0])
+	if err != nil {
+		return Assignment{}, err
 	}
 	s.assigns.Add(1)
 	s.met.gatherSingle.ObserveSince(start)
-	if bestShard < 0 {
-		return Assignment{Cluster: -1, Candidates: cands}, nil
-	}
-	best.Candidates = cands
-	return best, nil
+	return merged[0], nil
 }
 
 // AssignBatch classifies a batch; see AssignBatchInto.
@@ -478,42 +483,16 @@ func (s *Sharded) AssignBatchInto(qs [][]float64, out []Assignment) ([]Assignmen
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	res := mapreduce.Scatter(s.n, s.width, gs.batch, func(i int) shardBatch {
+	res := mapreduce.Scatter(s.n, s.width, gs.slots, func(i int) shardBatch {
 		o, nc, err := s.shards[i].assignBatchPinned(qs, gs.bouts[i])
 		if o != nil {
 			gs.bouts[i] = o // keep the grown arena for the next batch
 		}
 		return shardBatch{out: o, clusters: nc, err: err}
 	})
-	for i := range res {
-		if res[i].err != nil {
-			return nil, res[i].err
-		}
-	}
-	gs.offs = gs.offs[:0]
-	gs.offs = append(gs.offs, 0)
-	for i := range res {
-		gs.offs = append(gs.offs, gs.offs[i]+res[i].clusters)
-	}
-	for j := range qs {
-		best := Assignment{Cluster: -1}
-		bestShard := -1
-		cands := 0
-		for i := range res {
-			a := res[i].out[j]
-			cands += a.Candidates
-			if a.Cluster >= 0 && (bestShard < 0 || a.Score > best.Score) {
-				best = a
-				best.Cluster = gs.offs[i] + a.Cluster
-				bestShard = i
-			}
-		}
-		if bestShard < 0 {
-			out = append(out, Assignment{Cluster: -1, Candidates: cands})
-		} else {
-			best.Candidates = cands
-			out = append(out, best)
-		}
+	out, err := gs.merge(res, len(qs), out)
+	if err != nil {
+		return nil, err
 	}
 	s.assigns.Add(int64(len(qs)))
 	s.met.gatherBatch.ObserveSince(start)

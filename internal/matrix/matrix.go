@@ -38,7 +38,6 @@ package matrix
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"alid/internal/vec"
@@ -84,11 +83,6 @@ type Matrix struct {
 	deadPerChunk []int32
 	// dead is the total tombstone count; N-dead rows are live.
 	dead int
-	// quant[c] is chunk c's int8-quantized mirror (nil until Quantize builds
-	// it). Mirrors are derived state: never persisted, rebuilt on restore,
-	// immutable once built (a stale tail mirror is replaced by a fresh
-	// allocation, so snapshots sharing the old one are unaffected).
-	quant []*QuantChunk
 	// N is the number of rows (points) ever appended, dead ones included —
 	// row indices are stable across evictions.
 	N int
@@ -144,21 +138,34 @@ func allLiveWords() []uint64 {
 // every row has the same dimensionality. This is the single conversion point
 // at the public API boundary; the input rows are copied and never retained.
 func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("matrix: empty dataset")
-	}
-	d := len(rows[0])
-	if d == 0 {
-		return nil, fmt.Errorf("matrix: zero-dimensional points")
+	d, err := RowsDim(rows)
+	if err != nil {
+		return nil, err
 	}
 	m := &Matrix{D: d}
-	for i, r := range rows {
-		if len(r) != d {
-			return nil, fmt.Errorf("matrix: point %d has dimension %d, want %d", i, len(r), d)
-		}
+	for _, r := range rows {
 		m.appendRow(r, vec.Dot(r, r))
 	}
 	return m, nil
+}
+
+// RowsDim returns the common dimensionality of rows, or an error when rows
+// is empty, zero-dimensional or ragged — the shape rule FromRows enforces,
+// for callers that must check it before touching the rows themselves.
+func RowsDim(rows [][]float64) (int, error) {
+	if len(rows) == 0 {
+		return 0, fmt.Errorf("matrix: empty dataset")
+	}
+	d := len(rows[0])
+	if d == 0 {
+		return 0, fmt.Errorf("matrix: zero-dimensional points")
+	}
+	for i, r := range rows {
+		if len(r) != d {
+			return 0, fmt.Errorf("matrix: point %d has dimension %d, want %d", i, len(r), d)
+		}
+	}
+	return d, nil
 }
 
 // FromFlat copies an existing row-major slice into chunked storage and
@@ -317,12 +324,6 @@ func (m *Matrix) Snapshot() *Matrix {
 		c.chunks[k] = append(make([]float64, 0, len(c.chunks[k])), c.chunks[k]...)
 		c.norms[k] = append(make([]float64, 0, len(c.norms[k])), c.norms[k]...)
 	}
-	if m.quant != nil {
-		// Mirrors are immutable once built (tail refreshes allocate fresh
-		// ones), so sharing the pointers is safe: a mirror describes the rows
-		// it was built from, which both sides hold verbatim.
-		c.quant = append([]*QuantChunk(nil), m.quant...)
-	}
 	if m.live != nil {
 		// Liveness goes copy-on-write at chunk granularity: both sides keep
 		// the same bitmap chunks and mark them shared, so the next Evict on
@@ -412,9 +413,6 @@ func (m *Matrix) Evict(ids []int) (int, []int) {
 		if m.deadPerChunk[c] == ChunkRows && m.chunks[c] != nil && len(m.chunks[c]) == ChunkRows*m.D {
 			m.chunks[c] = nil
 			m.norms[c] = nil
-			if c < len(m.quant) {
-				m.quant[c] = nil
-			}
 			released = append(released, c)
 		}
 	}
@@ -547,180 +545,6 @@ func (m *Matrix) WeightedCentroid(idx []int, w []float64) []float64 {
 		vec.Axpy(out, w[t], m.Row(id))
 	}
 	return out
-}
-
-// QuantChunk is the int8-quantized mirror of one row chunk: the compressed
-// scoring tier of the serving path. Every value v of the chunk is stored as
-// the int8 q minimizing |v − (Off + Scale·q)|, so the dequantized value
-// differs from the original by at most Scale/2 per coordinate. Mirrors are
-// derived state — built lazily by Quantize, structurally shared by Snapshot,
-// never persisted (the snapshot codec is unaware of them; restore rebuilds
-// them at the next Quantize) — and immutable once built.
-type QuantChunk struct {
-	// Rows is the number of rows covered (a tail mirror covers the rows
-	// present when it was built; Quantize replaces it once the tail grows).
-	Rows int
-	// Scale and Off dequantize: v ≈ Off + Scale·float64(q). Scale is 0 for
-	// a constant chunk, in which case every value is exactly Off.
-	Scale, Off float64
-	// Data holds Rows·D int8 values, row-major like the float chunk.
-	Data []int8
-	// Norms[r] is ‖ṽ_r‖², the squared Euclidean norm of row r's dequantized
-	// form ṽ (computed in float64 from Off + Scale·Data). The quantized
-	// candidate scan evaluates ‖q − ṽ‖² = ‖q‖² − 2·q·ṽ + Norms[r] with
-	// q·ṽ = Off·Σq + Scale·(q·Data), so the inner loop is one int8 dot.
-	Norms []float64
-	// Errs[r] is row r's actual quantization displacement ‖v_r − ṽ_r‖₂,
-	// measured during the build and inflated for fp rounding. Per-row errors
-	// let the scan's margin charge each row only for its own displacement —
-	// typically well below both the chunk max and the worst case (Scale/2)·√D.
-	Errs []float64
-	// Err is the chunk-wide displacement bound: max over Errs.
-	Err float64
-}
-
-// quantLevels is the symmetric int8 range used by quantization: values map
-// to [-127, 127] (−128 is unused so the range is symmetric around Off).
-const quantLevels = 254
-
-// buildQuantChunk quantizes one float chunk into a fresh mirror.
-func buildQuantChunk(data []float64, d int) *QuantChunk {
-	lo, hi := data[0], data[0]
-	for _, v := range data {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	qc := &QuantChunk{
-		Rows:  len(data) / d,
-		Scale: (hi - lo) / quantLevels,
-		Off:   (lo + hi) / 2,
-		Data:  make([]int8, len(data)),
-	}
-	if qc.Scale > 0 {
-		inv := 1 / qc.Scale
-		for i, v := range data {
-			q := math.Round((v - qc.Off) * inv)
-			// Clamp defensively: rounding at the extremes stays in ±127 by
-			// construction, but fp noise on inv must not overflow int8.
-			if q > 127 {
-				q = 127
-			} else if q < -127 {
-				q = -127
-			}
-			qc.Data[i] = int8(q)
-		}
-	}
-	// Second pass: per-row dequantized norms and measured displacements.
-	// Using actual ‖v − ṽ‖ per row (instead of the worst case (Scale/2)·√D)
-	// tightens every margin derived from this chunk.
-	qc.Norms = make([]float64, qc.Rows)
-	qc.Errs = make([]float64, qc.Rows)
-	for r := 0; r < qc.Rows; r++ {
-		row := data[r*d : (r+1)*d]
-		qrow := qc.Data[r*d : (r+1)*d]
-		var nn, ee float64
-		for i, v := range row {
-			vq := qc.Off + qc.Scale*float64(qrow[i])
-			nn += vq * vq
-			dv := v - vq
-			ee += dv * dv
-		}
-		qc.Norms[r] = nn
-		qc.Errs[r] = math.Sqrt(ee)*(1+1e-9) + 1e-12
-		if qc.Errs[r] > qc.Err {
-			qc.Err = qc.Errs[r]
-		}
-	}
-	return qc
-}
-
-// Quantize builds or refreshes the int8 mirror of every resident chunk. A
-// sealed chunk is quantized exactly once (its mirror is reused forever); the
-// tail chunk's mirror is rebuilt — as a fresh allocation — whenever rows were
-// appended since the last call. Cost is therefore O(batch) amortized per
-// commit once warm. The serving path calls this right before Snapshot so
-// every published view carries complete mirrors.
-func (m *Matrix) Quantize() {
-	for len(m.quant) < len(m.chunks) {
-		m.quant = append(m.quant, nil)
-	}
-	for c, data := range m.chunks {
-		if data == nil {
-			m.quant[c] = nil // released chunk: no rows to ever scan
-			continue
-		}
-		if qc := m.quant[c]; qc != nil && qc.Rows == len(data)/m.D {
-			continue
-		}
-		m.quant[c] = buildQuantChunk(data, m.D)
-	}
-}
-
-// QuantRow returns row i's quantized coordinates with their dequantization
-// parameters. ok is false when the row's chunk has no (current) mirror —
-// callers fall back to the exact rows.
-func (m *Matrix) QuantRow(i int) (q []int8, scale, off float64, ok bool) {
-	c := i >> ChunkShift
-	if c >= len(m.quant) {
-		return nil, 0, 0, false
-	}
-	qc := m.quant[c]
-	r := i & chunkMask
-	if qc == nil || r >= qc.Rows {
-		return nil, 0, 0, false
-	}
-	j := r * m.D
-	return qc.Data[j : j+m.D : j+m.D], qc.Scale, qc.Off, true
-}
-
-// QuantRadius returns the largest Euclidean distance between any mirrored
-// row and its dequantized form: max over mirrors of the measured chunk Err.
-// Each coordinate is off by at most Scale/2, so this never exceeds the worst
-// case (Scale/2)·√D, and is typically much tighter. This is the error radius
-// the quantized candidate scan's exact-recheck margins are built from. It
-// returns 0 when no mirror exists.
-func (m *Matrix) QuantRadius() float64 {
-	var maxErr float64
-	for _, qc := range m.quant {
-		if qc != nil && qc.Err > maxErr {
-			maxErr = qc.Err
-		}
-	}
-	return maxErr
-}
-
-// QuantChunkAt returns chunk c's int8 mirror, or nil when the chunk has no
-// (current) mirror — released chunks, an unmirrored tail, or c out of range.
-// The scan tier walks mirrors chunk-wise through this accessor; the returned
-// chunk is immutable. Note a tail mirror may cover fewer rows than the tail
-// currently holds (Rows is the row count at build time): callers must bounds-
-// check row offsets against Rows, exactly as QuantRow does.
-func (m *Matrix) QuantChunkAt(c int) *QuantChunk {
-	if c < 0 || c >= len(m.quant) {
-		return nil
-	}
-	return m.quant[c]
-}
-
-// Quantized reports whether every resident row currently has a mirror (true
-// after Quantize until the next append).
-func (m *Matrix) Quantized() bool {
-	if len(m.quant) < len(m.chunks) {
-		return false
-	}
-	for c, data := range m.chunks {
-		if data == nil {
-			continue
-		}
-		if qc := m.quant[c]; qc == nil || qc.Rows != len(data)/m.D {
-			return false
-		}
-	}
-	return len(m.chunks) > 0
 }
 
 // Rows materializes the matrix back into [][]float64 (each row freshly

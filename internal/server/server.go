@@ -184,10 +184,26 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 // Handler returns the routing handler (exported for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
+// Listener timeouts of every HTTP server the daemon runs: a client that
+// never finishes its request headers, or parks an idle keep-alive
+// connection, is disconnected instead of holding the connection forever.
+// There is no whole-request read or write timeout on purpose: pprof's
+// profile and trace endpoints stream for as long as the client asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server serving h on addr with the listener
+// timeouts set.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Serve runs an HTTP server on addr until ctx is cancelled, then shuts down
 // gracefully within the configured grace period.
 func (s *Server) Serve(ctx context.Context, addr string) error {
-	hs := &http.Server{Addr: addr, Handler: s.mux}
+	hs := NewHTTPServer(addr, s.mux)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

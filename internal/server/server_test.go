@@ -284,6 +284,23 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
+// Every listener the daemon opens bounds how long a client may take to send
+// its request headers and how long an idle keep-alive connection stays open.
+func TestNewHTTPServerSetsTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	hs := NewHTTPServer("127.0.0.1:0", h)
+	if hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v; want %v, %v",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, readHeaderTimeout, idleTimeout)
+	}
+	if readHeaderTimeout <= 0 || idleTimeout <= 0 {
+		t.Fatal("listener timeouts must be positive (zero disables them)")
+	}
+	if hs.Addr != "127.0.0.1:0" || hs.Handler == nil {
+		t.Fatalf("addr %q handler %v", hs.Addr, hs.Handler)
+	}
+}
+
 // POST /v1/evict tombstones points and the change is visible through every
 // other endpoint: stats drop live_n, clusters shed the dead members.
 func TestEvictEndpoint(t *testing.T) {

@@ -69,13 +69,6 @@ type Config struct {
 	// keeps a forever-running stream's memory proportional to the window
 	// instead of the points ever seen.
 	Retention Retention
-	// Quantize maintains int8 row mirrors on the matrix (matrix.Quantize)
-	// so every published View carries the quantized candidate-scan tier.
-	// Sealed chunks quantize once and the tail refresh is O(batch), so
-	// commit-after-publish stays flat in n. The serving engine enables this;
-	// offline detection has no use for it. Mirrors are derived state — never
-	// persisted, rebuilt lazily after a restore.
-	Quantize bool
 	// Obs registers the clusterer's commit/eviction metrics (see metrics.go)
 	// with the given registry; nil keeps them unexported. Metrics are pure
 	// diagnostics: no commit or eviction decision ever reads one, so the
@@ -329,9 +322,6 @@ func (c *Clusterer) View() View {
 		EverSeenIDs: c.baseIDs + c.N(),
 	}
 	if c.mat != nil {
-		if c.cfg.Quantize {
-			c.mat.Quantize()
-		}
 		v.Mat = c.mat.Snapshot()
 	}
 	if c.index != nil {

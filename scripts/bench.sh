@@ -44,10 +44,9 @@
 #     median across invocations is recorded — a ratio of two series
 #     sampled minutes apart on this host is dominated by load-phase flips,
 #     not by the code under test.
-#   BenchmarkCandScan/{exact,quant,upper} (internal/affinity) — the
-#     quantized-vs-exact candidate-scan series: one 96-row weighted scan per
-#     op as the packed exact re-check, the int8 chunk-walking bracket, and
-#     the packed float32 prune bound the batch pipeline runs.
+#   BenchmarkCandScan/exact (internal/affinity) — the candidate-scan
+#     series: one 96-row weighted scan per op through the packed exact
+#     scorer the batch pipeline runs.
 #
 # PR 7 adds the observability-overhead gate:
 #   BenchmarkAssign with metrics enabled (default build) vs compiled out
@@ -163,10 +162,8 @@ done
 obs_on=$(echo "$obs_pairs" | awk 'NF {print $1}' | sort -n | awk '{a[NR]=$1} END {print a[int((NR+1)/2)]}')
 obs_off=$(echo "$obs_pairs" | awk 'NF {print $2}' | sort -n | awk '{a[NR]=$1} END {print a[int((NR+1)/2)]}')
 obs_overhead=$(awk -v a="$obs_on" -v b="$obs_off" 'BEGIN {printf "%.4f", (a - b) * 100.0 / b}')
-echo "benchmarking BenchmarkCandScan/{exact,quant,upper} (internal/affinity)..." >&2
+echo "benchmarking BenchmarkCandScan/exact (internal/affinity)..." >&2
 scanexact=$(run_subbench ./internal/affinity/ 'BenchmarkCandScan/exact' 2s)
-scanquant=$(run_subbench ./internal/affinity/ 'BenchmarkCandScan/quant' 2s)
-scanupper=$(run_subbench ./internal/affinity/ 'BenchmarkCandScan/upper' 2s)
 echo "benchmarking BenchmarkCommitAfterPublish/n=10000 (internal/stream, count=3, median)..." >&2
 commit10k=$(run_subbench_med ./internal/stream/ 'BenchmarkCommitAfterPublish/n=10000' 30x 3)
 echo "benchmarking BenchmarkCommitAfterPublish/n=100000 (internal/stream, count=3, median)..." >&2
@@ -230,8 +227,6 @@ cat > "$out" <<JSON
     "BenchmarkAssignBatch/q=16": $batch16,
     "BenchmarkAssignBatch/q=64": $batch64,
     "BenchmarkCandScan/exact": $scanexact,
-    "BenchmarkCandScan/quant": $scanquant,
-    "BenchmarkCandScan/upper": $scanupper,
     "BenchmarkCommitAfterPublish/n=10000": $commit10k,
     "BenchmarkCommitAfterPublish/n=100000": $commit100k,
     "BenchmarkEvict/ever=20000": $evict20k,
@@ -266,11 +261,8 @@ cat > "$out" <<JSON
     "gate_min_speedup": 2.0
   },
   "candidate_scan": {
-    "workload": "one 96-row weighted candidate scan, d=16: packed exact re-check vs int8 chunk-walk bracket vs packed float32 prune bound",
-    "ns_exact": $scanexact,
-    "ns_quant_bracket": $scanquant,
-    "ns_quant_upper": $scanupper,
-    "speedup_upper_vs_exact": $(ratio "$scanexact" "$scanupper")
+    "workload": "one 96-row weighted candidate scan, d=16, through the packed exact scorer",
+    "ns_exact": $scanexact
   },
   "commit_after_publish": {
     "workload": "d=16 blobs of 200, publish View then commit a fresh 64-point batch",

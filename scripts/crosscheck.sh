@@ -8,12 +8,13 @@
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
 #     byte-identically with tombstones, and retention must pin the live set;
-#   - PR 6: the batched/quantized Assign crosschecks — AssignBatch winners,
-#     scores and order bit-identical to N sequential Assigns (including a
+#   - the batched Assign crosschecks — AssignBatch winners, scores and
+#     order bit-identical to N sequential Assigns (including a
 #     generation-stable crosscheck inside the concurrent ingest/evict race
-#     test), the quantized prune bit-identical to the exact scan on random
-#     and adversarial near-tie fixtures, and the packed/quantized affinity
-#     primitives bounding or matching their exact counterparts bitwise;
+#     test), both Assign and AssignBatch bit-identical to an independent
+#     full-scan reference on random and adversarial near-tie fixtures, and
+#     the packed affinity primitives matching their gathered counterparts
+#     bitwise;
 #   - PR 8: the sharded serving crosschecks — a Sharded(N) engine
 #     bit-identical to the deterministic merge of N standalone engines fed
 #     the routed subsets at N ∈ {1,2,4,7} and at gather widths {1,4},
@@ -42,41 +43,49 @@
 #     serial/survivor-rebuilt reference (the tests' own assertions);
 #   - data-race freedom of the chunk-owned write and copy-on-write bitmap
 #     disciplines (-race).
+#
+# Every |-separated alternative of a group's -run pattern must match at
+# least one test in the group's packages (checked against `go test -list`),
+# so a renamed or deleted test fails the script instead of silently
+# dropping out of the race gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-go test -race -count=1 \
-	-run 'TestGOMAXPROCSCrosscheck' . \
-	2>&1
+# crosscheck RUN PKG... checks that each alternative of RUN names a test in
+# PKG..., then runs the matching tests under the race detector.
+crosscheck() {
+	local run=$1 names alt
+	shift
+	names=$(go test -race -list . "$@")
+	names=$(grep -E '^(Test|Example|Fuzz)' <<<"$names" || true)
+	IFS='|' read -ra alts <<<"$run"
+	for alt in "${alts[@]}"; do
+		if ! grep -qE -- "$alt" <<<"$names"; then
+			echo "crosscheck: -run alternative '$alt' matches no test in $*" >&2
+			exit 1
+		fi
+	done
+	go test -race -count=1 -run "$run" "$@" 2>&1
+}
 
-go test -race -count=1 \
-	-run 'TestDetectAllCrosscheckSerialVsPool|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction' \
-	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/ \
-	2>&1
+crosscheck 'TestGOMAXPROCSCrosscheck' .
 
-go test -race -count=1 \
-	-run 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
-	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/ \
-	2>&1
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction' \
+	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
-go test -race -count=1 \
-	-run 'TestAssignBatchMatchesSequential|TestAssignQuantizedMatchesExact|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestQuantScoreWithinMargin|TestQuantScoreBracketSweep|TestQuantUpperBoundsExact|TestUpperPackedBoundsExact|TestUpperPackedCutSound|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum|TestColumnPointBatchMatchesSingle' \
-	./internal/engine/ ./internal/affinity/ \
-	2>&1
+crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
+	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-go test -race -count=1 \
-	-run 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
-	./internal/engine/ ./internal/snapshot/ ./internal/mapreduce/ \
-	2>&1
+crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum|TestColumnPointBatchMatchesSingle' \
+	./internal/engine/ ./internal/affinity/
 
-go test -race -count=1 \
-	-run 'TestConformance|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
-	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/ \
-	2>&1
+crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
+	./internal/engine/ ./internal/snapshot/ ./internal/mapreduce/
 
-go test -race -count=1 \
-	-run 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
-	./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/ \
-	2>&1
+crosscheck 'TestConformance|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
+	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
+
+crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
+	./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
 echo "crosscheck (with -race): OK" >&2
