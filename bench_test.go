@@ -14,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"alid/internal/dataset"
 	"alid/internal/expfig"
 	"alid/internal/testutil"
 )
@@ -281,13 +282,24 @@ func BenchmarkDetectParallel4(b *testing.B) {
 	}
 }
 
-// BenchmarkAutoConfig measures the label-free tuning pass.
+// BenchmarkAutoConfig measures the label-free tuning pass on the 2-D bench
+// blobs and on an eta-regime mixture at the d=100 that offline detection on
+// the paper's synthetic data runs at.
 func BenchmarkAutoConfig(b *testing.B) {
-	pts := benchPoints(2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AutoConfig(pts); err != nil {
-			b.Fatal(err)
-		}
+	eta, err := dataset.Mixture(dataset.DefaultMixtureConfig(10000, dataset.RegimeEta))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		pts  [][]float64
+	}{{"blobs-d2", benchPoints(2000)}, {"eta-d100", eta.Points}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := AutoConfig(bc.pts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

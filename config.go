@@ -78,11 +78,21 @@ func DefaultConfig() Config {
 	}
 }
 
+// autoQ is the neighbour rank AutoConfig reads the cluster scale from.
+const autoQ = 10
+
 // AutoConfig tunes DefaultConfig to the dataset without using any labels: it
 // estimates the cluster scale as the median 10th-nearest-neighbor distance
 // over a sample (the typical pair distance inside a tight group, not the
 // much smaller 1-NN distance) and sets the kernel so such pairs get affinity
 // ≈ 0.9 and the LSH segment so they collide with high probability.
+//
+// Cost: each of up to 200 sampled points makes one pass over all n points,
+// keeping only its 10 smallest distances (no sort) and abandoning a
+// distance part-way once it exceeds the current 10th; the samples fan out
+// over GOMAXPROCS goroutines. The result does not depend on GOMAXPROCS. Rows
+// of unequal or zero length, and any NaN or ±Inf coordinate, are rejected
+// with an error naming the point.
 func AutoConfig(points [][]float64) (Config, error) {
 	cfg := DefaultConfig()
 	if len(points) < 2 {
@@ -91,31 +101,38 @@ func AutoConfig(points [][]float64) (Config, error) {
 	if _, err := matrix.RowsDim(points); err != nil {
 		return cfg, fmt.Errorf("alid: %w", err)
 	}
+	// A NaN distance has no place in the nearest-neighbour order, and an
+	// infinite coordinate makes NaN distances (Inf − Inf).
+	for i, p := range points {
+		for j, v := range p {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return cfg, fmt.Errorf("alid: point %d coordinate %d is non-finite (%v)", i, j, v)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	sample := len(points)
 	if sample > 200 {
 		sample = 200
 	}
 	idx := rng.Perm(len(points))[:sample]
-	q := 10
+	q := autoQ
 	if q >= len(points) {
 		q = len(points) - 1
 	}
 	// Each sampled point's q-NN distance is measured against the FULL
 	// dataset (O(sample·n·d)), not within the sample: subsampling both sides
 	// would dilute small clusters below q members and blend their scale into
-	// the noise mode.
-	var qDists []float64
-	dists := make([]float64, 0, len(points)-1)
-	for _, i := range idx {
-		dists = dists[:0]
-		for j := range points {
-			if i != j {
-				dists = append(dists, vec.L2(points[i], points[j]))
-			}
+	// the noise mode. Every sample writes only its own slot.
+	kth := make([]float64, sample)
+	par.New(-1).ForChunks(sample, 1, func(_, lo, hi int) {
+		for s := lo; s < hi; s++ {
+			kth[s] = math.Sqrt(qthNearestSq(points, idx[s], q))
 		}
-		sort.Float64s(dists)
-		if d := dists[q-1]; d > 0 {
+	})
+	var qDists []float64
+	for _, d := range kth {
+		if d > 0 {
 			qDists = append(qDists, d)
 		}
 	}
@@ -130,6 +147,36 @@ func AutoConfig(points [][]float64) (Config, error) {
 	cfg.KernelScale = -math.Log(0.9) / scale
 	cfg.LSHSegment = 8 * scale
 	return cfg, nil
+}
+
+// qthNearestSq returns the q-th smallest squared L2 distance (q ≤ autoQ)
+// from points[i] to every other point, counting ties. It keeps the q
+// smallest in a sorted array; since sqrt is monotone, the square root of the
+// result equals the q-th entry of the sorted vec.L2 distances bit for bit.
+// A distance abandoned by SquaredL2Below exceeds the current q-th, so it
+// could not have entered the array.
+func qthNearestSq(points [][]float64, i, q int) float64 {
+	var buf [autoQ]float64
+	best := buf[:q]
+	for k := range best {
+		best[k] = math.Inf(1)
+	}
+	a := points[i]
+	for j, b := range points {
+		if j == i {
+			continue
+		}
+		d, ok := vec.SquaredL2Below(a, b, best[q-1])
+		if !ok || d >= best[q-1] {
+			continue
+		}
+		k := q - 1
+		for ; k > 0 && best[k-1] > d; k-- {
+			best[k] = best[k-1]
+		}
+		best[k] = d
+	}
+	return best[q-1]
 }
 
 // clusterScale picks the cluster-mode scale from sorted 10th-NN distances.

@@ -2,6 +2,7 @@ package alid
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -48,14 +49,26 @@ func TestValidateParallelismRange(t *testing.T) {
 
 // AutoConfig measures distances between rows, so ragged or
 // zero-dimensional input must come back as an error before the first
-// distance: the distance kernel panics on rows of different lengths.
+// distance: the distance kernel panics on rows of different lengths. A NaN
+// or ±Inf coordinate must be refused too: NaN distances have no
+// nearest-neighbour order, so one such row would shift the tuned scale
+// without an error.
 func TestAutoConfigRejectsBadShape(t *testing.T) {
-	for name, pts := range map[string][][]float64{
-		"ragged":   {{0, 0}, {1, 1}, {2}, {3, 3}, {4, 4}},
-		"zero-dim": {{}, {}, {}},
+	for name, tc := range map[string]struct {
+		pts  [][]float64
+		want string
+	}{
+		"ragged":   {[][]float64{{0, 0}, {1, 1}, {2}, {3, 3}, {4, 4}}, "point 2"},
+		"zero-dim": {[][]float64{{}, {}, {}}, "zero-dimensional"},
+		"nan":      {append(benchPoints(2000), []float64{math.NaN(), 0}), "point 2000 coordinate 0"},
+		"-inf":     {[][]float64{{0, 0}, {1, math.Inf(-1)}, {2, 2}, {3, 3}}, "point 1 coordinate 1"},
+		"+inf":     {[][]float64{{0, 0}, {1, 1}, {2, 2}, {math.Inf(1), 3}}, "point 3 coordinate 0"},
 	} {
-		if _, err := AutoConfig(pts); err == nil {
+		_, err := AutoConfig(tc.pts)
+		if err == nil {
 			t.Errorf("%s input accepted", name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s input: error %q does not name %q", name, err, tc.want)
 		}
 	}
 }

@@ -200,41 +200,3 @@ func randOracle(t *testing.T, seed int64, n, d int, k Kernel) *Oracle {
 	}
 	return o
 }
-
-// ColumnPointBatch must be bit-identical to per-query ColumnPoint for every
-// query — even/odd batch widths (the paired and tail lanes) both covered.
-func TestColumnPointBatchMatchesSingle(t *testing.T) {
-	for _, kern := range []Kernel{{K: 0.7, P: 2}, {K: 0.4, P: 1}} {
-		o := randOracle(t, 31, 120, 9, kern)
-		rng := rand.New(rand.NewSource(32))
-		rows := []int{0, 7, 13, 14, 55, 119, 2, 88}
-		for _, nq := range []int{1, 2, 3, 4, 5, 8} {
-			qs := make([][]float64, nq)
-			qn := make([]float64, nq)
-			for i := range qs {
-				q := make([]float64, 9)
-				for j := range q {
-					q[j] = rng.NormFloat64() * 3
-				}
-				qs[i] = q
-				qn[i] = vec.Dot(q, q)
-			}
-			// Include an exact dataset row: the cancellation-guard path.
-			qs[0] = append([]float64(nil), o.Point(rows[0])...)
-			qn[0] = vec.Dot(qs[0], qs[0])
-
-			dst := make([]float64, nq*len(rows))
-			o.ColumnPointBatch(qs, qn, rows, dst)
-			col := make([]float64, len(rows))
-			for qi, q := range qs {
-				o.ColumnPoint(q, qn[qi], rows, col)
-				for r := range rows {
-					if dst[qi*len(rows)+r] != col[r] {
-						t.Fatalf("P=%v nq=%d query %d row %d: batch %v, single %v",
-							kern.P, nq, qi, r, dst[qi*len(rows)+r], col[r])
-					}
-				}
-			}
-		}
-	}
-}

@@ -499,6 +499,10 @@ func (e *Engine) handle(ctx context.Context, req request) {
 		}
 	case reqFlush:
 		e.settle(ctx)
+		// Compact before replying, as Evict does: a commit whose retention
+		// expiry crossed the share is renumbered by the time Flush returns,
+		// instead of racing the caller's next request into the same drain.
+		e.maybeCompact()
 		var err error
 		if p := e.lastErr.Swap(nil); p != nil {
 			err = *p
@@ -741,7 +745,9 @@ func (e *Engine) Ingest(ctx context.Context, pts [][]float64) error {
 }
 
 // Flush waits until everything enqueued before the call is committed and
-// published, and returns the most recent writer error (nil if none).
+// published, and compacted when the commit pushed the evicted share past
+// CompactEvictedShare, and returns the most recent writer error (nil if
+// none).
 func (e *Engine) Flush(ctx context.Context) error {
 	reply := make(chan error, 1)
 	e.closeMu.RLock()

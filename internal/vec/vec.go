@@ -40,6 +40,40 @@ func SquaredL2(a, b []float64) float64 {
 	return (s0 + s1) + (s2 + s3)
 }
 
+// SquaredL2Below is SquaredL2 with an early exit for nearest-neighbour
+// scans: it returns (SquaredL2(a, b), true), bit-identical, unless a partial
+// sum taken every 16 coordinates already exceeds bound, in which case it
+// stops and returns that partial sum and false. The accumulation is
+// SquaredL2's exactly; every accumulator only grows and float addition is
+// monotone, so a false return guarantees SquaredL2(a, b) > bound. A true
+// return does not guarantee the sum is at or below bound: the coordinates
+// after the last check may push it over.
+func SquaredL2Below(a, b []float64, bound float64) (float64, bool) {
+	checkLen(a, b)
+	var s0, s1, s2, s3 float64
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		d0 := a[i] - b[i]
+		d1 := a[i+1] - b[i+1]
+		d2 := a[i+2] - b[i+2]
+		d3 := a[i+3] - b[i+3]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+		if i&15 == 12 {
+			if s := (s0 + s1) + (s2 + s3); s > bound {
+				return s, false
+			}
+		}
+	}
+	for ; i < len(a); i++ {
+		d := a[i] - b[i]
+		s0 += d * d
+	}
+	return (s0 + s1) + (s2 + s3), true
+}
+
 // SquaredL2NormDot evaluates the fused-distance identity
 // ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b from precomputed squared norms and an inner
 // product, clamping the cancellation-prone result at zero. Paired with

@@ -2,12 +2,18 @@ package alid
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"sort"
 	"testing"
 
 	"alid/internal/core"
+	"alid/internal/dataset"
 	"alid/internal/lid"
 	"alid/internal/testutil"
+	"alid/internal/vec"
 )
 
 // PR 4 invariant: the intra-detection parallel layer (Config.Parallelism)
@@ -161,6 +167,102 @@ func TestGOMAXPROCSCrosscheckStreamCommits(t *testing.T) {
 		for i := range serialLabels {
 			if gotLabels[i] != serialLabels[i] {
 				t.Fatalf("label differs at point %d: %d vs %d", i, gotLabels[i], serialLabels[i])
+			}
+		}
+	})
+}
+
+// autoConfigBySort is the sort-based reference for AutoConfig: every sample
+// sorts all n−1 L2 distances and reads the q-th. AutoConfig's top-q scan
+// with early-exit distances must reproduce it bit for bit.
+func autoConfigBySort(points [][]float64) Config {
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	sample := min(len(points), 200)
+	idx := rng.Perm(len(points))[:sample]
+	q := min(autoQ, len(points)-1)
+	var qDists []float64
+	dists := make([]float64, 0, len(points)-1)
+	for _, i := range idx {
+		dists = dists[:0]
+		for j := range points {
+			if i != j {
+				dists = append(dists, vec.L2(points[i], points[j]))
+			}
+		}
+		sort.Float64s(dists)
+		if d := dists[q-1]; d > 0 {
+			qDists = append(qDists, d)
+		}
+	}
+	if len(qDists) == 0 {
+		cfg.KernelScale = 1
+		cfg.LSHSegment = 1
+		return cfg
+	}
+	sort.Float64s(qDists)
+	scale := clusterScale(qDists)
+	cfg.KernelScale = -math.Log(0.9) / scale
+	cfg.LSHSegment = 8 * scale
+	return cfg
+}
+
+// autoConfigFixtures covers the paper's three mixture regimes at d=100, the
+// 2-D bench blobs, tie-heavy integer grids and all-identical points, at the
+// n where q = n−1 and at dimensions off the 4-lane unroll and the
+// 16-coordinate early-exit check.
+func autoConfigFixtures(t *testing.T) map[string][][]float64 {
+	t.Helper()
+	fx := map[string][][]float64{"blobs-d2": benchPoints(2000)}
+	for _, m := range []struct {
+		regime dataset.Regime
+		n      int
+	}{{dataset.RegimeEta, 3000}, {dataset.RegimeOmega, 1000}, {dataset.RegimeCap, 1500}} {
+		ds, err := dataset.Mixture(dataset.DefaultMixtureConfig(m.n, m.regime))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx[fmt.Sprintf("%s-d100", m.regime)] = ds.Points
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, d := range []int{1, 3, 5, 17} {
+		for _, n := range []int{2, 3, 11, 12, 300} {
+			row := make([]float64, d)
+			for j := range row {
+				row[j] = 2.5
+			}
+			grid := make([][]float64, n)
+			same := make([][]float64, n)
+			for i := range grid {
+				grid[i] = make([]float64, d)
+				for j := range grid[i] {
+					grid[i][j] = float64(rng.Intn(3))
+				}
+				same[i] = row
+			}
+			fx[fmt.Sprintf("grid-d%d-n%d", d, n)] = grid
+			fx[fmt.Sprintf("identical-d%d-n%d", d, n)] = same
+		}
+	}
+	return fx
+}
+
+// AutoConfig fans its samples out over GOMAXPROCS; the tuned Config must be
+// bit-identical to the sort-based reference at every setting.
+func TestGOMAXPROCSCrosscheckAutoConfig(t *testing.T) {
+	fx := autoConfigFixtures(t)
+	want := make(map[string]Config, len(fx))
+	for name, pts := range fx {
+		want[name] = autoConfigBySort(pts)
+	}
+	parcrossGOMAXPROCS(t, func(t *testing.T) {
+		for name, pts := range fx {
+			got, err := AutoConfig(pts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got != want[name] {
+				t.Errorf("%s: AutoConfig %+v, sort-based reference %+v", name, got, want[name])
 			}
 		}
 	})

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Runs the determinism crosschecks under the race detector:
 #   - PR 4: the GOMAXPROCS {1,4,8} matrix at the public API (DetectAll,
-#     DetectParallel, stream commits) plus the per-path crosschecks in
-#     internal/core, internal/lid and internal/affinity that force every
-#     fan-out gate open;
+#     DetectParallel, stream commits, AutoConfig) plus the per-path
+#     crosschecks in internal/core, internal/lid and internal/affinity that
+#     force every fan-out gate open;
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
@@ -76,7 +76,7 @@ crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestLIDCrosscheckSerialVsPool|Te
 crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum|TestColumnPointBatchMatchesSingle' \
+crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
 crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
