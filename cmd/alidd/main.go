@@ -28,17 +28,26 @@
 // however long it runs (the fix for the append-only daemon's unbounded
 // growth).
 //
-// If the snapshot file exists at startup it is restored — configuration,
+// If the snapshot exists at startup it is restored — configuration,
 // matrix, index and clusters all come from the snapshot, so a crash-restart
 // resumes serving without re-detection (-in and the tuning flags are
 // ignored). A final snapshot is written on graceful shutdown.
 //
-// With -snapshot-delta-every K (single engine only) periodic saves become a
-// delta chain: a full snapshot, then up to K small deltas carrying only the
-// points/evictions/cluster changes since the previous save, bound together
-// by a CRC-guarded manifest at <snapshot>.chain. Restart restores the full
-// base and replays the deltas — byte-identically to a full save. A damaged
-// chain tail falls back to the longest complete prefix.
+// Every save is one manifest at -snapshot naming one chain per shard: a
+// full snapshot plus the small CRC-guarded deltas saved since, files beside
+// the manifest named <snapshot>.s<shard>.<save>.{base,delta,chain}. With
+// -snapshot-delta-every K, periodic saves append deltas carrying only the
+// points, evictions and cluster changes since the previous save, and each
+// shard writes a full snapshot again every K deltas (or after its own
+// generation compaction); without it every save is full. Restart restores
+// each shard's base and replays its deltas — byte-identically to a full
+// save. A damaged chain tail falls back to the longest complete prefix. A
+// save is committed by the manifest's rename alone, so a failed or
+// interrupted save leaves the previous one restorable. Older layouts (a
+// single snapshot file of any version, a <snapshot>.chain delta chain, a
+// version 1 manifest over <snapshot>.shard<i> files) still restore — the
+// single-engine ones at -shards 1 only — and the first save replaces them.
+// A save written by this release does not restore on older releases.
 //
 // With -compact-share S the engine renumbers its id space whenever the
 // evicted share of committed ids exceeds S: live points get fresh dense ids
@@ -54,21 +63,19 @@
 // kernel. The HTTP API switches to the set forms ({"set":[...]} /
 // {"sets":[[...],...]}); dense point requests get 400 backend_mismatch.
 //
-// With -shards N (N > 1) the daemon runs N independent engines behind one
-// scatter-gather router: ingested points are routed to exactly one shard by
-// a stable id hash, assigns fan out to all shards and merge
-// deterministically, and commits proceed on N writers concurrently. The
-// snapshot becomes a manifest at -snapshot plus one file per shard at
-// <snapshot>.shard<i>; the shard count is part of the layout, so a sharded
-// save restores only at the same -shards (and a single-file snapshot only
-// at -shards 1 — mismatches are refused at startup with a clear error).
+// With -shards N the daemon runs N independent engines behind one
+// scatter-gather router (one shard is the plain engine, unlabeled metrics
+// included): ingested points are routed to exactly one shard by a stable
+// id hash, assigns fan out to all shards and merge deterministically, and
+// commits proceed on N writers concurrently. The shard count is part of
+// the saved layout, so a save restores only at the same -shards —
+// mismatches are refused at startup with a clear error.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -87,7 +94,6 @@ import (
 	"alid/internal/minhash"
 	"alid/internal/par"
 	"alid/internal/server"
-	"alid/internal/snapshot"
 	"alid/internal/stream"
 )
 
@@ -95,10 +101,10 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	in := flag.String("in", "", "initial points CSV (optional; ignored when restoring a snapshot)")
 	labeled := flag.Bool("labeled", false, "treat the CSV's last column as a label (dropped)")
-	snap := flag.String("snapshot", "", "snapshot file: restored at startup if present, written on shutdown (with -shards > 1: the manifest path; shard files live beside it)")
+	snap := flag.String("snapshot", "", "snapshot manifest: restored at startup if present, written on shutdown (chain, snapshot and delta files live beside it)")
 	shards := flag.Int("shards", 1, "independent serving shards behind one scatter-gather router (1 = single engine; the count is baked into saved snapshots and point ids)")
 	snapEvery := flag.Duration("snapshot-interval", 0, "also snapshot periodically (0 = only on shutdown)")
-	snapDeltaEvery := flag.Int("snapshot-delta-every", 0, "write delta snapshots between full ones: a full snapshot every K saves, small CRC-guarded deltas in between (0 = every save is full; requires -shards 1)")
+	snapDeltaEvery := flag.Int("snapshot-delta-every", 0, "write delta snapshots between full ones: each shard writes a full snapshot every K deltas, small CRC-guarded deltas in between (0 = every save is full)")
 	compactShare := flag.Float64("compact-share", 0, "renumber ids into a fresh generation when the evicted share of committed ids exceeds this (0 = never; e.g. 0.5 compacts once half the id space is dead)")
 	batch := flag.Int("batch", 256, "stream commit batch size")
 	queue := flag.Int("queue", 1024, "ingest queue capacity")
@@ -139,9 +145,6 @@ func main() {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
 	}
-	if *snapDeltaEvery > 0 && *shards > 1 {
-		fatal("startup", fmt.Errorf("-snapshot-delta-every requires -shards 1 (shard files already amortize save cost)"))
-	}
 	if *compactShare < 0 || *compactShare >= 1 {
 		fatal("startup", fmt.Errorf("-compact-share %g: want 0 (off) or a fraction in (0,1)", *compactShare))
 	}
@@ -169,16 +172,12 @@ func main() {
 	if *pprofAddr != "" {
 		go servePprof(ctx, logger, *pprofAddr)
 	}
-	// Delta chains are a plain-engine feature (sharded + delta-every is
-	// rejected above, so the assertion here can only succeed when allowed).
-	var chain *engine.ChainWriter
-	if *snap != "" && *snapDeltaEvery > 0 {
-		if plain, ok := eng.(*engine.Engine); ok {
-			chain = engine.NewChainWriter(plain, *snap, *snapDeltaEvery)
+	var saver *engine.ChainWriter
+	if *snap != "" {
+		saver = engine.NewChainWriter(eng, *snap, *snapDeltaEvery)
+		if *snapEvery > 0 {
+			go snapshotLoop(ctx, logger, eng, saver, *snap, *snapEvery)
 		}
-	}
-	if *snap != "" && *snapEvery > 0 {
-		go snapshotLoop(ctx, logger, eng, chain, *snap, *snapEvery)
 	}
 
 	opts := server.Options{
@@ -186,8 +185,8 @@ func main() {
 		Logger:         logger,
 		LogEvery:       *logEvery,
 	}
-	if chain != nil {
-		opts.DeltaChainLen = chain.Len
+	if saver != nil {
+		opts.DeltaChainLen = saver.Len
 	}
 	srv := server.New(eng, opts)
 	if err := srv.Serve(ctx, *addr); err != nil {
@@ -206,7 +205,7 @@ func main() {
 			logger.Info("nothing committed; skipping final snapshot")
 			return
 		}
-		saveSnapshot(logger, eng, chain, *snap, "final")
+		saveSnapshot(logger, saver, *snap, "final")
 	}
 }
 
@@ -250,21 +249,6 @@ func servePprof(ctx context.Context, logger *slog.Logger, addr string) {
 	}
 }
 
-// snapshotKind sniffs a snapshot file's magic so a shard-count/layout
-// mismatch fails with an instruction instead of a codec error.
-func snapshotKind(path string) string {
-	f, err := os.Open(path)
-	if err != nil {
-		return ""
-	}
-	defer f.Close()
-	magic := make([]byte, 8)
-	if _, err := io.ReadFull(f, magic); err != nil {
-		return ""
-	}
-	return string(magic)
-}
-
 // indexConfig bundles the index-backend flags: which backend plus the
 // per-backend tuning knobs (LSH: mu/tables; MinHash: bands/rows; both: seed).
 type indexConfig struct {
@@ -274,11 +258,11 @@ type indexConfig struct {
 	Seed        int64
 }
 
-// buildServing builds the serving engine: a plain Engine at -shards 1
-// (exactly the pre-sharding daemon, single-file snapshots included) or a
-// sharded router above N engines, restoring whichever snapshot layout is
-// present — provided it matches the requested shard count and index backend.
-func buildServing(logger *slog.Logger, shards int, in string, labeled bool, snap string, batch, queue int, k, r float64, idx indexConfig, threshold float64, pool *par.Pool, retention stream.Retention, retentionSet bool, compactShare float64) (engine.Serving, error) {
+// buildServing builds the serving engine, a router over `shards` engines:
+// restored from the snapshot when one exists (any layout; the saved shard
+// count and index backend must match), otherwise detected from the CSV or
+// started empty.
+func buildServing(logger *slog.Logger, shards int, in string, labeled bool, snap string, batch, queue int, k, r float64, idx indexConfig, threshold float64, pool *par.Pool, retention stream.Retention, retentionSet bool, compactShare float64) (*engine.Sharded, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("-shards %d: want >= 1", shards)
 	}
@@ -287,25 +271,15 @@ func buildServing(logger *slog.Logger, shards int, in string, labeled bool, snap
 	default:
 		return nil, fmt.Errorf("-backend %q: want lsh or minhash", idx.Backend)
 	}
-	if shards == 1 {
-		if snap != "" {
-			if snapshotKind(snap) == snapshot.ManifestMagic {
-				return nil, fmt.Errorf("snapshot %s is a sharded-save manifest; pass the -shards it was saved with", snap)
-			}
-		}
-		return buildEngine(logger, in, labeled, snap, batch, queue, k, r, idx, threshold, pool, retention, retentionSet, compactShare)
-	}
-
-	var override *stream.Retention
-	if retentionSet {
-		override = &retention
-	}
 	if snap != "" {
-		if _, err := os.Stat(engine.ChainManifestPath(snap)); err == nil {
-			return nil, fmt.Errorf("snapshot %s has a delta chain at %s; restore it with -shards 1 (delta chains are single-engine saves)", snap, engine.ChainManifestPath(snap))
-		}
-		switch snapshotKind(snap) {
-		case snapshot.ManifestMagic:
+		if _, err := os.Stat(snap); err == nil {
+			// The snapshot carries the previous process's retention policy;
+			// explicitly passed -retention-* flags replace it wholesale
+			// (operational knob — explicit zeros disable retention).
+			var override *stream.Retention
+			if retentionSet {
+				override = &retention
+			}
 			start := time.Now()
 			sh, err := engine.LoadSharded(snap, engine.ShardedLoadOptions{
 				Shards: shards, QueueSize: queue, Pool: pool,
@@ -316,10 +290,8 @@ func buildServing(logger *slog.Logger, shards int, in string, labeled bool, snap
 			if err != nil {
 				return nil, fmt.Errorf("restore %s: %w", snap, err)
 			}
-			logger.Info("restored sharded snapshot", "path", snap, "shards", shards, "elapsed", time.Since(start))
+			logger.Info("restored snapshot", "path", snap, "shards", shards, "elapsed", time.Since(start))
 			return sh, nil
-		case snapshot.Magic:
-			return nil, fmt.Errorf("snapshot %s is a single-engine snapshot; restore it with -shards 1 (a sharded layout cannot adopt its point ids)", snap)
 		}
 	}
 
@@ -336,59 +308,9 @@ func buildServing(logger *slog.Logger, shards int, in string, labeled bool, snap
 	}, pts)
 }
 
-// buildEngine restores from the snapshot when one exists — via its delta
-// chain when a chain manifest is present, plain single file otherwise —
-// and detects from the CSV (or starts empty) when it doesn't.
-func buildEngine(logger *slog.Logger, in string, labeled bool, snap string, batch, queue int, k, r float64, idx indexConfig, threshold float64, pool *par.Pool, retention stream.Retention, retentionSet bool, compactShare float64) (*engine.Engine, error) {
-	if snap != "" {
-		// The snapshot carries the previous process's retention policy;
-		// explicitly passed -retention-* flags replace it wholesale
-		// (operational knob — explicit zeros disable retention).
-		var override *stream.Retention
-		if retentionSet {
-			override = &retention
-		}
-		opts := engine.LoadOptions{
-			QueueSize: queue, Pool: pool, Retention: override, Backend: idx.Backend,
-			CompactEvictedShare: compactShare,
-		}
-		// A chain manifest wins over the bare base file: the base alone is
-		// the state as of the last FULL save, the chain carries every delta
-		// since.
-		if _, err := os.Stat(engine.ChainManifestPath(snap)); err == nil {
-			start := time.Now()
-			eng, err := engine.LoadChainFile(snap, opts)
-			if err != nil {
-				return nil, fmt.Errorf("restore %s: %w", snap, err)
-			}
-			logger.Info("restored delta chain", "path", snap, "elapsed", time.Since(start))
-			return eng, nil
-		}
-		if _, err := os.Stat(snap); err == nil {
-			start := time.Now()
-			eng, err := engine.LoadFileOpts(snap, opts)
-			if err != nil {
-				return nil, fmt.Errorf("restore %s: %w", snap, err)
-			}
-			logger.Info("restored snapshot", "path", snap, "elapsed", time.Since(start))
-			return eng, nil
-		}
-	}
-
-	cfg, pts, err := detectConfig(logger, in, labeled, k, r, idx, threshold, pool)
-	if err != nil {
-		return nil, err
-	}
-	return engine.New(engine.Config{
-		Core: cfg, BatchSize: batch, QueueSize: queue, Retention: retention, Logger: logger,
-		CompactEvictedShare: compactShare,
-	}, pts)
-}
-
 // detectConfig reads the initial CSV (if any) and resolves the detection
 // configuration, auto-tuning the kernel scale and LSH segment from the data
-// when not pinned by flags — shared by the single-engine and sharded builds
-// so both detect under identical settings. With the minhash backend the CSV
+// when not pinned by flags. With the minhash backend the CSV
 // holds element sets, the kernel is Jaccard (no auto-tuning; -r is unused)
 // and the returned points are MinHash signatures.
 func detectConfig(logger *slog.Logger, in string, labeled bool, k, r float64, idx indexConfig, threshold float64, pool *par.Pool) (core.Config, [][]float64, error) {
@@ -464,49 +386,20 @@ func detectConfigMinHash(logger *slog.Logger, in string, labeled bool, k float64
 	return cfg, pts, nil
 }
 
-// saveSnapshot persists and logs one snapshot (shared by the periodic loop
-// and the shutdown path): a delta-chain save when a chain writer is active,
-// otherwise a single file for a plain engine or manifest plus shard files
-// for a sharded one.
-func saveSnapshot(logger *slog.Logger, eng engine.Serving, chain *engine.ChainWriter, path, kind string) {
+// saveSnapshot persists and logs one save (shared by the periodic loop and
+// the shutdown path).
+func saveSnapshot(logger *slog.Logger, saver *engine.ChainWriter, path, kind string) {
 	start := time.Now()
-	if chain != nil {
-		if err := chain.Save(); err != nil {
-			logger.Warn("snapshot failed", "kind", kind, "path", path, "err", err)
-			return
-		}
-		logger.Info("snapshot saved", "kind", kind, "path", path,
-			"chain_len", chain.Len(), "elapsed", time.Since(start))
-		return
-	}
-	var err error
-	switch e := eng.(type) {
-	case *engine.Sharded:
-		err = e.SaveFiles(path)
-	case *engine.Engine:
-		err = e.SaveFile(path)
-		if err == nil {
-			// A plain full save supersedes any delta chain a previous
-			// -snapshot-delta-every run left behind; drop the stale manifest
-			// so the next chain-aware restore doesn't reject the fresh base.
-			os.Remove(engine.ChainManifestPath(path))
-		}
-	default:
-		err = fmt.Errorf("unsupported serving engine %T", eng)
-	}
-	if err != nil {
+	if err := saver.Save(); err != nil {
 		logger.Warn("snapshot failed", "kind", kind, "path", path, "err", err)
 		return
 	}
-	size := int64(-1)
-	if fi, err := os.Stat(path); err == nil {
-		size = fi.Size()
-	}
-	logger.Info("snapshot saved", "kind", kind, "path", path, "bytes", size, "elapsed", time.Since(start))
+	logger.Info("snapshot saved", "kind", kind, "path", path,
+		"chain_len", saver.Len(), "elapsed", time.Since(start))
 }
 
 // snapshotLoop periodically persists the published state until ctx ends.
-func snapshotLoop(ctx context.Context, logger *slog.Logger, eng engine.Serving, chain *engine.ChainWriter, path string, every time.Duration) {
+func snapshotLoop(ctx context.Context, logger *slog.Logger, eng engine.Serving, saver *engine.ChainWriter, path string, every time.Duration) {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -517,7 +410,7 @@ func snapshotLoop(ctx context.Context, logger *slog.Logger, eng engine.Serving, 
 			if eng.Stats().N == 0 {
 				continue
 			}
-			saveSnapshot(logger, eng, chain, path, "periodic")
+			saveSnapshot(logger, saver, path, "periodic")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"alid/internal/snapshot"
 	"alid/internal/stream"
 )
 
@@ -66,13 +68,15 @@ func blobCSV(t *testing.T) string {
 }
 
 // The daemon's startup path: detect from CSV with auto-config, snapshot,
-// then restore from the snapshot and keep serving the same answers.
+// then restore from the snapshot and keep serving the same answers — and a
+// snapshot left by an older release (a single v5 file) restores as one
+// shard and only as one shard.
 func TestBuildEngineDetectSnapshotRestore(t *testing.T) {
 	csv := blobCSV(t)
 	snap := filepath.Join(t.TempDir(), "alid.snap")
 
 	idx := indexConfig{Backend: "lsh", Mu: 8, Tables: 10, Seed: 1}
-	eng, err := buildEngine(testLogger(), csv, false, snap, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0)
+	eng, err := buildServing(testLogger(), 1, csv, false, snap, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,12 +85,12 @@ func TestBuildEngineDetectSnapshotRestore(t *testing.T) {
 	if st.N != 40 || st.Clusters == 0 {
 		t.Fatalf("stats %+v", st)
 	}
-	if err := eng.SaveFile(snap); err != nil {
+	if err := eng.SaveFiles(snap); err != nil {
 		t.Fatal(err)
 	}
 
 	// Restart: the snapshot wins over -in and tuning flags.
-	restored, err := buildEngine(testLogger(), "", false, snap, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0)
+	restored, err := buildServing(testLogger(), 1, "", false, snap, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +110,30 @@ func TestBuildEngineDetectSnapshotRestore(t *testing.T) {
 	if a1 != a2 {
 		t.Fatalf("assign differs after restore: %+v vs %+v", a1, a2)
 	}
+
+	legacy := filepath.Join(t.TempDir(), "old.snap")
+	raw, err := os.ReadFile("../../internal/snapshot/testdata/golden/v5.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := buildServing(testLogger(), 1, csv, false, legacy, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer old.Close()
+	if st := old.Stats(); st.N == 40 || st.Generation != 1 {
+		t.Fatalf("legacy restore ran detection or lost the generation: %+v", st)
+	}
+	if _, err := buildServing(testLogger(), 4, csv, false, legacy, 64, 0, 0, 0, idx, 0.75, nil, stream.Retention{}, false, 0); !errors.Is(err, snapshot.ErrShardCountMismatch) {
+		t.Fatalf("legacy single-engine snapshot at -shards 4: err %v, want ErrShardCountMismatch", err)
+	}
 }
 
 func TestBuildEngineEmptyStart(t *testing.T) {
-	eng, err := buildEngine(testLogger(), "", false, "", 64, 0, 0.5, 2, indexConfig{Backend: "lsh", Mu: 8, Tables: 10, Seed: 1}, 0.75, nil, stream.Retention{}, false, 0)
+	eng, err := buildServing(testLogger(), 1, "", false, "", 64, 0, 0.5, 2, indexConfig{Backend: "lsh", Mu: 8, Tables: 10, Seed: 1}, 0.75, nil, stream.Retention{}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -269,8 +269,8 @@ func BenchmarkAssignSequential(b *testing.B) {
 // bytes written per delta save must scale with the WINDOW of change (one
 // batch of appends plus bookkeeping), not with the committed point count n.
 // Each op ingests and commits one fresh 64-point batch, then saves a delta
-// through the ChainWriter; the reported delta-bytes/op comes from the chain
-// manifest's own size accounting. A full v5 snapshot of the same state
+// through the ChainWriter of a one-shard engine; the reported
+// delta-bytes/op comes from the chain's own size accounting. A full v5 snapshot of the same state
 // scales with n — the recorded n=50000 / n=10000 delta-bytes ratio in
 // BENCH_PR10.json must stay near 1.
 func BenchmarkChainDeltaSave(b *testing.B) {
@@ -279,7 +279,7 @@ func BenchmarkChainDeltaSave(b *testing.B) {
 			pts := benchData(n, 16)
 			cfg := benchConfig()
 			cfg.BatchSize = 256
-			e, err := New(cfg, pts)
+			e, err := NewSharded(ShardedConfig{Engine: cfg, Shards: 1}, pts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -313,7 +313,8 @@ func BenchmarkChainDeltaSave(b *testing.B) {
 				if err := c.Save(); err != nil {
 					b.Fatal(err)
 				}
-				deltaBytes += int64(c.chain.Deltas[len(c.chain.Deltas)-1].Size)
+				deltas := c.chains[0].Deltas
+				deltaBytes += int64(deltas[len(deltas)-1].Size)
 			}
 			b.StopTimer()
 			if c.Len() != b.N {

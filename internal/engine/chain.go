@@ -1,23 +1,30 @@
-// This file is delta-chain persistence: periodic full snapshots plus small
-// CRC-guarded deltas, bound by a chain manifest (snapshot/chain.go) with the
-// same rename-last crash ordering as the sharded save. A ChainWriter tracks
-// the view of its last save and diffs the next published view against it, so
-// each delta costs O(window), not O(n); a generation compaction renumbers
-// ids, which no diff can express, so it ends the chain and the next save is
-// full again. LoadChainFile replays base + ordered deltas all-or-nothing: a
-// damaged TAIL falls back to the longest valid prefix (each prefix is a
-// consistent earlier save), while a damaged MIDDLE refuses with
-// snapshot.ErrDeltaChainBroken — skipping a window would silently lose data.
+// This file is the save routine. Every save is one manifest at the save
+// path naming one delta chain per shard: the shard's last full snapshot
+// plus the deltas saved since. A ChainWriter remembers the view each
+// shard's chain ends at and diffs the next published view against it, so a
+// delta costs O(window), not O(n). A generation compaction renumbers ids,
+// which no diff can express, so it re-roots that shard's chain (the next
+// save writes it in full); the other shards' chains go on. SaveFiles is the
+// same save with no deltas.
+//
+// Crash ordering: every file of a save is written under a name no
+// committed manifest uses (a fresh save sequence number), fsynced, and its
+// directory entry made durable; then the manifest is renamed over the save
+// path. That rename alone commits the save. Only after the directory is
+// synced again are the files the new manifest no longer names deleted — so
+// a crash or an error at any earlier point leaves the previous save exactly
+// as it was.
 package engine
 
 import (
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"alid/internal/matrix"
@@ -80,250 +87,176 @@ func buildDelta(prev, cur stream.View) *snapshot.Delta {
 	return d
 }
 
-// ChainWriter persists an engine as a delta chain rooted at path: a full
-// snapshot at path, deltas at path.delta<k>, and the chain manifest at
-// path.chain (ChainManifestPath). Not safe for concurrent use — it is owned
-// by whoever drives periodic saves (the daemon's snapshot loop).
+// ChainWriter saves a sharded engine at path, one chain per shard; every
+// is the number of deltas a shard's chain may grow to before it is
+// re-rooted with a full snapshot (≤ 0: every save is full, and no view is
+// kept between saves). Save is safe for concurrent use, but there must be
+// one writer per path: a save deletes the files of the save before it.
 type ChainWriter struct {
-	e     *Engine
+	s     *Sharded
 	path  string
-	every int // deltas per full snapshot; a full is forced every `every` deltas
+	every int
 
-	chain    *snapshot.Chain
-	prev     stream.View // the view the NEXT delta diffs against
-	haveBase bool
-	length   atomic.Int64 // len(chain.Deltas), readable off the save goroutine
+	mu     sync.Mutex
+	chains []*snapshot.Chain // per shard, the committed chain (nil: none)
+	prev   []stream.View     // per shard, the view its chain ends at (every > 0 only)
+	length atomic.Int64      // the longest committed chain's delta count
 }
 
-// ChainManifestPath returns the chain-manifest path for a snapshot rooted at
-// path (the daemon probes it at startup to pick the chain restore path).
-func ChainManifestPath(path string) string { return path + ".chain" }
-
-func chainDeltaName(path string, k int) string {
-	return filepath.Base(path) + ".delta" + strconv.Itoa(k)
+// NewChainWriter builds a writer for s rooted at path. Its first save is
+// full on every shard.
+func NewChainWriter(s *Sharded, path string, every int) *ChainWriter {
+	return &ChainWriter{s: s, path: path, every: every, chains: make([]*snapshot.Chain, s.n)}
 }
 
-// NewChainWriter builds a chain writer for e rooted at path. every is the
-// number of deltas between full snapshots (≤ 0 writes only full snapshots,
-// still committing each save through the chain manifest).
-func NewChainWriter(e *Engine, path string, every int) *ChainWriter {
-	return &ChainWriter{e: e, path: path, every: every}
-}
-
-// Len returns the current chain's delta count (0 right after a full save).
-// Unlike Save, Len is safe to call from any goroutine (the /v1/stats path).
+// Len reports the longest per-shard delta chain: the most deltas a restore
+// replays on any one shard (0 right after a full save). Safe to call from
+// any goroutine (the /v1/stats path).
 func (c *ChainWriter) Len() int { return int(c.length.Load()) }
 
-// Save persists the current published view: a full snapshot when the chain
-// needs (re)rooting — first save, generation changed, or `every` deltas
-// accumulated — and a delta otherwise. Either way the chain manifest is
-// renamed into place LAST, so a crash at any point leaves the previous
-// manifest describing a complete, restorable chain.
+// SaveFiles saves s at path in full: a manifest naming, per non-empty
+// shard, a chain holding one snapshot file. Every shard's published view
+// is pinned up front and the manifest's id-mint cursor is the sum of
+// exactly those views' point counts, so cursor and files agree even while
+// ingest continues (flush first for a point-in-time-complete save). A
+// failed save leaves the previous one restorable.
+func (s *Sharded) SaveFiles(path string) error {
+	return NewChainWriter(s, path, 0).Save()
+}
+
+// saveName is the file name of one shard's base, delta or chain file
+// written by save number seq.
+func saveName(base string, shard, seq int, kind string) string {
+	return base + ".s" + strconv.Itoa(shard) + "." + strconv.Itoa(seq) + "." + kind
+}
+
+// listSaveFiles returns the files beside the manifest base that a save may
+// have left: chain, base and delta files (saveName), the legacy layouts'
+// <base>.shard<i>, <base>.chain and <base>.delta<k>, and the temp files of
+// an interrupted write. next is one more than the highest save number in
+// use, so the next save's names are new.
+func listSaveFiles(dir, base string) (names []string, next int, err error) {
+	re := regexp.MustCompile(`^` + regexp.QuoteMeta(base) +
+		`(?:\.s\d+\.(\d+)\.(?:base|delta|chain)|\.shard\d+|\.chain|\.delta\d+)?(?:\.tmp\d+)?$`)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, fmt.Errorf("engine: %w", err)
+	}
+	next = 1
+	for _, e := range ents {
+		m := re.FindStringSubmatch(e.Name())
+		if m == nil || e.Name() == base {
+			continue
+		}
+		names = append(names, e.Name())
+		if k, err := strconv.Atoi(m[1]); err == nil && k >= next {
+			next = k + 1
+		}
+	}
+	return names, next, nil
+}
+
+// Save writes one save of the published state. Per non-empty shard it
+// writes a full snapshot when the shard's chain needs (re)rooting — first
+// save, generation changed, or `every` deltas accumulated — and a delta
+// otherwise, then the shard's new chain file; then it commits the manifest
+// (see the file comment for the crash ordering).
 func (c *ChainWriter) Save() error {
-	v := c.e.View()
-	if v.Mat == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	views := make([]stream.View, c.s.n)
+	total := 0
+	for i, sh := range c.s.shards {
+		views[i] = sh.View()
+		if views[i].Mat != nil {
+			total += views[i].Mat.N
+		}
+	}
+	if total == 0 {
 		return fmt.Errorf("engine: nothing committed to snapshot")
 	}
-	full := !c.haveBase || c.chain == nil || v.Generation != c.chain.Generation ||
-		c.every <= 0 || len(c.chain.Deltas) >= c.every
-	if full {
-		return c.saveFull(v)
-	}
-	return c.saveDelta(v)
-}
-
-// writeEntry stages content into a temp file, fsyncs, renames it to name
-// (joined with the chain root's directory) and returns the manifest entry.
-func (c *ChainWriter) writeEntry(name string, toN int, write func(io.Writer) error) (snapshot.ChainEntry, error) {
-	dir := filepath.Dir(c.path)
-	tmp, err := os.CreateTemp(dir, name+".tmp*")
-	if err != nil {
-		return snapshot.ChainEntry{}, fmt.Errorf("engine: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	cw := &crcWriter{w: tmp, crc: crc32.NewIEEE()}
-	if err := write(cw); err != nil {
-		tmp.Close()
-		return snapshot.ChainEntry{}, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return snapshot.ChainEntry{}, fmt.Errorf("engine: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return snapshot.ChainEntry{}, fmt.Errorf("engine: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		return snapshot.ChainEntry{}, fmt.Errorf("engine: %w", err)
-	}
-	return snapshot.ChainEntry{Name: name, CRC: cw.crc.Sum32(), Size: cw.n, ToN: uint64(toN)}, nil
-}
-
-// writeManifest commits the chain: temp + fsync + rename over path.chain.
-func (c *ChainWriter) writeManifest(chain *snapshot.Chain) error {
-	dir := filepath.Dir(c.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(c.path)+".chain.tmp*")
-	if err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := snapshot.WriteChain(tmp, chain); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), ChainManifestPath(c.path)); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	return nil
-}
-
-func (c *ChainWriter) saveFull(v stream.View) error {
-	base, err := c.writeEntry(filepath.Base(c.path), v.Mat.N, func(w io.Writer) error {
-		return c.e.writeSnapshotView(w, v)
-	})
+	dir, base := filepath.Dir(c.path), filepath.Base(c.path)
+	old, seq, err := listSaveFiles(dir, base)
 	if err != nil {
 		return err
 	}
-	chain := &snapshot.Chain{Generation: v.Generation, Base: base}
-	if err := c.writeManifest(chain); err != nil {
-		return err
-	}
-	c.chain, c.prev, c.haveBase = chain, v, true
-	c.length.Store(0)
-	return nil
-}
 
-func (c *ChainWriter) saveDelta(v stream.View) error {
-	d := buildDelta(c.prev, v)
-	var bytes uint64
-	entry, err := c.writeEntry(chainDeltaName(c.path, len(c.chain.Deltas)), v.Mat.N, func(w io.Writer) error {
-		cw := &countingWriter{w: w}
-		err := snapshot.WriteDelta(cw, d)
-		bytes = uint64(cw.n)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	chain := &snapshot.Chain{
-		Generation: c.chain.Generation,
-		Base:       c.chain.Base,
-		Deltas:     append(append([]snapshot.ChainEntry(nil), c.chain.Deltas...), entry),
-	}
-	if err := c.writeManifest(chain); err != nil {
-		return err
-	}
-	c.e.met.deltaBytes.Add(int64(bytes))
-	c.chain, c.prev = chain, v
-	c.length.Store(int64(len(chain.Deltas)))
-	return nil
-}
-
-// LoadChainFile restores an engine from a chain manifest at
-// ChainManifestPath(path): the base full snapshot plus every valid delta, in
-// order. Entry files are verified against the manifest's whole-file CRC and
-// size BEFORE any decoding; an invalid suffix of the delta list is dropped
-// (the prefix is the last complete save), while an invalid entry FOLLOWED by
-// a valid one — or an invalid base — refuses the restore with
-// snapshot.ErrDeltaChainBroken. Continuity violations (a delta that does not
-// extend the state it is applied to) refuse with snapshot.ErrDeltaMismatch.
-func LoadChainFile(path string, o LoadOptions) (*Engine, error) {
-	mf, err := os.Open(ChainManifestPath(path))
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	chain, err := snapshot.ReadChain(mf)
-	mf.Close()
-	if err != nil {
-		return nil, err
-	}
-
-	dir := filepath.Dir(path)
-	valid := make([]bool, len(chain.Deltas))
-	for i, e := range chain.Deltas {
-		valid[i] = verifyChainFile(filepath.Join(dir, e.Name), e) == nil
-	}
-	// Longest valid prefix; anything valid after the first invalid entry
-	// means the chain is broken in the middle, not merely truncated.
-	keep := len(chain.Deltas)
-	for i, ok := range valid {
-		if !ok {
-			keep = i
-			break
+	m := &snapshot.Manifest{Shards: c.s.n, Cursor: uint64(total), Entries: make([]snapshot.ShardEntry, c.s.n)}
+	chains := make([]*snapshot.Chain, c.s.n)
+	named := map[string]bool{} // every file the new manifest names
+	longest := 0
+	var written []string
+	committed := false
+	defer func() {
+		if !committed {
+			for _, name := range written {
+				os.Remove(filepath.Join(dir, name))
+			}
 		}
-	}
-	for i := keep; i < len(valid); i++ {
-		if valid[i] {
-			return nil, fmt.Errorf("engine: delta %d of chain %s is damaged but delta %d is intact: %w",
-				keep, path, i, snapshot.ErrDeltaChainBroken)
+	}()
+	for i, v := range views {
+		if v.Mat == nil {
+			continue // empty shard: empty manifest entry, no files
 		}
-	}
-
-	basePath := filepath.Join(dir, chain.Base.Name)
-	if err := verifyChainFile(basePath, chain.Base); err != nil {
-		return nil, fmt.Errorf("engine: chain base %s: %w: %w", basePath, err, snapshot.ErrDeltaChainBroken)
-	}
-	bf, err := os.Open(basePath)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	s, err := snapshot.Read(bf)
-	bf.Close()
-	if err != nil {
-		return nil, err
-	}
-	if s.Generation != chain.Generation {
-		return nil, fmt.Errorf("%w: chain is generation %d, base snapshot is %d",
-			snapshot.ErrDeltaMismatch, chain.Generation, s.Generation)
-	}
-	for i := 0; i < keep; i++ {
-		e := chain.Deltas[i]
-		df, err := os.Open(filepath.Join(dir, e.Name))
+		ch := c.chains[i]
+		full := ch == nil || c.every <= 0 || v.Generation != ch.Generation || len(ch.Deltas) >= c.every
+		var e snapshot.ChainEntry
+		if full {
+			e, err = writeFile(dir, saveName(base, i, seq, "base"), func(w io.Writer) error {
+				return c.s.shards[i].writeSnapshotView(w, v)
+			})
+		} else {
+			d := buildDelta(c.prev[i], v)
+			e, err = writeFile(dir, saveName(base, i, seq, "delta"), func(w io.Writer) error {
+				return snapshot.WriteDelta(w, d)
+			})
+		}
 		if err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		d, err := snapshot.ReadDelta(df)
-		df.Close()
+		written = append(written, e.Name)
+		e.ToN = uint64(v.Mat.N)
+		if full {
+			chains[i] = &snapshot.Chain{Generation: v.Generation, Base: e}
+		} else {
+			c.s.shards[i].met.deltaBytes.Add(int64(e.Size))
+			chains[i] = &snapshot.Chain{Generation: ch.Generation, Base: ch.Base, Deltas: append(slices.Clip(ch.Deltas), e)}
+		}
+		ce, err := writeFile(dir, saveName(base, i, seq, "chain"), func(w io.Writer) error {
+			return snapshot.WriteChain(w, chains[i])
+		})
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		if uint64(d.ToN) != e.ToN {
-			return nil, fmt.Errorf("%w: delta %d advances to %d points, manifest records %d",
-				snapshot.ErrDeltaMismatch, i, d.ToN, e.ToN)
-		}
-		if err := snapshot.ApplyDelta(s, d); err != nil {
-			return nil, fmt.Errorf("engine: delta %d: %w", i, err)
+		written = append(written, ce.Name)
+		m.Entries[i] = snapshot.ShardEntry{Name: ce.Name, CRC: ce.CRC, Size: ce.Size}
+		longest = max(longest, len(chains[i].Deltas))
+		named[ce.Name], named[chains[i].Base.Name] = true, true
+		for _, d := range chains[i].Deltas {
+			named[d.Name] = true
 		}
 	}
-	return restoreSnapshot(s, o)
-}
-
-// verifyChainFile checks one chain entry's file against its recorded size
-// and whole-file CRC.
-func verifyChainFile(path string, e snapshot.ChainEntry) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("missing: %w", err)
-		}
+	// The new files' names must be durable before the manifest names them.
+	if err := syncDir(dir); err != nil {
 		return err
 	}
-	defer f.Close()
-	crc := crc32.NewIEEE()
-	size, err := io.Copy(crc, f)
-	if err != nil {
+	if _, err := writeFile(dir, base, func(w io.Writer) error { return snapshot.WriteManifest(w, m) }); err != nil {
 		return err
 	}
-	if uint64(size) != e.Size || crc.Sum32() != e.CRC {
-		return fmt.Errorf("%d bytes crc %08x, manifest records %d bytes crc %08x",
-			size, crc.Sum32(), e.Size, e.CRC)
+	committed = true
+	c.chains = chains
+	if c.every > 0 {
+		c.prev = views
+	}
+	c.length.Store(int64(longest))
+	// The commit must be durable before the previous save's files go.
+	if err := syncDir(dir); err != nil {
+		return err
+	}
+	for _, name := range old {
+		if !named[name] {
+			os.Remove(filepath.Join(dir, name))
+		}
 	}
 	return nil
 }

@@ -1,54 +1,77 @@
-// Acceptance-gate crosschecks for delta-chain persistence: a chain restore
-// must be BYTE-identical to restoring an equivalent full v5 snapshot of the
-// same state; a damaged chain tail falls back to the longest complete
-// prefix; mixed damage or a damaged base refuses all-or-nothing with the
-// typed sentinels.
+// Acceptance-gate crosschecks for delta-chain persistence, at one and at
+// four shards: a chain restore must be BYTE-identical, shard by shard, to
+// restoring an equivalent full save of the same state; a damaged chain
+// tail falls back to the longest complete prefix on that shard; mixed
+// damage or a damaged base refuses all-or-nothing with the typed
+// sentinels; a generation compaction re-roots only its own shard's chain;
+// and a save that fails before its manifest is committed leaves the
+// previous save restorable.
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"alid/internal/snapshot"
 	"alid/internal/testutil"
 )
 
-// chainedEngine runs the canonical chain traffic script: initial detection,
-// a full save, then three windows of ingest/evict each followed by a delta
-// save. Returns the engine (still open) and the chain root path.
-func chainedEngine(t *testing.T) (*Engine, *ChainWriter, string) {
+// forShards runs f as one subtest per shard count the chain gates cover.
+func forShards(t *testing.T, f func(t *testing.T, n int)) {
+	for _, n := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { f(t, n) })
+	}
+}
+
+// chainWave is one window of the canonical chain traffic: ingest, commit,
+// then evict three ids.
+func chainWave(t *testing.T, s *Sharded, wi int) {
 	t.Helper()
 	ctx := context.Background()
-	e, _ := blobEngine(t)
-	t.Cleanup(func() { e.Close() })
+	waves := []struct {
+		seed    int64
+		centers [][]float64
+		n       int
+		noise   int
+	}{
+		{91, [][]float64{{-12, 8}}, 25, 5},
+		{92, [][]float64{{0, 0}, {15, 15}}, 10, 4},
+		{93, [][]float64{{30, -5}}, 20, 0},
+		{94, [][]float64{{5, 5}}, 10, 0},
+	}
+	w := waves[wi%len(waves)]
+	pts, _ := testutil.Blobs(w.seed, w.centers, w.n, 0.3, w.noise, 0, 15)
+	if err := s.Ingest(ctx, pts); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Evict(ctx, []int{wi * 7, wi*7 + 2, 80 + wi}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// chainedEngine runs the canonical chain traffic script on an n-shard
+// engine: initial detection, a full save, then three windows of
+// ingest/evict each followed by a delta save. Returns the engine (still
+// open), its writer and the save path.
+func chainedEngine(t *testing.T, n int) (*Sharded, *ChainWriter, string) {
+	t.Helper()
+	s := blobSharded(t, n)
 	path := filepath.Join(t.TempDir(), "alid.snap")
-	c := NewChainWriter(e, path, 8)
+	c := NewChainWriter(s, path, 8)
 	if err := c.Save(); err != nil { // full base
 		t.Fatal(err)
 	}
-
-	blobs := func(seed int64, centers [][]float64, n, noise int) [][]float64 {
-		pts, _ := testutil.Blobs(seed, centers, n, 0.3, noise, 0, 15)
-		return pts
-	}
-	for wi, wave := range [][][]float64{
-		blobs(91, [][]float64{{-12, 8}}, 25, 5),
-		blobs(92, [][]float64{{0, 0}, {15, 15}}, 10, 4),
-		blobs(93, [][]float64{{30, -5}}, 20, 0),
-	} {
-		if err := e.Ingest(ctx, wave); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Flush(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Evict(ctx, []int{wi * 7, wi*7 + 2, 80 + wi}); err != nil {
-			t.Fatal(err)
-		}
+	for wi := 0; wi < 3; wi++ {
+		chainWave(t, s, wi)
 		if err := c.Save(); err != nil { // delta
 			t.Fatal(err)
 		}
@@ -56,49 +79,76 @@ func chainedEngine(t *testing.T) (*Engine, *ChainWriter, string) {
 	if c.Len() != 3 {
 		t.Fatalf("chain length %d, want 3", c.Len())
 	}
-	return e, c, path
+	return s, c, path
 }
 
-// The tentpole restore invariant: base + deltas replays to the EXACT bytes a
-// full v5 snapshot of the final state would restore from — the restored
-// engine re-snapshots byte-identically to the live one and serves
-// bit-identically.
-func TestChainRestoreByteIdenticalToFull(t *testing.T) {
-	e, _, path := chainedEngine(t)
-
-	restored, err := LoadChainFile(path, LoadOptions{})
+// blobSharded is blobEngine's initial detection routed over n shards,
+// closed when the test ends.
+func blobSharded(t *testing.T, n int) *Sharded {
+	t.Helper()
+	initial, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 20, 0, 15)
+	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n}, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer restored.Close()
-	sameClusters(t, e, restored)
-	sameAssigns(t, e, restored, append(crossQueries(120), []float64{-12, 8}, []float64{30, -5}))
+	t.Cleanup(func() { s.Close() })
+	return s
+}
 
-	var full, replayed bytes.Buffer
-	if err := e.WriteSnapshot(&full); err != nil {
+// damage flips one byte in the middle of a file.
+func damage(t *testing.T, path string) {
+	t.Helper()
+	raw := readFile(t, path)
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if err := restored.WriteSnapshot(&replayed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(full.Bytes(), replayed.Bytes()) {
-		t.Fatalf("chain restore differs from full snapshot: %d vs %d bytes", full.Len(), replayed.Len())
-	}
-	if es, rs := e.Stats(), restored.Stats(); rs.N != es.N || rs.LiveN != es.LiveN || rs.Commits != es.Commits {
-		t.Fatalf("restored stats %+v vs live %+v", rs, es)
 	}
 }
 
-// A damaged TAIL — the last delta truncated or deleted — falls back to the
-// longest complete prefix: the state as of the previous save, not a refusal
-// and not a corrupted restore.
-func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
-	for name, damage := range map[string]func(t *testing.T, p string){
-		"truncated": func(t *testing.T, p string) {
-			raw, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
+// The tentpole restore invariant: base + deltas replays, shard by shard, to
+// the EXACT bytes a restore of a full save of the same state produces — and
+// to the live engine's own encoding — and serves bit-identically.
+func TestChainRestoreByteIdenticalToFull(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		s, _, path := chainedEngine(t, n)
+		_, chains := readLayout(t, path)
+		for i, ch := range chains {
+			if len(ch.Deltas) != 3 {
+				t.Fatalf("shard %d chain has %d deltas, want 3", i, len(ch.Deltas))
 			}
+		}
+		restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+
+		full := filepath.Join(t.TempDir(), "full.snap")
+		if err := s.SaveFiles(full); err != nil {
+			t.Fatal(err)
+		}
+		fromFull, err := LoadSharded(full, ShardedLoadOptions{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fromFull.Close()
+		sameShardBytes(t, fromFull, restored)
+		sameShardBytes(t, s, restored)
+		sameAssigns(t, s, restored, append(crossQueries(120), []float64{-12, 8}, []float64{30, -5}))
+		if es, rs := s.Stats(), restored.Stats(); rs.N != es.N || rs.LiveN != es.LiveN || rs.Commits != es.Commits {
+			t.Fatalf("restored stats %+v vs live %+v", rs, es)
+		}
+	})
+}
+
+// A damaged TAIL — the last delta truncated or deleted — falls back to the
+// longest complete prefix on that shard: its state as of the previous
+// save, not a refusal and not a corrupted restore. The other shards
+// restore in full.
+func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
+	for name, hurt := range map[string]func(t *testing.T, p string){
+		"truncated": func(t *testing.T, p string) {
+			raw := readFile(t, p)
 			if err := os.WriteFile(p, raw[:len(raw)/2], 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -110,36 +160,32 @@ func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			e, c, path := chainedEngine(t)
+			forShards(t, func(t *testing.T, n int) {
+				s, _, path := chainedEngine(t, n)
+				hit := n - 1 // the shard whose tail is damaged
+				_, chains := readLayout(t, path)
+				hurt(t, filepath.Join(filepath.Dir(path), chains[hit].Deltas[2].Name))
 
-			// Reference: the state at delta 2 is the chain restored BEFORE the
-			// last save existed — i.e. re-read the current manifest but drop
-			// its tail by damaging delta2.
-			mf, err := os.Open(ChainManifestPath(path))
-			if err != nil {
-				t.Fatal(err)
-			}
-			chain, err := snapshot.ReadChain(mf)
-			mf.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			damage(t, filepath.Join(filepath.Dir(path), chain.Deltas[2].Name))
-
-			restored, err := LoadChainFile(path, LoadOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer restored.Close()
-			// The prefix state is delta 1's ToN, strictly less than the live
-			// engine's final count.
-			if got, want := restored.Stats().N, int(chain.Deltas[1].ToN); got != want {
-				t.Fatalf("prefix restore N=%d, want %d (delta 1)", got, want)
-			}
-			if live := e.Stats().N; restored.Stats().N >= live {
-				t.Fatalf("prefix restore N=%d not behind live %d", restored.Stats().N, live)
-			}
-			_ = c
+				restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer restored.Close()
+				for i := range chains {
+					got, live := restored.shards[i].Stats().N, s.shards[i].Stats().N
+					if i != hit {
+						if got != live {
+							t.Fatalf("undamaged shard %d restored N=%d, want %d", i, got, live)
+						}
+						continue
+					}
+					// The prefix state is delta 1's ToN, strictly less than
+					// the live shard's final count.
+					if want := int(chains[i].Deltas[1].ToN); got != want || got >= live {
+						t.Fatalf("prefix restore N=%d, want %d (delta 1; live %d)", got, want, live)
+					}
+				}
+			})
 		})
 	}
 }
@@ -148,116 +194,227 @@ func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
 // it would silently skip a window, so the restore refuses with
 // ErrDeltaChainBroken. Same for a damaged base.
 func TestChainRestoreRefusesBrokenMiddleAndBase(t *testing.T) {
-	_, _, path := chainedEngine(t)
-	dir := filepath.Dir(path)
-	mf, err := os.Open(ChainManifestPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := snapshot.ReadChain(mf)
-	mf.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	forShards(t, func(t *testing.T, n int) {
+		_, _, path := chainedEngine(t, n)
+		dir := filepath.Dir(path)
+		_, chains := readLayout(t, path)
+		hit := chains[n/2]
 
-	// Corrupt delta 0 (deltas 1 and 2 remain intact).
-	d0 := filepath.Join(dir, chain.Deltas[0].Name)
-	raw, err := os.ReadFile(d0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)/2] ^= 0x10
-	if err := os.WriteFile(d0, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadChainFile(path, LoadOptions{}); !errors.Is(err, snapshot.ErrDeltaChainBroken) {
-		t.Fatalf("broken middle: err %v, want ErrDeltaChainBroken", err)
-	}
-	if err := os.WriteFile(d0, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Corrupt the base: nothing can replay, all-or-nothing refusal.
-	base := filepath.Join(dir, chain.Base.Name)
-	braw, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bbad := append([]byte(nil), braw...)
-	bbad[len(bbad)/3] ^= 0x01
-	if err := os.WriteFile(base, bbad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadChainFile(path, LoadOptions{}); !errors.Is(err, snapshot.ErrDeltaChainBroken) {
-		t.Fatalf("damaged base: err %v, want ErrDeltaChainBroken", err)
-	}
-}
-
-// A generation compaction ends the chain: the next save re-roots with a
-// fresh full snapshot (delta count resets), and the restored engine carries
-// the new generation.
-func TestChainGenerationCompactionRerootsChain(t *testing.T) {
-	ctx := context.Background()
-	e, c, path := chainedEngine(t)
-	if _, err := e.Evict(ctx, []int{30, 31, 32, 33}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CompactGeneration(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Save(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() != 0 {
-		t.Fatalf("chain length %d after compaction save, want 0 (re-rooted)", c.Len())
-	}
-
-	restored, err := LoadChainFile(path, LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if got, want := restored.Stats().Generation, e.Stats().Generation; got != want || got == 0 {
-		t.Fatalf("restored generation %d, want %d (nonzero)", got, want)
-	}
-	// Ever-seen accounting is monotone ACROSS the restart: the retired-id
-	// count rides the v5 snapshot, so the restored engine reports the same
-	// ever-seen total as the live one — not just its post-compaction N.
-	if got, want := restored.Stats().EverSeenIDs, e.Stats().EverSeenIDs; got != want || got == restored.Stats().N {
-		t.Fatalf("restored ever-seen ids %d, want %d (> restored n %d)", got, want, restored.Stats().N)
-	}
-	sameClusters(t, e, restored)
-	sameAssigns(t, e, restored, crossQueries(90))
-}
-
-// every <= 0 degrades to full-snapshot-only saves, still manifest-committed.
-func TestChainWriterFullOnly(t *testing.T) {
-	ctx := context.Background()
-	e, _ := blobEngine(t)
-	defer e.Close()
-	path := filepath.Join(t.TempDir(), "alid.snap")
-	c := NewChainWriter(e, path, 0)
-	for i := 0; i < 3; i++ {
-		extra, _ := testutil.Blobs(int64(60+i), [][]float64{{5, 5}}, 10, 0.3, 0, 0, 15)
-		if err := e.Ingest(ctx, extra); err != nil {
+		// Corrupt delta 0 (deltas 1 and 2 remain intact).
+		d0 := filepath.Join(dir, hit.Deltas[0].Name)
+		raw := readFile(t, d0)
+		damage(t, d0)
+		if _, err := LoadSharded(path, ShardedLoadOptions{Shards: n}); !errors.Is(err, snapshot.ErrDeltaChainBroken) {
+			t.Fatalf("broken middle: err %v, want ErrDeltaChainBroken", err)
+		}
+		if err := os.WriteFile(d0, raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Flush(ctx); err != nil {
+
+		// Corrupt the base: nothing can replay, all-or-nothing refusal.
+		damage(t, filepath.Join(dir, hit.Base.Name))
+		if _, err := LoadSharded(path, ShardedLoadOptions{Shards: n}); !errors.Is(err, snapshot.ErrDeltaChainBroken) {
+			t.Fatalf("damaged base: err %v, want ErrDeltaChainBroken", err)
+		}
+	})
+}
+
+// A generation compaction ends its shard's chain: the next save re-roots
+// that shard with a fresh full snapshot while every other shard keeps its
+// base and appends a delta, and the restored engine carries the new
+// generation.
+func TestChainGenerationCompactionRerootsChain(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		ctx := context.Background()
+		s, c, path := chainedEngine(t, n)
+		_, before := readLayout(t, path)
+		hit := n - 1 // the shard that compacts
+		var ids []int
+		for local := 30; local < 34; local++ {
+			ids = append(ids, local*n+hit)
+		}
+		if _, err := s.Evict(ctx, ids); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.shards[hit].CompactGeneration(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Save(); err != nil {
 			t.Fatal(err)
 		}
-		if c.Len() != 0 {
-			t.Fatalf("save %d: chain length %d, want 0", i, c.Len())
+		if want := min(n-1, 1) * 4; c.Len() != want {
+			t.Fatalf("chain length %d after compaction save, want %d", c.Len(), want)
 		}
+		_, after := readLayout(t, path)
+		for i, ch := range after {
+			switch {
+			case i == hit && (len(ch.Deltas) != 0 || ch.Base == before[i].Base || ch.Generation != 1):
+				t.Fatalf("compacted shard %d not re-rooted: %+v", i, ch)
+			case i != hit && (len(ch.Deltas) != 4 || ch.Base != before[i].Base):
+				t.Fatalf("shard %d re-rooted by another shard's compaction: %+v", i, ch)
+			}
+		}
+
+		restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+		if got, want := restored.Stats().Generation, s.Stats().Generation; got != want || got == 0 {
+			t.Fatalf("restored generation %d, want %d (nonzero)", got, want)
+		}
+		// Ever-seen accounting is monotone ACROSS the restart: the retired-id
+		// count rides the v5 snapshot.
+		if got, want := restored.Stats().EverSeenIDs, s.Stats().EverSeenIDs; got != want || got == restored.Stats().N {
+			t.Fatalf("restored ever-seen ids %d, want %d (> restored n %d)", got, want, restored.Stats().N)
+		}
+		sameShardBytes(t, s, restored)
+		sameAssigns(t, s, restored, crossQueries(90))
+	})
+}
+
+// every <= 0 degrades to full saves only: each save writes every shard in
+// full, keeps no view between saves, and deletes the previous save's files,
+// so the directory holds exactly what the manifest names.
+func TestChainWriterFullOnly(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		s := blobSharded(t, n)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "alid.snap")
+		c := NewChainWriter(s, path, 0)
+		for i := 0; i < 3; i++ {
+			chainWave(t, s, i)
+			if err := c.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if c.Len() != 0 || c.prev != nil {
+				t.Fatalf("save %d: chain length %d, views kept %v", i, c.Len(), c.prev != nil)
+			}
+		}
+		m, chains := readLayout(t, path)
+		want := []string{"alid.snap"}
+		for i, ch := range chains {
+			if ch != nil {
+				want = append(want, m.Entries[i].Name, ch.Base.Name)
+			}
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range ents {
+			got = append(got, e.Name())
+		}
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("directory holds %v, manifest names %v", got, want)
+		}
+		restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer restored.Close()
+		sameShardBytes(t, s, restored)
+	})
+}
+
+// A save that fails right before its manifest rename — every new data and
+// chain file already written — leaves the previous save exactly
+// restorable, for a full save and for a delta save alike, and the next
+// save succeeds.
+func TestSaveFailureKeepsPreviousSave(t *testing.T) {
+	forShards(t, func(t *testing.T, n int) {
+		for _, every := range []int{0, 8} {
+			s := blobSharded(t, n)
+			path := filepath.Join(t.TempDir(), "alid.snap")
+			c := NewChainWriter(s, path, every)
+			chainWave(t, s, 0)
+			if err := c.Save(); err != nil {
+				t.Fatal(err)
+			}
+			chainWave(t, s, 1)
+			if err := c.Save(); err != nil {
+				t.Fatal(err)
+			}
+			want := shardBytes(t, s)
+
+			chainWave(t, s, 2)
+			injected := errors.New("injected failure before the manifest rename")
+			renameHook = func(name string) error {
+				if name == filepath.Base(path) {
+					return injected
+				}
+				return nil
+			}
+			err := c.Save()
+			renameHook = nil
+			if !errors.Is(err, injected) {
+				t.Fatalf("every=%d: save err %v, want the injected failure", every, err)
+			}
+
+			restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+			if err != nil {
+				t.Fatalf("every=%d: previous save lost: %v", every, err)
+			}
+			got := shardBytes(t, restored)
+			restored.Close()
+			for i := range want {
+				if !slices.Equal(want[i], got[i]) {
+					t.Fatalf("every=%d: shard %d restores %d bytes, previous save had %d", every, i, len(got[i]), len(want[i]))
+				}
+			}
+			if err := c.Save(); err != nil {
+				t.Fatalf("every=%d: save after a failed one: %v", every, err)
+			}
+			again, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameShardBytes(t, s, again)
+			again.Close()
+		}
+	})
+}
+
+// Save is safe for concurrent use — the daemon's periodic loop and its
+// shutdown save may overlap — while ingest and evictions continue. Saves
+// serialize, each commits a restorable save, and the last one restores
+// byte-identically.
+func TestChainWriterConcurrentSaves(t *testing.T) {
+	s := blobSharded(t, 4)
+	path := filepath.Join(t.TempDir(), "alid.snap")
+	c := NewChainWriter(s, path, 3)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 5; k++ {
+				if err := c.Save(); err != nil {
+					errs <- err
+					return
+				}
+				_ = c.Len()
+			}
+		}()
 	}
-	restored, err := LoadChainFile(path, LoadOptions{})
+	for wi := 0; wi < 4; wi++ {
+		chainWave(t, s, wi)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadSharded(path, ShardedLoadOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	sameClusters(t, e, restored)
-	sameAssigns(t, e, restored, crossQueries(90))
+	sameShardBytes(t, s, restored)
 }

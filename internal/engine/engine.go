@@ -91,9 +91,9 @@ func shardFrag(shard string) string {
 	return `shard="` + shard + `"`
 }
 
-// Serving is the surface the HTTP layer and the daemon program against: the
-// single-engine Engine and the N-engine Sharded router both implement it, so
-// `-shards 1` and `-shards N` are interchangeable behind one server. The
+// Serving is the surface the HTTP layer programs against: the single-engine
+// Engine and the N-engine Sharded router (which the daemon always serves,
+// at any -shards) both implement it, so either can sit behind one server. The
 // semantics of every method match Engine's documentation; Sharded documents
 // where aggregation changes the observable behavior (global ids, merged
 // answers, summed stats).

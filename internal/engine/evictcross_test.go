@@ -9,7 +9,6 @@ import (
 	"alid/internal/core"
 	"alid/internal/lsh"
 	"alid/internal/matrix"
-	"alid/internal/snapshot"
 	"alid/internal/stream"
 	"alid/internal/testutil"
 )
@@ -157,7 +156,7 @@ func TestSnapshotCrosscheckAfterEvict(t *testing.T) {
 	if err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), 0, nil)
+	restored, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,20 +190,6 @@ func TestSnapshotCrosscheckAfterEvict(t *testing.T) {
 	}
 	sameClusters(t, e, restored)
 	sameAssigns(t, e, restored, append(crossQueries(60), []float64{-20, -20}))
-
-	// The legacy writers refuse tombstoned state.
-	v := e.View()
-	s := &snapshot.Snapshot{
-		Core: e.Config().Core, BatchSize: e.Config().BatchSize,
-		Mat: v.Mat, Index: v.Index, Clusters: v.Clusters,
-		Labels: v.Labels.Flat(), Commits: v.Commits,
-	}
-	if err := snapshot.WriteV1(&bytes.Buffer{}, s); err == nil {
-		t.Fatal("WriteV1 accepted tombstoned engine state")
-	}
-	if err := snapshot.WriteV2(&bytes.Buffer{}, s); err == nil {
-		t.Fatal("WriteV2 accepted tombstoned engine state")
-	}
 }
 
 // Retention at the engine level: continuous ingest with MaxPoints keeps the

@@ -132,3 +132,50 @@ func TestConfigReusableAfterSelfRegistry(t *testing.T) {
 	}
 	e2.Close()
 }
+
+// A 1-shard router exports every series a plain engine exports, under the
+// same names and labels — no shard label — so dashboards built on a
+// plain engine keep working; the router's own families come alongside.
+func TestShardedSingleShardKeepsEngineSeries(t *testing.T) {
+	pts, _ := testutil.Blobs(57, [][]float64{{0, 0}, {12, 12}}, 200, 0.05, 20, -15, 20)
+	series := func(reg *obs.Registry) map[string]bool {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, line := range strings.Split(b.String(), "\n") {
+			// Which histogram buckets render depends on the timings
+			// observed; a histogram's _sum and _count name its series.
+			if line != "" && !strings.HasPrefix(line, "#") && !strings.Contains(line, "_bucket{") {
+				out[line[:strings.LastIndexByte(line, ' ')]] = true
+			}
+		}
+		return out
+	}
+	cfg := engineConfig()
+	cfg.Obs = obs.NewRegistry()
+	e, err := New(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	plain := series(cfg.Obs)
+	cfg.Obs = obs.NewRegistry()
+	s, err := NewSharded(ShardedConfig{Engine: cfg, Shards: 1}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	routed := series(cfg.Obs)
+	for k := range plain {
+		if !routed[k] {
+			t.Errorf("1-shard router lacks series %s", k)
+		}
+	}
+	for _, k := range []string{"alid_shards", `alid_ingest_queue_depth{shard="0"}`} {
+		if !routed[k] {
+			t.Errorf("1-shard router lacks router series %s", k)
+		}
+	}
+}

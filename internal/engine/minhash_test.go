@@ -128,7 +128,7 @@ func TestMinHashEngineEndToEnd(t *testing.T) {
 	if err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshotOpts(bytes.NewReader(buf.Bytes()), LoadOptions{Backend: "minhash"})
+	restored, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{Backend: "minhash"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestMinHashEngineEndToEnd(t *testing.T) {
 	}
 
 	// A dense-configured restore of a minhash snapshot is refused.
-	if _, err := LoadSnapshotOpts(bytes.NewReader(buf.Bytes()), LoadOptions{Backend: "lsh"}); !errors.Is(err, snapshot.ErrBackendMismatch) {
+	if _, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{Backend: "lsh"}); !errors.Is(err, snapshot.ErrBackendMismatch) {
 		t.Fatalf("lsh restore of minhash snapshot: err %v, want ErrBackendMismatch", err)
 	}
 }
@@ -162,7 +162,7 @@ func TestDenseSnapshotRefusesMinHashRestore(t *testing.T) {
 	if err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshotOpts(bytes.NewReader(buf.Bytes()), LoadOptions{Backend: "minhash"}); !errors.Is(err, snapshot.ErrBackendMismatch) {
+	if _, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{Backend: "minhash"}); !errors.Is(err, snapshot.ErrBackendMismatch) {
 		t.Fatalf("minhash restore of dense snapshot: err %v, want ErrBackendMismatch", err)
 	}
 }

@@ -1,8 +1,16 @@
+// This file is the persistence plumbing shared by saves and restores: one
+// engine's snapshot encode and restore, the one atomic file write every
+// save goes through, and the one whole-file check every restore goes
+// through. chain.go holds the save routine, sharded_persist.go the restore
+// routine.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"hash"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -10,7 +18,6 @@ import (
 
 	"alid/internal/index"
 	"alid/internal/obs"
-	"alid/internal/par"
 	"alid/internal/snapshot"
 	"alid/internal/stream"
 )
@@ -39,6 +46,21 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// crcWriter tees written bytes into a CRC-32 and a byte count, so a file's
+// manifest entry is computed during the single write pass.
+type crcWriter struct {
+	w   io.Writer
+	crc hash.Hash32
+	n   uint64
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc.Write(p[:n])
+	c.n += uint64(n)
+	return n, err
+}
+
 // WriteSnapshot persists the current published state. It reads only the
 // immutable view, so it is safe to call concurrently with assigns and
 // ingest; points still queued or buffered are NOT included (flush first for
@@ -47,10 +69,10 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 	return e.writeSnapshotView(w, e.View())
 }
 
-// writeSnapshotView persists one explicit published view. Sharded saves go
-// through this: the router reads every shard's view ONCE, derives the
-// manifest's id-mint cursor from those exact views, and then writes exactly
-// them — a second View() load here could have advanced past the cursor.
+// writeSnapshotView persists one explicit published view. Saves go through
+// this: the saver reads every shard's view ONCE, derives the manifest's
+// id-mint cursor from those exact views, and then writes exactly them — a
+// second View() load here could have advanced past the cursor.
 func (e *Engine) writeSnapshotView(w io.Writer, v stream.View) error {
 	if v.Mat == nil {
 		return fmt.Errorf("engine: nothing committed to snapshot")
@@ -82,143 +104,121 @@ func (e *Engine) writeSnapshotView(w io.Writer, v stream.View) error {
 	return err
 }
 
-// SaveFile writes the snapshot atomically: to a temp file in the target
-// directory, then rename, so a crash mid-write never corrupts the previous
-// snapshot.
-func (e *Engine) SaveFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if err := e.WriteSnapshot(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	return nil
-}
-
-// LoadSnapshot restores an engine from a snapshot stream: configuration,
-// matrix, index, clusters, labels and retention policy all come from the
-// snapshot. queueSize (0 = default) and pool are the only runtime knobs not
-// persisted: the intra-detection pool is a scheduling choice with no effect
-// on results, so it is re-injected at restore time (nil = serial).
-func LoadSnapshot(r io.Reader, queueSize int, pool *par.Pool) (*Engine, error) {
-	return LoadSnapshotRetention(r, queueSize, pool, nil)
-}
-
-// LoadSnapshotRetention is LoadSnapshot with a retention override: a
-// non-nil retention replaces the snapshot's persisted policy (the daemon's
-// -retention-* flags are an operational knob and must win over whatever the
-// previous process had configured).
-func LoadSnapshotRetention(r io.Reader, queueSize int, pool *par.Pool, retention *stream.Retention) (*Engine, error) {
-	return LoadSnapshotOpts(r, LoadOptions{QueueSize: queueSize, Pool: pool, Retention: retention})
-}
-
-// LoadOptions are the runtime knobs a snapshot restore re-injects: none of
-// them is persisted because none affects answers (scheduling, queueing,
-// observability) — except Retention, an operational override that REPLACES
-// the snapshot's stored policy when non-nil.
-type LoadOptions struct {
-	// QueueSize bounds the restored engine's ingest queue (0 = default).
-	QueueSize int
-	// Pool is the intra-detection parallel pool (nil = serial).
-	Pool *par.Pool
-	// Retention, when non-nil, replaces the snapshot's persisted policy.
-	Retention *stream.Retention
-	// Obs is the registry the restored engine registers into (nil = private).
-	Obs *obs.Registry
-	// Logger receives the restored engine's writer-side logs (nil = silent).
-	Logger *slog.Logger
-	// ShardLabel is the restored engine's shard name for metric labeling
-	// (see Config.ShardLabel).
-	ShardLabel string
-	// Backend, when non-empty, is the index backend the caller expects
-	// ("lsh" or "minhash"); a snapshot carrying the other backend fails
-	// with snapshot.ErrBackendMismatch instead of silently reinterpreting
-	// set signatures as dense coordinates (or vice versa).
-	Backend string
-	// CompactEvictedShare is the restored engine's auto-compaction trigger
-	// (see Config.CompactEvictedShare; 0 disables). Operational, like the
-	// retention override: it is not persisted.
-	CompactEvictedShare float64
-}
-
-// LoadSnapshotOpts restores an engine from a snapshot stream with the full
-// set of runtime knobs — the sharded restore path, which loads N shard files
-// into N engines sharing one registry (distinct ShardLabels) and one pool.
-func LoadSnapshotOpts(r io.Reader, o LoadOptions) (*Engine, error) {
-	start := obs.Now()
-	cr := &countingReader{r: r}
-	s, err := snapshot.Read(cr)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := restoreSnapshot(s, o)
-	if err == nil {
-		// The engine's metrics exist only now, so load cost is credited to
-		// the registry of the engine the load produced.
-		eng.met.loadBytes.Add(cr.n)
-		eng.met.snapLoad.ObserveSince(start)
-	}
-	return eng, err
-}
-
-// restoreSnapshot builds an engine from an already-decoded snapshot (shared
-// by the single-file load and the delta-chain load, which decodes the base
-// and replays deltas before restoring).
-func restoreSnapshot(s *snapshot.Snapshot, o LoadOptions) (*Engine, error) {
+// restoreShard builds shard i of an n-shard engine from a decoded snapshot:
+// configuration, data and retention policy come from the snapshot, the
+// runtime knobs from o. A non-nil o.Retention is the TOTAL policy and
+// replaces the stored one with this shard's share.
+func restoreShard(s *snapshot.Snapshot, o ShardedLoadOptions, reg *obs.Registry, i, n int) (*Engine, error) {
 	if o.Backend != "" {
 		if got, want := index.Normalize(s.Core.Backend), index.Normalize(o.Backend); got != want {
 			return nil, fmt.Errorf("engine: snapshot index backend is %q, engine configured for %q: %w", got, want, snapshot.ErrBackendMismatch)
 		}
 	}
 	s.Core.Pool = o.Pool
-	if o.Retention != nil {
-		s.Retention = *o.Retention
-	}
-	cfg := Config{
-		Core: s.Core, BatchSize: s.BatchSize, QueueSize: o.QueueSize, Retention: s.Retention,
-		Obs: o.Obs, Logger: o.Logger, ShardLabel: o.ShardLabel,
+	cfg := shardConfig(Config{
+		Core: s.Core, BatchSize: s.BatchSize, QueueSize: o.QueueSize, Logger: o.Logger,
 		CompactEvictedShare: o.CompactEvictedShare,
+	}, reg, i, n)
+	cfg.Retention = s.Retention
+	if o.Retention != nil {
+		cfg.Retention = shareOf(*o.Retention, n)
 	}
 	return RestoreGeneration(cfg, s.Mat, s.Index, s.Clusters, s.Labels, s.Commits, s.Generation, s.RetiredIDs)
 }
 
-// LoadFile restores an engine from a snapshot file.
-func LoadFile(path string, queueSize int, pool *par.Pool) (*Engine, error) {
-	return LoadFileRetention(path, queueSize, pool, nil)
+// renameHook, when set (by tests), runs just before writeFile renames a
+// finished file into place; an error fails the write at that point.
+var renameHook func(name string) error
+
+// writeFile writes one file of a save atomically: into a temp file in dir,
+// fsynced, then renamed to name. It returns the file's entry: its name,
+// whole-file CRC and size.
+func writeFile(dir, name string, write func(io.Writer) error) (snapshot.ChainEntry, error) {
+	tmp, err := os.CreateTemp(dir, name+".tmp*")
+	if err != nil {
+		return snapshot.ChainEntry{}, fmt.Errorf("engine: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // a no-op once renamed
+	cw := &crcWriter{w: tmp, crc: crc32.NewIEEE()}
+	err = write(cw)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && renameHook != nil {
+		err = renameHook(name)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		return snapshot.ChainEntry{}, fmt.Errorf("engine: write %s: %w", name, err)
+	}
+	return snapshot.ChainEntry{Name: name, CRC: cw.crc.Sum32(), Size: cw.n}, nil
 }
 
-// LoadFileOpts restores an engine from a snapshot file with the full set of
-// runtime knobs (see LoadSnapshotOpts).
-func LoadFileOpts(path string, o LoadOptions) (*Engine, error) {
-	f, err := os.Open(path)
+// syncDir fsyncs a directory, making the renames done in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return fmt.Errorf("engine: %w", err)
 	}
-	defer f.Close()
-	return LoadSnapshotOpts(f, o)
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("engine: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
-// LoadFileRetention is LoadFile with a retention override (see
-// LoadSnapshotRetention).
-func LoadFileRetention(path string, queueSize int, pool *par.Pool, retention *stream.Retention) (*Engine, error) {
+// fileSum streams a file once and returns its CRC-32 and size. A missing
+// file fails with snapshot.ErrShardFileMissing.
+func fileSum(path string) (uint32, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		if errors.Is(err, os.ErrNotExist) {
+			return 0, 0, fmt.Errorf("engine: %s: %w", path, snapshot.ErrShardFileMissing)
+		}
+		return 0, 0, fmt.Errorf("engine: %w", err)
 	}
 	defer f.Close()
-	return LoadSnapshotRetention(f, queueSize, pool, retention)
+	crc := crc32.NewIEEE()
+	size, err := io.Copy(crc, f)
+	if err != nil {
+		return 0, 0, fmt.Errorf("engine: %w", err)
+	}
+	return crc.Sum32(), uint64(size), nil
+}
+
+// checkFile compares a file with the size and CRC its manifest recorded,
+// before anything decodes it: a truncated, damaged or foreign file fails
+// with snapshot.ErrShardFileCorrupt, a missing one with ErrShardFileMissing.
+func checkFile(dir string, e snapshot.ChainEntry) error {
+	path := filepath.Join(dir, e.Name)
+	crc, size, err := fileSum(path)
+	if err != nil {
+		return err
+	}
+	if size != e.Size || crc != e.CRC {
+		return fmt.Errorf("engine: %s: %d bytes crc %08x, manifest records %d bytes crc %08x: %w",
+			path, size, crc, e.Size, e.CRC, snapshot.ErrShardFileCorrupt)
+	}
+	return nil
+}
+
+// decodeFile opens one file of a save and runs dec over it, returning the
+// bytes dec read (for the alid_snapshot_bytes_total{op="load"} counter).
+func decodeFile(dir, name string, dec func(io.Reader) error) (int64, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		return 0, fmt.Errorf("engine: %w", err)
+	}
+	defer f.Close()
+	cr := &countingReader{r: f}
+	err = dec(cr)
+	return cr.n, err
 }

@@ -45,8 +45,9 @@
 // alid_assigns_total{shard=…} counters reflect that fan-out). Clusters and
 // ClustersWithMeta concatenate in shard order with member/seed ids
 // translated to global ids. Evict routes each global id to its owning
-// shard. Every shard registers its metric families with a constant
-// shard="…" label into one shared registry, and the router adds
+// shard. Every shard registers its metric families into one shared
+// registry, with a constant shard="…" label when N > 1 (at N = 1 the
+// series are exactly a plain engine's), and the router adds
 // alid_ingest_queue_depth{shard="…"} (per-shard backlog, the serve-load
 // balance diagnostic), alid_shards, and alid_gather_duration_seconds.
 package engine
@@ -63,6 +64,7 @@ import (
 	"alid/internal/core"
 	"alid/internal/mapreduce"
 	"alid/internal/obs"
+	"alid/internal/stream"
 )
 
 // Both the single engine and the sharded router satisfy the Serving surface
@@ -75,7 +77,8 @@ var (
 // ShardedConfig sizes the sharded router.
 type ShardedConfig struct {
 	// Engine is the per-shard template. Obs (defaulted to one fresh registry)
-	// is shared by every shard; ShardLabel is overwritten per shard;
+	// is shared by every shard; ShardLabel is overwritten per shard (and
+	// left empty at one shard);
 	// Retention.MaxPoints is the TOTAL live-point budget, split evenly
 	// (ceiling) across shards; Logger gains a per-shard attribute.
 	Engine Config
@@ -212,15 +215,8 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 		obsReg: reg,
 	}
 	for i := 0; i < n; i++ {
-		ecfg := cfg.Engine
-		ecfg.Obs = reg
-		ecfg.ShardLabel = strconv.Itoa(i)
-		if ecfg.Retention.MaxPoints > 0 {
-			ecfg.Retention.MaxPoints = (ecfg.Retention.MaxPoints + n - 1) / n
-		}
-		if ecfg.Logger != nil {
-			ecfg.Logger = ecfg.Logger.With("shard", i)
-		}
+		ecfg := shardConfig(cfg.Engine, reg, i, n)
+		ecfg.Retention = shareOf(cfg.Engine.Retention, n)
 		eng, err := New(ecfg, subs[i])
 		if err != nil {
 			for _, sh := range s.shards {
@@ -236,6 +232,32 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 	}
 	s.finish(reg)
 	return s, nil
+}
+
+// shardConfig derives shard i's engine config from the router template:
+// the shared registry, plus a shard metric label and log attribute when
+// there is more than one shard — a 1-shard router exports exactly a plain
+// engine's series. Retention is left to the caller (see shareOf).
+func shardConfig(tmpl Config, reg *obs.Registry, i, n int) Config {
+	c := tmpl
+	c.Obs = reg
+	c.ShardLabel = ""
+	if n > 1 {
+		c.ShardLabel = strconv.Itoa(i)
+		if c.Logger != nil {
+			c.Logger = c.Logger.With("shard", i)
+		}
+	}
+	return c
+}
+
+// shareOf is one shard's part of a TOTAL retention policy: the point cap
+// split evenly (ceiling) across n shards, the age limit unchanged.
+func shareOf(total stream.Retention, n int) stream.Retention {
+	if total.MaxPoints > 0 {
+		total.MaxPoints = (total.MaxPoints + n - 1) / n
+	}
+	return total
 }
 
 // finish registers the router-level metrics and builds the gather pool

@@ -1,25 +1,23 @@
-// This file is sharded persistence: one ordinary v3 snapshot file per
-// non-empty shard plus a manifest binding them (see snapshot/manifest.go for
-// the format and the crash-ordering argument). The save pins every shard's
-// published view FIRST, derives the id-mint cursor from exactly those views,
-// writes shard files, and renames the manifest into place LAST — the
-// manifest commits the save atomically, and its whole-file checksums detect
-// any mix of save generations. The restore refuses shard-count mismatches
-// (ids embed the count) and is all-or-nothing: any missing/corrupt/
-// undecodable shard file closes everything already built.
+// This file is the restore routine. LoadSharded reads a save in any layout
+// this package has written — the manifest of per-shard chains that every
+// save now writes, and, read as legacy layouts, the version 1 manifest over
+// per-shard snapshot files, the single-engine delta chain and the single
+// snapshot file — and rebuilds the engine all or nothing. Every file a
+// manifest or chain names is checked against its recorded size and
+// whole-file CRC before it is decoded, streaming it once for the check and
+// once for the decode. The restore refuses a shard count other than the
+// saved one (ids embed the count).
 package engine
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 
 	"alid/internal/obs"
 	"alid/internal/par"
@@ -27,133 +25,14 @@ import (
 	"alid/internal/stream"
 )
 
-// crcWriter tees written bytes into a CRC-32 and a byte count, so the shard
-// file's manifest entry is computed during the single write pass.
-type crcWriter struct {
-	w   io.Writer
-	crc hash.Hash32
-	n   uint64
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
-	c.n += uint64(n)
-	return n, err
-}
-
-// shardFileName returns the snapshot file path for one shard of a sharded
-// save rooted at the manifest path.
-func shardFileName(path string, shard int) string {
-	return path + ".shard" + strconv.Itoa(shard)
-}
-
-// SaveFiles persists the sharded engine as a manifest at path plus one
-// snapshot file per non-empty shard at path.shard<i>. Every shard's
-// published view is pinned up front and the manifest's id-mint cursor is
-// the sum of exactly those views' point counts, so cursor and files agree
-// even while ingest continues concurrently (flush first for a point-in-
-// time-complete save). Shard files are renamed into place before the
-// manifest: the save is committed by the manifest rename, and a crash at
-// any earlier moment leaves the previous save fully intact.
-func (s *Sharded) SaveFiles(path string) error {
-	views := make([]stream.View, s.n)
-	m := &snapshot.Manifest{Shards: s.n, Entries: make([]snapshot.ShardEntry, s.n)}
-	total := 0
-	for i, sh := range s.shards {
-		views[i] = sh.View()
-		if views[i].Mat != nil {
-			total += views[i].Mat.N
-		}
-	}
-	if total == 0 {
-		return fmt.Errorf("engine: nothing committed to snapshot")
-	}
-	m.Cursor = uint64(total)
-
-	dir := filepath.Dir(path)
-	var staged []string // temp files to roll back on failure
-	defer func() {
-		for _, t := range staged {
-			os.Remove(t)
-		}
-	}()
-	renames := make([]string, s.n) // temp → shardFileName(path, i)
-	for i := range s.shards {
-		if views[i].Mat == nil {
-			continue // empty shard: empty manifest entry, no file
-		}
-		name := shardFileName(path, i)
-		tmp, err := os.CreateTemp(dir, filepath.Base(name)+".tmp*")
-		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		staged = append(staged, tmp.Name())
-		cw := &crcWriter{w: tmp, crc: crc32.NewIEEE()}
-		if err := s.shards[i].writeSnapshotView(cw, views[i]); err != nil {
-			tmp.Close()
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		if err := tmp.Close(); err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		m.Entries[i] = snapshot.ShardEntry{
-			Name: filepath.Base(name),
-			CRC:  cw.crc.Sum32(),
-			Size: cw.n,
-		}
-		renames[i] = tmp.Name()
-	}
-
-	// All shard files staged; move them into place, then commit with the
-	// manifest. A crash between these renames leaves the OLD manifest naming
-	// old checksums — any half-replaced file set fails its CRC at load
-	// against the old manifest only if mixed, and the old save is what a
-	// restart restores.
-	for i, tmp := range renames {
-		if tmp == "" {
-			continue
-		}
-		if err := os.Rename(tmp, shardFileName(path, i)); err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-	}
-	staged = nil // shard files are live now; only the manifest temp remains
-
-	mtmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	defer os.Remove(mtmp.Name())
-	if err := snapshot.WriteManifest(mtmp, m); err != nil {
-		mtmp.Close()
-		return err
-	}
-	if err := mtmp.Sync(); err != nil {
-		mtmp.Close()
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := mtmp.Close(); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	if err := os.Rename(mtmp.Name(), path); err != nil {
-		return fmt.Errorf("engine: %w", err)
-	}
-	return nil
-}
-
-// ShardedLoadOptions are the runtime knobs of a sharded restore — the same
-// non-persisted knobs as LoadOptions, applied to every shard, plus the
-// expected shard count and the gather width.
+// ShardedLoadOptions are the runtime knobs of a restore: none is persisted,
+// because none changes answers (scheduling, queueing, observability) —
+// except Retention, an operational override, and the expected shard count.
 type ShardedLoadOptions struct {
-	// Shards is the expected shard count; 0 adopts the manifest's count. A
-	// non-zero count that differs from the manifest fails with
+	// Shards is the expected shard count; 0 adopts the saved count. A
+	// non-zero count that differs from the save fails with
 	// snapshot.ErrShardCountMismatch (ids embed the count — repartitioning
-	// a save is not possible).
+	// a save is not possible). A legacy single-engine save has one shard.
 	Shards int
 	// QueueSize bounds each restored shard's ingest queue (0 = default).
 	QueueSize int
@@ -166,14 +45,15 @@ type ShardedLoadOptions struct {
 	Retention *stream.Retention
 	// Obs is the shared registry (nil = one private registry).
 	Obs *obs.Registry
-	// Logger receives writer-side logs; each shard logs with a shard attr.
+	// Logger receives writer-side logs; each shard logs with a shard attr
+	// when there is more than one.
 	Logger *slog.Logger
 	// Gather bounds scatter-gather concurrency (see ShardedConfig.Gather).
 	Gather int
 	// Backend, when non-empty, is the index backend the caller expects of
 	// every shard ("lsh" or "minhash"); a shard carrying the other backend
-	// fails the restore with snapshot.ErrBackendMismatch (see
-	// LoadOptions.Backend).
+	// fails the restore with snapshot.ErrBackendMismatch instead of
+	// reinterpreting set signatures as dense coordinates (or vice versa).
 	Backend string
 	// CompactEvictedShare is each restored shard's auto-compaction trigger
 	// (see Config.CompactEvictedShare; 0 disables). Operational, not
@@ -181,40 +61,27 @@ type ShardedLoadOptions struct {
 	CompactEvictedShare float64
 }
 
-// LoadSharded restores a sharded engine from a manifest written by
-// SaveFiles. Every shard file is first verified against the manifest's
-// size and whole-file CRC (catching truncation and mixed save generations
-// before any decoding), then restored as an ordinary snapshot; shards the
-// manifest records as empty are rebuilt empty under the restored
-// configuration. The restore is all-or-nothing: any failure closes every
+// LoadSharded restores a sharded engine from the save at path (see the
+// file comment for the layouts read). Each shard replays its chain: the
+// base snapshot, then every delta of the longest intact prefix — a damaged
+// tail falls back to an earlier save of that shard, while a damaged delta
+// followed by an intact one, or a damaged base, refuses with
+// snapshot.ErrDeltaChainBroken. Shards the save records as empty are
+// rebuilt empty under the restored configuration. Any failure closes every
 // shard already built and returns the error — there is no partial restore.
 func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	m, err := snapshot.ReadManifest(f)
-	f.Close()
+	cursor, chains, err := readSave(path)
 	if err != nil {
 		return nil, err
 	}
-	n := m.Shards
+	n := len(chains)
 	if o.Shards != 0 && o.Shards != n {
-		return nil, fmt.Errorf("engine: manifest %s was saved with %d shards, asked to restore %d: %w",
+		return nil, fmt.Errorf("engine: save %s has %d shards, asked to restore %d: %w",
 			path, n, o.Shards, snapshot.ErrShardCountMismatch)
 	}
-
 	reg := o.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
-	}
-	var perShard *stream.Retention
-	if o.Retention != nil {
-		r := *o.Retention
-		if r.MaxPoints > 0 {
-			r.MaxPoints = (r.MaxPoints + n - 1) / n
-		}
-		perShard = &r
 	}
 
 	dir := filepath.Dir(path)
@@ -227,76 +94,52 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		}
 		return nil, err
 	}
-	firstLoaded := -1
-	for i, e := range m.Entries {
-		if e.Name == "" {
+	first := -1
+	for i, ch := range chains {
+		if ch == nil {
 			continue // empty shard; built below from the restored template
 		}
-		fp := filepath.Join(dir, e.Name)
-		sf, err := os.Open(fp)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return fail(fmt.Errorf("engine: shard %d file %s: %w", i, fp, snapshot.ErrShardFileMissing))
-			}
-			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
-		}
-		crc := crc32.NewIEEE()
-		size, err := io.Copy(crc, sf)
-		if err != nil {
-			sf.Close()
-			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
-		}
-		if uint64(size) != e.Size || crc.Sum32() != e.CRC {
-			sf.Close()
-			return fail(fmt.Errorf("engine: shard %d file %s: %d bytes crc %08x, manifest records %d bytes crc %08x: %w",
-				i, fp, size, crc.Sum32(), e.Size, e.CRC, snapshot.ErrShardFileCorrupt))
-		}
-		if _, err := sf.Seek(0, io.SeekStart); err != nil {
-			sf.Close()
-			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
-		}
-		lo := LoadOptions{
-			QueueSize: o.QueueSize, Pool: o.Pool, Retention: perShard,
-			Obs: reg, Logger: o.Logger, ShardLabel: strconv.Itoa(i),
-			Backend:             o.Backend,
-			CompactEvictedShare: o.CompactEvictedShare,
-		}
-		if lo.Logger != nil {
-			lo.Logger = lo.Logger.With("shard", i)
-		}
-		eng, err := LoadSnapshotOpts(sf, lo)
-		sf.Close()
+		start := obs.Now()
+		s, read, err := replay(dir, ch)
 		if err != nil {
 			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
 		}
+		eng, err := restoreShard(s, o, reg, i, n)
+		if err != nil {
+			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
+		}
+		// The engine's metrics exist only now, so load cost is credited to
+		// the registry of the engine the load produced.
+		eng.met.loadBytes.Add(read)
+		eng.met.snapLoad.ObserveSince(start)
 		shards[i] = eng
-		if firstLoaded < 0 {
-			firstLoaded = i
+		if first < 0 {
+			first = i
 		}
 	}
-	if firstLoaded < 0 {
-		return fail(fmt.Errorf("engine: manifest %s records no shard files", path))
+	if first < 0 {
+		return fail(fmt.Errorf("engine: save %s records no shard files", path))
 	}
 
-	// Empty shards adopt the restored configuration of the first non-empty
-	// shard (the whole save shares one config) with their own shard label.
-	template := shards[firstLoaded].Config()
+	// The router's template Config keeps the TOTAL retention policy
+	// (matching NewSharded's contract): the operational override verbatim,
+	// else the per-shard persisted budget scaled back up. Empty shards adopt
+	// the first restored shard's configuration (the whole save shares one)
+	// with their own label and retention share.
+	total := shards[first].Config()
+	total.Obs, total.Logger, total.ShardLabel = reg, o.Logger, ""
+	shardRetention := total.Retention
+	if o.Retention != nil {
+		total.Retention = *o.Retention
+	} else if total.Retention.MaxPoints > 0 {
+		total.Retention.MaxPoints *= n
+	}
 	for i := range shards {
 		if shards[i] != nil {
 			continue
 		}
-		ecfg := template
-		ecfg.Obs = reg
-		ecfg.ShardLabel = strconv.Itoa(i)
-		ecfg.QueueSize = o.QueueSize
-		ecfg.Core.Pool = o.Pool
-		ecfg.Logger = o.Logger
-		if perShard != nil {
-			ecfg.Retention = *perShard
-		}
-		if ecfg.Logger != nil {
-			ecfg.Logger = ecfg.Logger.With("shard", i)
-		}
+		ecfg := shardConfig(total, reg, i, n)
+		ecfg.Retention = shardRetention
 		eng, err := New(ecfg, nil)
 		if err != nil {
 			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
@@ -308,15 +151,6 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
 	}
-	// The router's template Config keeps the TOTAL retention policy (matching
-	// NewSharded's contract): the operational override verbatim, else the
-	// per-shard persisted budget scaled back up.
-	total := template
-	if o.Retention != nil {
-		total.Retention = *o.Retention
-	} else if total.Retention.MaxPoints > 0 {
-		total.Retention.MaxPoints *= n
-	}
 	s := &Sharded{
 		cfg:    ShardedConfig{Engine: total, Shards: n, Gather: o.Gather},
 		shards: shards,
@@ -325,8 +159,130 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}
-	s.rr = int(m.Cursor % uint64(n))
+	s.rr = int(cursor % uint64(n))
 	s.dim = s.Dim()
 	s.finish(reg)
 	return s, nil
+}
+
+// readSave reads the save at path into its id-mint cursor and one chain per
+// shard (nil for an empty shard):
+//   - a version 2 manifest names each shard's chain file, which is checked
+//     against the manifest and decoded;
+//   - a version 1 manifest names each shard's snapshot file: a chain with
+//     that base and no deltas;
+//   - a snapshot file with a chain file at <path>.chain is a single-engine
+//     delta chain: one shard;
+//   - a snapshot file alone is one shard with no deltas.
+//
+// A manifest wins over a leftover <path>.chain, which only the legacy
+// layout reads.
+func readSave(path string) (uint64, []*snapshot.Chain, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, nil, fmt.Errorf("engine: %w", err)
+	}
+	defer f.Close()
+	br := bufio.NewReader(f)
+	magic, err := br.Peek(len(snapshot.Magic))
+	if err != nil {
+		return 0, nil, fmt.Errorf("engine: %s: %w", path, err)
+	}
+	dir := filepath.Dir(path)
+	switch string(magic) {
+	case snapshot.ManifestMagic:
+		m, err := snapshot.ReadManifest(br)
+		if err != nil {
+			return 0, nil, err
+		}
+		chains := make([]*snapshot.Chain, m.Shards)
+		for i, e := range m.Entries {
+			entry := snapshot.ChainEntry{Name: e.Name, CRC: e.CRC, Size: e.Size}
+			switch {
+			case e.Name == "":
+			case m.Version == snapshot.ManifestVersionV1:
+				chains[i] = &snapshot.Chain{Base: entry}
+			default:
+				if err := checkFile(dir, entry); err != nil {
+					return 0, nil, fmt.Errorf("engine: shard %d chain: %w", i, err)
+				}
+				if _, err := decodeFile(dir, e.Name, func(r io.Reader) (err error) {
+					chains[i], err = snapshot.ReadChain(r)
+					return err
+				}); err != nil {
+					return 0, nil, fmt.Errorf("engine: shard %d: %w", i, err)
+				}
+			}
+		}
+		return m.Cursor, chains, nil
+	case snapshot.Magic:
+		base := filepath.Base(path)
+		var chain *snapshot.Chain
+		_, err := decodeFile(dir, base+".chain", func(r io.Reader) (err error) {
+			chain, err = snapshot.ReadChain(r)
+			return err
+		})
+		if errors.Is(err, os.ErrNotExist) {
+			crc, size, serr := fileSum(path)
+			chain, err = &snapshot.Chain{Base: snapshot.ChainEntry{Name: base, CRC: crc, Size: size}}, serr
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		return 0, []*snapshot.Chain{chain}, nil
+	}
+	return 0, nil, fmt.Errorf("engine: %s is neither a save manifest nor a snapshot (magic %q)", path, magic)
+}
+
+// replay rebuilds one shard's state from its chain: every file is checked
+// first, the longest intact prefix of the deltas is kept, then the base is
+// decoded and the kept deltas applied in order. It returns the bytes
+// decoded.
+func replay(dir string, c *snapshot.Chain) (*snapshot.Snapshot, int64, error) {
+	keep := len(c.Deltas)
+	for i, e := range c.Deltas {
+		if checkFile(dir, e) != nil {
+			keep = i
+			break
+		}
+	}
+	// Anything intact after the first damaged delta means the chain is
+	// broken in the middle, not merely truncated: replaying around it would
+	// silently skip a window.
+	for i := keep + 1; i < len(c.Deltas); i++ {
+		if checkFile(dir, c.Deltas[i]) == nil {
+			return nil, 0, fmt.Errorf("engine: delta %d is damaged but delta %d is intact: %w",
+				keep, i, snapshot.ErrDeltaChainBroken)
+		}
+	}
+	if err := checkFile(dir, c.Base); err != nil {
+		return nil, 0, fmt.Errorf("engine: chain base: %w: %w", err, snapshot.ErrDeltaChainBroken)
+	}
+	var s *snapshot.Snapshot
+	read, err := decodeFile(dir, c.Base.Name, func(r io.Reader) (err error) {
+		s, err = snapshot.Read(r)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	for i, e := range c.Deltas[:keep] {
+		var d *snapshot.Delta
+		nd, err := decodeFile(dir, e.Name, func(r io.Reader) (err error) {
+			d, err = snapshot.ReadDelta(r)
+			return err
+		})
+		read += nd
+		if err != nil {
+			return nil, 0, err
+		}
+		if uint64(d.ToN) != e.ToN {
+			return nil, 0, fmt.Errorf("%w: delta %d advances to %d points, chain records %d",
+				snapshot.ErrDeltaMismatch, i, d.ToN, e.ToN)
+		}
+		if err := snapshot.ApplyDelta(s, d); err != nil {
+			return nil, 0, fmt.Errorf("engine: delta %d: %w", i, err)
+		}
+	}
+	return s, read, nil
 }

@@ -44,6 +44,75 @@ func readFile(t *testing.T, path string) []byte {
 	return b
 }
 
+// readLayout decodes the save manifest at path and every shard's chain
+// file (nil for an empty shard).
+func readLayout(t *testing.T, path string) (*snapshot.Manifest, []*snapshot.Chain) {
+	t.Helper()
+	m, err := snapshot.ReadManifest(bytes.NewReader(readFile(t, path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := make([]*snapshot.Chain, m.Shards)
+	for i, e := range m.Entries {
+		if e.Name == "" {
+			continue
+		}
+		if chains[i], err = snapshot.ReadChain(bytes.NewReader(readFile(t, filepath.Join(filepath.Dir(path), e.Name)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m, chains
+}
+
+// baseFile is the path of shard i's base snapshot in the save at path.
+func baseFile(t *testing.T, path string, i int) string {
+	t.Helper()
+	_, chains := readLayout(t, path)
+	return filepath.Join(filepath.Dir(path), chains[i].Base.Name)
+}
+
+// restoreBytes restores one engine from snapshot bytes through the
+// per-shard restore LoadSharded uses.
+func restoreBytes(b []byte, o ShardedLoadOptions) (*Engine, error) {
+	s, err := snapshot.Read(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	return restoreShard(s, o, nil, 0, 1)
+}
+
+// shardBytes is every shard's v5 encoding (nil for an empty shard).
+func shardBytes(t *testing.T, s *Sharded) [][]byte {
+	t.Helper()
+	out := make([][]byte, s.n)
+	for i, sh := range s.shards {
+		if sh.View().Mat == nil {
+			continue
+		}
+		var b bytes.Buffer
+		if err := sh.WriteSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b.Bytes()
+	}
+	return out
+}
+
+// sameShardBytes fails unless two engines encode byte-identically, shard
+// by shard.
+func sameShardBytes(t *testing.T, want, got *Sharded) {
+	t.Helper()
+	a, b := shardBytes(t, want), shardBytes(t, got)
+	if len(a) != len(b) {
+		t.Fatalf("%d shards vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			t.Fatalf("shard %d encodes differently: %d vs %d bytes", i, len(a[i]), len(b[i]))
+		}
+	}
+}
+
 // Save → load → re-save: the restored sharded engine answers bit-identically
 // (single and batch, clusters, stats) and re-saving it reproduces the
 // manifest and every shard file byte for byte — the sharded layout is a
@@ -118,7 +187,8 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	// Fixed point: re-save the restored engine into a second directory
-	// (same base name, so manifest entry names match) — every byte equal.
+	// (same base name, and the first save there too, so every file name
+	// matches) — every byte equal.
 	dir2 := t.TempDir()
 	path2 := filepath.Join(dir2, "alid.snap")
 	if err := r.SaveFiles(path2); err != nil {
@@ -127,10 +197,13 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 	if !bytes.Equal(readFile(t, path), readFile(t, path2)) {
 		t.Fatal("re-saved manifest differs")
 	}
-	for i := 0; i < 3; i++ {
-		a, b := readFile(t, shardFileName(path, i)), readFile(t, shardFileName(path2, i))
-		if !bytes.Equal(a, b) {
-			t.Fatalf("re-saved shard %d file differs: %d vs %d bytes", i, len(a), len(b))
+	_, chains := readLayout(t, path)
+	for i, ch := range chains {
+		for _, name := range []string{m.Entries[i].Name, ch.Base.Name} {
+			a, b := readFile(t, filepath.Join(dir, name)), readFile(t, filepath.Join(dir2, name))
+			if !bytes.Equal(a, b) {
+				t.Fatalf("re-saved shard %d file %s differs: %d vs %d bytes", i, name, len(a), len(b))
+			}
 		}
 	}
 
@@ -168,35 +241,49 @@ func TestShardedLoadFailures(t *testing.T) {
 		t.Fatalf("count mismatch: %v", err)
 	}
 
-	moved := shardFileName(path, 1) + ".gone"
-	if err := os.Rename(shardFileName(path, 1), moved); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileMissing) {
-		t.Fatalf("missing shard file: %v", err)
-	}
-	if err := os.Rename(moved, shardFileName(path, 1)); err != nil {
-		t.Fatal(err)
+	m, _ := readLayout(t, path)
+	for _, f := range []string{baseFile(t, path, 1), filepath.Join(dir, m.Entries[0].Name)} {
+		moved := f + ".gone"
+		if err := os.Rename(f, moved); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileMissing) {
+			t.Fatalf("missing %s: %v", filepath.Base(f), err)
+		}
+		if err := os.Rename(moved, f); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Flip one byte mid-file: the whole-file CRC catches it BEFORE any
-	// decode (the error is the manifest sentinel, not a codec error).
-	b := readFile(t, shardFileName(path, 2))
-	b[len(b)/2] ^= 0x20
-	if err := os.WriteFile(shardFileName(path, 2), b, 0o644); err != nil {
-		t.Fatal(err)
+	// decode (the error is the manifest sentinel, not a codec error) — in a
+	// base snapshot and in a chain file alike.
+	for _, f := range []string{baseFile(t, path, 2), filepath.Join(dir, m.Entries[1].Name)} {
+		good := readFile(t, f)
+		b := append([]byte(nil), good...)
+		b[len(b)/2] ^= 0x20
+		if err := os.WriteFile(f, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileCorrupt) {
+			t.Fatalf("corrupt %s: %v", filepath.Base(f), err)
+		}
+		// Truncation is also corruption (size mismatch).
+		if err := os.WriteFile(f, b[:len(b)/3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileCorrupt) {
+			t.Fatalf("truncated %s: %v", filepath.Base(f), err)
+		}
+		if err := os.WriteFile(f, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileCorrupt) {
-		t.Fatalf("corrupt shard file: %v", err)
+	r, err := LoadSharded(path, ShardedLoadOptions{Shards: 3})
+	if err != nil {
+		t.Fatalf("repaired save: %v", err)
 	}
-
-	// Truncation is also corruption (size mismatch).
-	if err := os.WriteFile(shardFileName(path, 2), b[:len(b)/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSharded(path, ShardedLoadOptions{Shards: 3}); !errors.Is(err, snapshot.ErrShardFileCorrupt) {
-		t.Fatalf("truncated shard file: %v", err)
-	}
+	r.Close()
 }
 
 // A sharded save with genuinely empty shards (fewer committed points than
@@ -215,10 +302,7 @@ func TestShardedSaveLoadEmptyShards(t *testing.T) {
 	if err := s.SaveFiles(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := snapshot.ReadManifest(bytes.NewReader(readFile(t, path)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, _ := readLayout(t, path)
 	if m.Cursor != 3 || m.Entries[3].Name != "" || m.Entries[4].Name != "" {
 		t.Fatalf("manifest %+v", m)
 	}

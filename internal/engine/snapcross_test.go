@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"alid/internal/snapshot"
 	"alid/internal/testutil"
 )
 
@@ -53,7 +52,7 @@ func sameClusters(t *testing.T, live, restored *Engine) {
 	}
 }
 
-func sameAssigns(t *testing.T, live, restored *Engine, queries [][]float64) {
+func sameAssigns(t *testing.T, live, restored Serving, queries [][]float64) {
 	t.Helper()
 	assigned := 0
 	for qi, q := range queries {
@@ -105,7 +104,7 @@ func TestSnapshotCrosscheckAssignClusters(t *testing.T) {
 	if err := live.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), 0, nil)
+	restored, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,7 @@ func TestSnapshotRestoreContinuesStream(t *testing.T) {
 	if err := live.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(bytes.NewReader(buf.Bytes()), 0, nil)
+	restored, err := restoreBytes(buf.Bytes(), ShardedLoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,71 +159,29 @@ func TestSnapshotRestoreContinuesStream(t *testing.T) {
 	sameAssigns(t, live, restored, queries)
 }
 
-// An engine restored from a LEGACY v1 snapshot must serve bit-identically
-// to the live engine, and re-snapshotting it through the current v2 codec
-// must reproduce the live engine's v2 bytes — the v1→v2 migration path is
-// lossless.
+// An engine restored from a LEGACY v1 snapshot file must serve
+// bit-identically to the engine restored from the v5 bytes the generating
+// release wrote after loading the same file, and re-encode to exactly those
+// bytes — the v1→v5 migration path is lossless. Both restores go through
+// LoadSharded, as one-shard saves.
 func TestSnapshotV1CompatCrosscheck(t *testing.T) {
-	live, _ := blobEngine(t)
-	defer live.Close()
-	v := live.View()
-	s := &snapshot.Snapshot{
-		Core:      live.Config().Core,
-		BatchSize: live.Config().BatchSize,
-		Mat:       v.Mat,
-		Index:     v.Index,
-		Clusters:  v.Clusters,
-		Labels:    v.Labels.Flat(),
-		Commits:   v.Commits,
-	}
-	var v1 bytes.Buffer
-	if err := snapshot.WriteV1(&v1, s); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadSnapshot(bytes.NewReader(v1.Bytes()), 0, nil)
+	restored, err := LoadSharded(filepath.Join(goldenDir, "v1.snap"), ShardedLoadOptions{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer restored.Close()
+	live, err := LoadSharded(filepath.Join(goldenDir, "v1.snap.want"), ShardedLoadOptions{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
 
 	if restored.Config().Core != live.Config().Core {
 		t.Fatalf("config round-trip: %+v vs %+v", restored.Config().Core, live.Config().Core)
 	}
-	sameClusters(t, live, restored)
-	sameAssigns(t, live, restored, crossQueries(120))
-
-	var v2Live, v2Restored bytes.Buffer
-	if err := live.WriteSnapshot(&v2Live); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.WriteSnapshot(&v2Restored); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2Live.Bytes(), v2Restored.Bytes()) {
-		t.Fatalf("v2 re-snapshot after v1 restore differs: %d vs %d bytes", v2Live.Len(), v2Restored.Len())
-	}
-}
-
-func TestSaveFileLoadFile(t *testing.T) {
-	live, _ := blobEngine(t)
-	defer live.Close()
-	path := filepath.Join(t.TempDir(), "alid.snap")
-	if err := live.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadFile(path, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	sameClusters(t, live, restored)
-	sameAssigns(t, live, restored, crossQueries(30))
-
-	// Overwrite is atomic and the file stays loadable.
-	if err := live.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path, 0, nil); err != nil {
-		t.Fatal(err)
+	sameClusters(t, live.shards[0], restored.shards[0])
+	sameAssigns(t, live.shards[0], restored.shards[0], crossQueries(120))
+	if got := shardBytes(t, restored)[0]; !bytes.Equal(got, goldenFile(t, "v1.snap.want")) {
+		t.Fatalf("v5 re-snapshot after v1 restore differs: %d bytes", len(got))
 	}
 }

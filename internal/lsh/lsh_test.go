@@ -304,4 +304,3 @@ func TestHashBoundaryStability(t *testing.T) {
 	}
 	_ = math.Inf(1)
 }
-

@@ -76,7 +76,7 @@ func TestEvictReleasesFullyDeadChunk(t *testing.T) {
 		t.Fatalf("append after release starts at %d, want %d", first, n)
 	}
 	for j := range row {
-		if m.Row(ChunkRows+3)[j] != row[j] {
+		if m.Row(ChunkRows + 3)[j] != row[j] {
 			t.Fatal("surviving row mutated by append after release")
 		}
 	}

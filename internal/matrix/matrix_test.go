@@ -292,7 +292,7 @@ func TestSnapshotIsolatesAppends(t *testing.T) {
 		t.Fatalf("snapshot grew: N=%d", snap.N)
 	}
 	for j, v := range wantRow {
-		if snap.Row(n-1)[j] != v {
+		if snap.Row(n - 1)[j] != v {
 			t.Fatal("snapshot tail mutated by live appends")
 		}
 	}

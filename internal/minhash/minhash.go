@@ -49,6 +49,12 @@ type Config struct {
 // values), a mid-curve choice that fires around J ≈ 0.5.
 func DefaultConfig() Config { return Config{Bands: 16, Rows: 4, Seed: 1} }
 
+// MaxSigLen bounds the signature length Bands·Rows. The banded index keeps
+// one Rows×SigLen projection per band, SigLen² values in all, so the bound
+// keeps a misconfiguration, or a crafted snapshot, from asking for
+// gigabytes.
+const MaxSigLen = 1 << 10
+
 // Validate reports whether the parameters are usable.
 func (c Config) Validate() error {
 	if c.Bands <= 0 {
@@ -56,6 +62,9 @@ func (c Config) Validate() error {
 	}
 	if c.Rows <= 0 {
 		return fmt.Errorf("minhash: rows per band must be positive, got %d", c.Rows)
+	}
+	if c.Bands > MaxSigLen || c.Rows > MaxSigLen/c.Bands {
+		return fmt.Errorf("minhash: %d bands × %d rows exceeds %d hash positions", c.Bands, c.Rows, MaxSigLen)
 	}
 	return nil
 }

@@ -135,8 +135,9 @@ type StatsResponse struct {
 	// ids plus those retired by past compactions. The gap to N is the
 	// bookkeeping that renumbering has reclaimed.
 	EverSeenIDs int `json:"ever_seen_ids"`
-	// DeltaChainLen is the current delta-snapshot chain length (0 right
-	// after a full snapshot, or always 0 when delta snapshots are off).
+	// DeltaChainLen is the longest per-shard delta-snapshot chain: the most
+	// deltas a restart would replay on any one shard (0 right after a full
+	// save, or always 0 when delta snapshots are off).
 	DeltaChainLen int `json:"delta_chain_len"`
 	// AssignP50/95/99Seconds are single-point assign latency quantiles
 	// derived from the engine's power-of-two histogram (upper-bound

@@ -52,8 +52,9 @@ type Options struct {
 	// logs every nth (default 100). Errors bypass sampling.
 	LogEvery int
 	// DeltaChainLen, when non-nil, reports the delta-snapshot chain length
-	// for /v1/stats (wired by the daemon when -snapshot-delta-every is on;
-	// must be safe to call from any goroutine).
+	// for /v1/stats: the longest per-shard chain, i.e. the most deltas a
+	// restart replays on any shard (wired by the daemon whenever -snapshot
+	// is set; must be safe to call from any goroutine).
 	DeltaChainLen func() int
 }
 

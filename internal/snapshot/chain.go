@@ -1,6 +1,6 @@
-// This file is the delta-chain manifest codec: the single small file that
-// binds one full snapshot and its ordered deltas into a restorable unit,
-// exactly as the sharded manifest binds per-shard files.
+// This file is the delta-chain manifest codec: the small file that binds
+// one shard's full snapshot and its ordered deltas into a restorable unit.
+// A save manifest (manifest.go) names one chain per shard.
 //
 //	magic "ALIDCHAI" | u32 version | payload | u32 CRC-32 (IEEE) of payload
 //
@@ -9,12 +9,14 @@
 //	        | u64 deltas × { name | u32 fileCRC | u64 size | u64 toN }
 //
 // Entry names are BASE names (the loader joins them with the manifest's
-// directory); fileCRC/size cover each file's COMPLETE bytes. The manifest is
-// renamed into place LAST, after the base and every delta, so a crash
-// mid-save leaves a manifest that still describes the previous complete
-// chain — the same ordering argument as the sharded save. toN is the point
-// count after the entry, letting the loader sanity-check continuity before
-// decoding anything.
+// directory); fileCRC/size cover each file's COMPLETE bytes, so the loader
+// checks every file before decoding it. toN is the point count after the
+// entry, letting the loader sanity-check continuity before decoding
+// anything. A chain file is written once under a fresh name and never
+// rewritten: extending a chain writes a new chain file, committed with the
+// rest of the save by the save manifest's rename. A chain file at
+// <snapshot>.chain with no save manifest is the legacy single-engine
+// layout, read as a one-shard save.
 package snapshot
 
 import (
@@ -72,7 +74,7 @@ func WriteChain(out io.Writer, c *Chain) error {
 	w.u32(ChainVersion)
 	w.i64(int64(c.Generation))
 	entry := func(e ChainEntry) {
-		w.str(e.Name)
+		w.name("chain entry name", e.Name)
 		w.u32(e.CRC)
 		w.u64(e.Size)
 		w.u64(e.ToN)
@@ -102,7 +104,7 @@ func ReadChain(in io.Reader) (*Chain, error) {
 	}
 	c := &Chain{Generation: int(r.i64())}
 	entry := func(what string) ChainEntry {
-		e := ChainEntry{Name: r.str(what)}
+		e := ChainEntry{Name: r.name(what)}
 		e.CRC = r.u32()
 		e.Size = r.u64()
 		e.ToN = r.u64()

@@ -274,6 +274,11 @@ func ApplyDelta(s *Snapshot, d *Delta) error {
 	if s.Mat.D != d.D {
 		return fmt.Errorf("%w: delta is dimension %d, state is %d", ErrDeltaMismatch, d.D, s.Mat.D)
 	}
+	// Every slot the cluster list grows by must be patched, so the count is
+	// bounded by the patches actually present — checked before growing.
+	if d.ClusterCount > len(s.Clusters)+len(d.Patches) {
+		return fmt.Errorf("%w: delta grows %d clusters to %d with %d patches", ErrDeltaMismatch, len(s.Clusters), d.ClusterCount, len(d.Patches))
+	}
 	if add := d.ToN - d.FromN; add > 0 {
 		rows := make([][]float64, add)
 		for i := range rows {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 
 	"alid/internal/core"
@@ -12,7 +13,7 @@ import (
 // sampleDelta is a structurally complete delta against sample(t)'s state:
 // two appended points, one old and one new eviction, a label change and a
 // cluster patch.
-func sampleDelta(t *testing.T, s *Snapshot) *Delta {
+func sampleDelta(t testing.TB, s *Snapshot) *Delta {
 	t.Helper()
 	d := s.Mat.D
 	rows := make([]float64, 2*d)
@@ -140,6 +141,14 @@ func TestApplyDeltaRefusesUnpatchedGrowth(t *testing.T) {
 	if err := ApplyDelta(s, d); !errors.Is(err, ErrDeltaMismatch) {
 		t.Fatalf("unpatched growth: err %v, want ErrDeltaMismatch", err)
 	}
+	// A crafted count is refused before the list grows: 2^40 slots would
+	// take 8 TiB.
+	s = sample(t)
+	d = sampleDelta(t, s)
+	d.ClusterCount = 1 << 40
+	if err := ApplyDelta(s, d); !errors.Is(err, ErrDeltaMismatch) || !strings.Contains(err.Error(), "patches") {
+		t.Fatalf("2^40 clusters: err %v, want ErrDeltaMismatch for too few patches", err)
+	}
 }
 
 // The chain manifest codec round-trips and rejects corruption, mirroring the
@@ -175,5 +184,20 @@ func TestChainManifestRoundTrip(t *testing.T) {
 	}
 	if err := WriteChain(&bytes.Buffer{}, &Chain{Generation: 0}); err == nil {
 		t.Fatal("baseless chain accepted")
+	}
+
+	// The legacy single-engine chain decodes: a base and three deltas,
+	// each entry recording its file's exact size.
+	legacy, err := ReadChain(bytes.NewReader(golden(t, "chain/alid.snap.chain")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Base.Name != "alid.snap" || len(legacy.Deltas) != 3 {
+		t.Fatalf("legacy chain %+v", legacy)
+	}
+	for _, e := range append([]ChainEntry{legacy.Base}, legacy.Deltas...) {
+		if e.Size != uint64(len(golden(t, "chain/"+e.Name))) {
+			t.Fatalf("entry %s records %d bytes", e.Name, e.Size)
+		}
 	}
 }

@@ -62,10 +62,10 @@
 //
 // Versions 1 (flat arrays), 2 (segmented, no tombstones), 3 (untagged
 // dense) and 4 (backend-tagged, generation-free) are still read via
-// compatibility shims; WriteV1..WriteV4 encode them for downgrade interop
-// and fixture generation, and refuse state those formats cannot represent
-// (tombstones for v1/v2, non-dense backends for v1–v3, a non-zero
-// generation for all four).
+// compatibility shims, but only v5 is ever written. Golden files under
+// testdata/golden, written by the last release that had the old writers,
+// pin every shim: each decodes and re-encodes to the v5 bytes that release
+// produced.
 package snapshot
 
 import (
@@ -232,18 +232,7 @@ func validate(s *Snapshot) error {
 	return nil
 }
 
-// header writes magic + version and returns the CRC-tracking writer.
-func header(out io.Writer, version uint32) (*bufio.Writer, *writer, error) {
-	bw := bufio.NewWriterSize(out, 1<<20)
-	w := &writer{w: bw, crc: crc32.NewIEEE()}
-	if _, err := bw.WriteString(Magic); err != nil {
-		return nil, nil, fmt.Errorf("snapshot: %w", err)
-	}
-	w.u32(version)
-	return bw, w, nil
-}
-
-func (w *writer) config(s *Snapshot, version uint32) {
+func (w *writer) config(s *Snapshot) {
 	c := s.Core
 	w.f64(c.Kernel.K)
 	w.f64(c.Kernel.P)
@@ -261,26 +250,20 @@ func (w *writer) config(s *Snapshot, version uint32) {
 	w.boolean(c.SingleQueryCIVS)
 	w.boolean(c.FixedROIGrowth)
 	w.i64(int64(s.BatchSize))
-	if version >= VersionV3 {
-		w.i64(int64(s.Retention.MaxPoints))
-		w.i64(int64(s.Retention.MaxAge))
+	w.i64(int64(s.Retention.MaxPoints))
+	w.i64(int64(s.Retention.MaxAge))
+	w.boolean(c.Kernel.Jaccard)
+	switch index.Normalize(c.Backend) {
+	case index.BackendMinHash:
+		w.u32(backendTagMinHash)
+	default:
+		w.u32(backendTagLSH)
 	}
-	if version >= VersionV4 {
-		w.boolean(c.Kernel.Jaccard)
-		switch index.Normalize(c.Backend) {
-		case index.BackendMinHash:
-			w.u32(backendTagMinHash)
-		default:
-			w.u32(backendTagLSH)
-		}
-		w.i64(int64(c.MinHash.Bands))
-		w.i64(int64(c.MinHash.Rows))
-		w.i64(c.MinHash.Seed)
-	}
-	if version >= Version {
-		w.i64(int64(s.Generation))
-		w.i64(int64(s.RetiredIDs))
-	}
+	w.i64(int64(c.MinHash.Bands))
+	w.i64(int64(c.MinHash.Rows))
+	w.i64(c.MinHash.Seed)
+	w.i64(int64(s.Generation))
+	w.i64(int64(s.RetiredIDs))
 }
 
 func (w *writer) clusters(s *Snapshot) {
@@ -317,73 +300,21 @@ func finish(bw *bufio.Writer, w *writer) error {
 // materialization. The stream is buffered internally; the caller owns any
 // underlying file and its sync/close.
 func Write(out io.Writer, s *Snapshot) error {
-	return writeSegmented(out, s, Version)
-}
-
-// generationErr rejects downgrade encodes of renumbered state: formats
-// before v5 have no generation field, and silently dropping it would make a
-// restored engine reuse ids the saved one had already recycled.
-func generationErr(s *Snapshot, version uint32) error {
-	if s.Generation != 0 {
-		return fmt.Errorf("snapshot: v%d cannot represent generation %d (renumbered ids)", version, s.Generation)
-	}
-	if s.RetiredIDs != 0 {
-		return fmt.Errorf("snapshot: v%d cannot represent %d retired ids (renumbered ids)", version, s.RetiredIDs)
-	}
-	return nil
-}
-
-// WriteV4 encodes s in the backend-tagged, generation-free v4 format.
-// Retained for downgrade interop with pre-generation binaries and for
-// compatibility-test fixtures; it refuses renumbered state, which v4 cannot
-// represent. New snapshots should use Write.
-func WriteV4(out io.Writer, s *Snapshot) error {
-	if err := generationErr(s, VersionV4); err != nil {
-		return err
-	}
-	return writeSegmented(out, s, VersionV4)
-}
-
-// WriteV3 encodes s in the untagged dense v3 format. Retained for downgrade
-// interop with pre-multi-backend binaries and for compatibility-test
-// fixtures; it refuses non-dense backends and renumbered state, which v3
-// cannot represent. New snapshots should use Write.
-func WriteV3(out io.Writer, s *Snapshot) error {
-	if err := generationErr(s, VersionV3); err != nil {
-		return err
-	}
-	return writeSegmented(out, s, VersionV3)
-}
-
-// WriteV2 encodes s in the segmented, tombstone-free v2 format. Retained
-// for downgrade interop with pre-eviction binaries and for compatibility-
-// test fixtures; it refuses tombstoned or renumbered state (and drops the
-// retention policy), which v2 cannot represent. New snapshots should use
-// Write.
-func WriteV2(out io.Writer, s *Snapshot) error {
-	if s.Mat != nil && s.Mat.Tombstoned() {
-		return fmt.Errorf("snapshot: v2 cannot represent tombstones (matrix has %d evicted rows)", s.Mat.N-s.Mat.LiveCount())
-	}
-	if err := generationErr(s, VersionV2); err != nil {
-		return err
-	}
-	return writeSegmented(out, s, VersionV2)
-}
-
-func writeSegmented(out io.Writer, s *Snapshot, version uint32) error {
 	if err := validate(s); err != nil {
 		return err
 	}
 	if got, want := index.Normalize(s.Index.Backend()), index.Normalize(s.Core.Backend); got != want {
 		return fmt.Errorf("snapshot: config names backend %q but index is %q: %w", want, got, ErrBackendMismatch)
 	}
-	bw, w, err := header(out, version)
-	if err != nil {
-		return err
+	bw := bufio.NewWriterSize(out, 1<<20)
+	w := &writer{w: bw, crc: crc32.NewIEEE()}
+	if _, err := bw.WriteString(Magic); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
-	w.config(s, version)
+	w.u32(Version)
+	w.config(s)
 
-	// Matrix: shape, then per-chunk rows, norms and (v3) liveness,
+	// Matrix: shape, then per-chunk rows, norms and liveness,
 	// interleaved so each chunk is self-contained. Released chunks write
 	// zero-length data and norms; a never-evicted matrix writes zero-length
 	// liveness per chunk.
@@ -396,12 +327,10 @@ func writeSegmented(out io.Writer, s *Snapshot, version uint32) error {
 	for c := range dataChunks {
 		w.f64s(dataChunks[c])
 		w.f64s(normChunks[c])
-		if version >= VersionV3 {
-			if liveChunks == nil {
-				w.u64(0)
-			} else {
-				w.u64s(liveChunks[c])
-			}
+		if liveChunks == nil {
+			w.u64(0)
+		} else {
+			w.u64s(liveChunks[c])
 		}
 	}
 
@@ -431,9 +360,6 @@ func writeSegmented(out io.Writer, s *Snapshot, version uint32) error {
 		// MinHash: parameters + chunked inverted lists only. The basis hash
 		// tables are a pure function of the parameters; restore rebuilds
 		// them, so no projections or offsets are stored.
-		if version < VersionV4 {
-			return fmt.Errorf("snapshot: v%d cannot represent the %s backend", version, idx.Backend())
-		}
 		mcfg := idx.Config()
 		w.i64(int64(mcfg.Bands))
 		w.i64(int64(mcfg.Rows))
@@ -448,55 +374,6 @@ func writeSegmented(out io.Writer, s *Snapshot, version uint32) error {
 		}
 	default:
 		return fmt.Errorf("snapshot: unsupported index type %T", s.Index)
-	}
-
-	w.clusters(s)
-	w.ints(s.Labels)
-	w.u64(uint64(s.Commits))
-	return finish(bw, w)
-}
-
-// WriteV1 encodes s in the legacy flat-array v1 format, materializing the
-// matrix and inverted lists. Retained for downgrade interop with pre-
-// segmentation binaries and for compatibility-test fixtures; it refuses
-// tombstoned state, which v1 cannot represent. New snapshots should use
-// Write.
-func WriteV1(out io.Writer, s *Snapshot) error {
-	if s.Mat != nil && s.Mat.Tombstoned() {
-		return fmt.Errorf("snapshot: v1 cannot represent tombstones (matrix has %d evicted rows)", s.Mat.N-s.Mat.LiveCount())
-	}
-	if err := generationErr(s, VersionV1); err != nil {
-		return err
-	}
-	if err := validate(s); err != nil {
-		return err
-	}
-	lidx, ok := s.Index.(*lsh.Index)
-	if !ok {
-		return fmt.Errorf("snapshot: v1 cannot represent the %s backend", s.Index.Backend())
-	}
-	bw, w, err := header(out, VersionV1)
-	if err != nil {
-		return err
-	}
-	w.config(s, VersionV1)
-
-	w.u64(uint64(s.Mat.N))
-	w.u64(uint64(s.Mat.D))
-	w.f64s(s.Mat.Flat())
-	w.f64s(s.Mat.NormsSq())
-
-	icfg, dim, tables := lidx.Dump()
-	w.i64(int64(icfg.Projections))
-	w.i64(int64(icfg.Tables))
-	w.f64(icfg.R)
-	w.i64(icfg.Seed)
-	w.u64(uint64(dim))
-	w.u64(uint64(len(tables)))
-	for _, tb := range tables {
-		w.f64s(tb.Proj)
-		w.f64s(tb.Off)
-		w.u64s(tb.Keys)
 	}
 
 	w.clusters(s)
@@ -743,6 +620,12 @@ func (r *reader) readSegmented(s *Snapshot, version uint32) error {
 			chunks = append(chunks, tb)
 		}
 		if r.err == nil {
+			if err := mcfg.Validate(); err != nil {
+				return fmt.Errorf("snapshot: %w", err)
+			}
+			if mcfg.SigLen() != s.Mat.D {
+				return fmt.Errorf("snapshot: minhash signatures hold %d×%d values, matrix rows %d", mcfg.Bands, mcfg.Rows, s.Mat.D)
+			}
 			var idx *minhash.Index
 			var err error
 			if tombstoned {

@@ -16,7 +16,7 @@ import (
 	"alid/internal/testutil"
 )
 
-func sample(t *testing.T) *Snapshot {
+func sample(t testing.TB) *Snapshot {
 	t.Helper()
 	pts, _ := testutil.Blobs(61, [][]float64{{0, 0}, {10, 10}}, 20, 0.3, 5, 0, 10)
 	m, err := matrix.FromRows(pts)
@@ -106,17 +106,17 @@ func TestRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// The legacy v1 (flat-array) format must load into the same state as v2:
-// identical matrix values, norms, labels and index answers. And because the
-// v1 payload is a pure function of the decoded state, WriteV1(Read(v1
-// bytes)) reproduces the bytes — the compat shim is lossless both ways.
+// The legacy v1 (flat-array) format loads into the same state as v2:
+// identical matrix values, norms, labels and index answers (the v1 and v2
+// golden files encode one engine state). Re-encoding it writes the v5 bytes
+// the generating release wrote after restoring the same file: the compat
+// shim re-chunks canonically and loses nothing.
 func TestV1CompatRoundTrip(t *testing.T) {
-	s := sample(t)
-	var v1 bytes.Buffer
-	if err := WriteV1(&v1, s); err != nil {
+	got, err := Read(bytes.NewReader(golden(t, "v1.snap")))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(v1.Bytes()))
+	s, err := Read(bytes.NewReader(golden(t, "v2.snap")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,24 +137,12 @@ func TestV1CompatRoundTrip(t *testing.T) {
 			t.Fatalf("v1 index candidates differ at %d", id)
 		}
 	}
-	var v1Again bytes.Buffer
-	if err := WriteV1(&v1Again, got); err != nil {
+	var v5 bytes.Buffer
+	if err := Write(&v5, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v1.Bytes(), v1Again.Bytes()) {
-		t.Fatal("WriteV1(Read(v1)) != v1")
-	}
-	// The v1-restored state re-encoded as v2 must equal the direct v2
-	// encoding of the original state: the shim re-chunks canonically.
-	var v2a, v2b bytes.Buffer
-	if err := Write(&v2a, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&v2b, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2a.Bytes(), v2b.Bytes()) {
-		t.Fatal("v2(v1-restored) != v2(original)")
+	if !bytes.Equal(v5.Bytes(), golden(t, "v1.snap.want")) {
+		t.Fatal("v5(v1-restored) != golden")
 	}
 }
 
@@ -269,48 +257,26 @@ func TestV3TombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-// The v2 shim stays readable and lossless for tombstone-free state; the
-// legacy writers refuse tombstoned state, which their formats cannot
-// represent.
-func TestV2ShimAndTombstoneRefusal(t *testing.T) {
-	s := sample(t)
-	var v2 bytes.Buffer
-	if err := WriteV2(&v2, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(v2.Bytes()))
+// The v2 shim stays readable and lossless: a golden v2 file decodes
+// without tombstones or retention, and re-encodes to the golden v5 bytes —
+// the same bytes as the v1 file of the same state.
+func TestV2ShimGolden(t *testing.T) {
+	got, err := Read(bytes.NewReader(golden(t, "v2.snap")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got.Mat.Flat(), s.Mat.Flat()) || !slices.Equal(got.Labels, s.Labels) {
-		t.Fatal("v2 shim state differs")
+	if got.Mat.Tombstoned() || got.Retention.Enabled() {
+		t.Fatalf("v2 decoded tombstones or retention: %+v", got.Retention)
 	}
-	// v2 re-encode of the v2-restored state is the original bytes.
-	var v2Again bytes.Buffer
-	if err := WriteV2(&v2Again, got); err != nil {
+	var v5 bytes.Buffer
+	if err := Write(&v5, got); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v2.Bytes(), v2Again.Bytes()) {
-		t.Fatal("WriteV2(Read(v2)) != v2")
+	if !bytes.Equal(v5.Bytes(), golden(t, "v2.snap.want")) {
+		t.Fatal("v5(v2-restored) != golden")
 	}
-	// v3 of the v2-restored state equals v3 of the original.
-	var v3a, v3b bytes.Buffer
-	if err := Write(&v3a, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := Write(&v3b, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v3a.Bytes(), v3b.Bytes()) {
-		t.Fatal("v3(v2-restored) != v3(original)")
-	}
-
-	es, _ := evictedSample(t)
-	if err := WriteV2(&bytes.Buffer{}, es); err == nil {
-		t.Fatal("WriteV2 accepted tombstoned state")
-	}
-	if err := WriteV1(&bytes.Buffer{}, es); err == nil {
-		t.Fatal("WriteV1 accepted tombstoned state")
+	if !bytes.Equal(golden(t, "v1.snap.want"), golden(t, "v2.snap.want")) {
+		t.Fatal("v1 and v2 files of one state restore differently")
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"alid/internal/affinity"
 	"alid/internal/core"
+	"alid/internal/index"
 	"alid/internal/matrix"
 	"alid/internal/minhash"
 )
@@ -151,9 +152,9 @@ func TestV4MinHashTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-// Cross-backend and down-version refusals: the codec never silently
-// reinterprets one backend's payload as the other's, and the pre-v4 writers
-// refuse state their format cannot tag.
+// Cross-backend refusals: the codec never silently reinterprets one
+// backend's payload as the other's. Files written before backend tags
+// existed decode as dense; a tagged minhash file decodes as minhash.
 func TestV4BackendRefusals(t *testing.T) {
 	ls, ms := sample(t), minhashSample(t)
 
@@ -170,32 +171,16 @@ func TestV4BackendRefusals(t *testing.T) {
 		t.Fatalf("lsh config over minhash index: err %v, want ErrBackendMismatch", err)
 	}
 
-	// Pre-v4 formats carry no backend tag, so they refuse minhash state
-	// outright instead of writing bytes a v3 reader would decode as dense.
-	if err := WriteV3(&bytes.Buffer{}, ms); err == nil {
-		t.Fatal("WriteV3 accepted a minhash snapshot")
-	}
-	if err := WriteV1(&bytes.Buffer{}, ms); err == nil {
-		t.Fatal("WriteV1 accepted a minhash snapshot")
-	}
-
-	// The v3 shim still round-trips dense state to its own fixed point.
-	var v3 bytes.Buffer
-	if err := WriteV3(&v3, ls); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(v3.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Core != ls.Core {
-		t.Fatalf("v3 config: %+v vs %+v", got.Core, ls.Core)
-	}
-	var v3Again bytes.Buffer
-	if err := WriteV3(&v3Again, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v3.Bytes(), v3Again.Bytes()) {
-		t.Fatal("WriteV3(Read(v3)) != v3")
+	for file, want := range map[string]string{
+		"v1.snap": index.BackendLSH, "v3-tombstones.snap": index.BackendLSH,
+		"v4-lsh.snap": index.BackendLSH, "v4-minhash.snap": index.BackendMinHash,
+	} {
+		got, err := Read(bytes.NewReader(golden(t, file)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := index.Normalize(got.Core.Backend); b != want || got.Index.Backend() != want {
+			t.Fatalf("%s: config backend %q, index %q, want %q", file, b, got.Index.Backend(), want)
+		}
 	}
 }

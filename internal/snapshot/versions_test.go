@@ -2,53 +2,83 @@ package snapshot
 
 import (
 	"bytes"
-	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// Every supported format version — v1 through v5 — must be a byte FIXED
-// POINT of write → read → rewrite: re-encoding a decoded stream with the
-// same writer reproduces it exactly. This pins the whole shim stack, not
-// just the current version.
+// golden reads a file from testdata/golden. The files were written at
+// commit 61e958d, the last release with the v1–v4 writers, the ALIDCHAI
+// single-engine delta chain and the version 1 manifest: each legacy file
+// by that release's writer, and each *.want / want.shard<i> file by
+// restoring the legacy input with that release's loader and re-encoding
+// it with its v5 writer. testdata/golden/README.md lists the states and
+// the generator.
+func golden(t testing.TB, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "golden", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// goldenVersions maps each single-file golden input to the format version
+// it was written in.
+var goldenVersions = []struct {
+	name    string
+	file    string
+	version uint32
+}{
+	{"v1", "v1.snap", VersionV1},
+	{"v2", "v2.snap", VersionV2},
+	{"v3", "v3-tombstones.snap", VersionV3},
+	{"v4", "v4-lsh.snap", VersionV4},
+	{"v4-minhash", "v4-minhash.snap", VersionV4},
+	{"v5", "v5.snap", Version},
+}
+
+// Every readable format version decodes its golden file, and writing the
+// decoded state reproduces the v5 bytes the generating release produced
+// from the same file; the v5 encoding is then a byte fixed point of
+// read → rewrite. This pins the whole shim stack against the writers that
+// defined each version.
 func TestVersionsWriteReadRewriteFixedPoint(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		write func(io.Writer, *Snapshot) error
-	}{
-		{"v1", WriteV1},
-		{"v2", WriteV2},
-		{"v3", WriteV3},
-		{"v4", WriteV4},
-		{"v5", Write},
-	} {
+	for _, tc := range goldenVersions {
 		t.Run(tc.name, func(t *testing.T) {
-			s := sample(t)
-			var buf bytes.Buffer
-			if err := tc.write(&buf, s); err != nil {
-				t.Fatal(err)
+			raw := golden(t, tc.file)
+			if v := uint32(raw[8]) | uint32(raw[9])<<8; v != tc.version {
+				t.Fatalf("%s is version %d, want %d", tc.file, v, tc.version)
 			}
-			got, err := Read(bytes.NewReader(buf.Bytes()))
+			got, err := Read(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Generation != 0 {
-				t.Fatalf("generation = %d, want 0", got.Generation)
-			}
-			var buf2 bytes.Buffer
-			if err := tc.write(&buf2, got); err != nil {
+			var v5 bytes.Buffer
+			if err := Write(&v5, got); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-				t.Fatalf("%s: encode(decode(x)) != x (%d vs %d bytes)", tc.name, buf.Len(), buf2.Len())
+			if !bytes.Equal(v5.Bytes(), golden(t, tc.file+".want")) {
+				t.Fatalf("%s: v5 re-encode differs from golden (%d bytes)", tc.file, v5.Len())
+			}
+			again, err := Read(bytes.NewReader(v5.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v5Again bytes.Buffer
+			if err := Write(&v5Again, again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(v5.Bytes(), v5Again.Bytes()) {
+				t.Fatalf("%s: v5 encode(decode(x)) != x", tc.file)
 			}
 		})
 	}
 }
 
 // v5 carries the id-lifecycle counters (generation + retired-id count)
-// through the round trip; every earlier writer refuses renumbered state
-// instead of silently dropping the fields (a restored engine would reuse
-// recycled ids and under-report its ever-seen accounting).
+// through the round trip; files of every earlier version decode with both
+// at zero, since they predate renumbering.
 func TestGenerationPersistsOnlyInV5(t *testing.T) {
 	s := sample(t)
 	s.Generation = 3
@@ -76,24 +106,14 @@ func TestGenerationPersistsOnlyInV5(t *testing.T) {
 		t.Fatal("v5 with generation: encode(decode(x)) != x")
 	}
 
-	for _, tc := range []struct {
-		name  string
-		write func(io.Writer, *Snapshot) error
-	}{
-		{"v1", WriteV1},
-		{"v2", WriteV2},
-		{"v3", WriteV3},
-		{"v4", WriteV4},
-	} {
-		if err := tc.write(&bytes.Buffer{}, s); err == nil {
-			t.Fatalf("%s accepted generation %d", tc.name, s.Generation)
+	for _, tc := range goldenVersions {
+		got, err := Read(bytes.NewReader(golden(t, tc.file)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Retired ids alone (generation forced to 0) must also be refused —
-		// the downgrade checks are independent.
-		r := sample(t)
-		r.RetiredIDs = 41
-		if err := tc.write(&bytes.Buffer{}, r); err == nil {
-			t.Fatalf("%s accepted %d retired ids", tc.name, r.RetiredIDs)
+		renumbered := got.Generation != 0 || got.RetiredIDs != 0
+		if renumbered != (tc.version == Version) {
+			t.Fatalf("%s: generation %d, retired ids %d", tc.file, got.Generation, got.RetiredIDs)
 		}
 	}
 }

@@ -32,9 +32,14 @@
 #   - PR 10: the generation crosschecks — after id renumbering, every
 #     answer (clusters, assigns, snapshot bytes) bit-identical to a fresh
 #     engine built from only the survivors (dense and minhash backends,
-#     auto-compaction, Sharded at N ∈ {1,4}), and a delta-chain restore
-#     byte-identical to restoring an equivalent full v5 snapshot, with the
-#     damaged-tail prefix fallback and broken-middle/base refusals.
+#     auto-compaction, Sharded at N ∈ {1,4});
+#   - persistence: at N ∈ {1,4}, a restore of per-shard delta chains
+#     byte-identical, shard by shard, to a restore of an equivalent full
+#     save, with the damaged-tail prefix fallback, the broken-middle/base
+#     refusals, a compaction re-rooting only its own shard's chain, and a
+#     save failed before its manifest rename leaving the previous save
+#     restorable; every legacy layout (v1–v5 files, the single-engine
+#     chain, the version 1 manifest) restoring to its golden v5 bytes.
 #
 # Usage: scripts/crosscheck.sh
 #
@@ -85,7 +90,7 @@ crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScat
 crosscheck 'TestConformance|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
 	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
+crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestChainWriterConcurrentSaves|TestSaveFailureKeepsPreviousSave|TestLegacyLayoutsRestore|TestLegacyManifestResumesCursor|TestSaveReplacesLegacyLayout|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
 	./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
 echo "crosscheck (with -race): OK" >&2
