@@ -100,7 +100,10 @@ func (d *Detector) N() int { return d.n }
 
 // DetectAll finds every dominant cluster by the peeling scheme of the paper:
 // detect, remove, repeat until all points are consumed; clusters with density
-// at or above Config.DensityThreshold are returned, densest first.
+// at or above Config.DensityThreshold are returned, densest first. With
+// Config.Parallelism above 1 (or -1, AutoConfig's setting), the connected
+// components of the LSH co-bucketing graph peel concurrently, largest first;
+// clusters, their order and Stats are bit-identical to the serial peel.
 func (d *Detector) DetectAll(ctx context.Context) ([]Cluster, error) {
 	cls, err := d.inner.DetectAll(ctx)
 	if err != nil {
@@ -131,7 +134,9 @@ func (d *Detector) DetectFrom(ctx context.Context, seed int) (Cluster, error) {
 // Stats reports detection-cost counters for scalability analysis.
 type Stats struct {
 	// AffinityComputed is the number of kernel evaluations performed — the
-	// measured counterpart of the O(C(a*+δ)n) bound.
+	// measured counterpart of the O(C(a*+δ)n) bound. It is the same at any
+	// Parallelism: a parallel immunity scan does not count the evaluations
+	// its chunks past the first infective candidate spend.
 	AffinityComputed int64
 	// PeakSubmatrixEntries is the largest local affinity submatrix held at
 	// once — the measured counterpart of the O(a*(a*+δ)) space bound.

@@ -205,13 +205,16 @@ func benchPoints(n int) [][]float64 {
 	return pts
 }
 
-// BenchmarkDetectAll measures end-to-end peeling detection on a 4-blob set.
+// BenchmarkDetectAll measures end-to-end serial peeling detection on a
+// 4-blob set. Parallelism is pinned to 0, so the series stays comparable
+// with the serial runs it was first recorded on.
 func BenchmarkDetectAll(b *testing.B) {
 	pts := benchPoints(2000)
 	cfg, err := AutoConfig(pts)
 	if err != nil {
 		b.Fatal(err)
 	}
+	cfg.Parallelism = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		det, err := NewDetector(pts, cfg)
@@ -224,11 +227,11 @@ func BenchmarkDetectAll(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectAllPar4 is BenchmarkDetectAll with the intra-detection
-// parallel layer at 4 workers (Config.Parallelism) — same dataset, same
-// (bit-identical) output; the ratio to BenchmarkDetectAll is the measured
-// intra-detection speedup. On a single-core host the two are expected to be
-// within noise of each other (the layer degrades to near-serial cost).
+// BenchmarkDetectAllPar4 is BenchmarkDetectAll at Config.Parallelism 4:
+// LSH components peel on 4 workers and each detection fans its hot loops
+// out over them — same dataset, same (bit-identical) output; the ratio to
+// BenchmarkDetectAll is the measured speedup of both. On a single-core host
+// the two are expected to be within noise of each other.
 func BenchmarkDetectAllPar4(b *testing.B) {
 	pts := benchPoints(2000)
 	cfg, err := AutoConfig(pts)

@@ -49,7 +49,7 @@ func main() {
 	rSeg := flag.Float64("r", 0, "LSH segment length (0 = auto)")
 	threshold := flag.Float64("threshold", 0.75, "density threshold for reported clusters")
 	parallel := flag.Int("parallel", 0, "run PALID with this many executors (0 = sequential ALID)")
-	parallelism := flag.Int("parallelism", 0, "intra-detection worker count (0/1 = serial, -1 = GOMAXPROCS; results are identical at any setting)")
+	parallelism := flag.Int("parallelism", -1, "detection worker count: LSH components peel concurrently and each detection fans out (-1 = GOMAXPROCS, AutoConfig's value; 0/1 = serial; results are identical at any setting)")
 	top := flag.Int("top", 10, "print at most this many clusters")
 	jsonOut := flag.Bool("json", false, "emit clusters as JSON on stdout (same wire struct as alidd's /v1/clusters)")
 	backend := flag.String("backend", "lsh", "index backend: lsh (dense points) or minhash (string-element sets under a Jaccard kernel)")

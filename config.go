@@ -50,12 +50,14 @@ type Config struct {
 	// Seed drives LSH construction.
 	Seed int64
 
-	// Parallelism is the worker count of the deterministic intra-detection
-	// parallel layer: CIVS candidate scoring, affinity submatrix fills and
-	// LID payoff/immunity scans inside each detection fan out over this many
-	// goroutines. 0 or 1 runs serially; a negative value uses GOMAXPROCS.
-	// Detection output is bit-identical to the serial path at any setting —
-	// parallelism only changes speed, never results.
+	// Parallelism is the worker count of the deterministic parallel layer:
+	// DetectAll peels independent LSH components on this many goroutines,
+	// and CIVS candidate scoring, affinity submatrix fills and LID
+	// payoff/immunity scans inside each detection fan out over them too.
+	// 0 or 1 runs serially; -1 uses GOMAXPROCS. DefaultConfig leaves it at
+	// 0 and AutoConfig sets -1. Detection output and Stats are bit-identical
+	// to the serial path at any setting: parallelism only changes speed,
+	// never results.
 	Parallelism int
 }
 
@@ -85,7 +87,8 @@ const autoQ = 10
 // estimates the cluster scale as the median 10th-nearest-neighbor distance
 // over a sample (the typical pair distance inside a tight group, not the
 // much smaller 1-NN distance) and sets the kernel so such pairs get affinity
-// ≈ 0.9 and the LSH segment so they collide with high probability.
+// ≈ 0.9 and the LSH segment so they collide with high probability. It sets
+// Parallelism to -1 (GOMAXPROCS), as detection output never depends on it.
 //
 // Cost: each of up to 200 sampled points makes one pass over all n points,
 // keeping only its 10 smallest distances (no sort) and abandoning a
@@ -95,6 +98,7 @@ const autoQ = 10
 // with an error naming the point.
 func AutoConfig(points [][]float64) (Config, error) {
 	cfg := DefaultConfig()
+	cfg.Parallelism = -1
 	if len(points) < 2 {
 		return cfg, fmt.Errorf("alid: need at least 2 points to auto-configure, got %d", len(points))
 	}

@@ -170,6 +170,15 @@ func (o *Oracle) At(i, j int) float64 {
 	return o.affinityPair(i, j)
 }
 
+// Pair is At without the count, for scans that credit their evaluations
+// with one AddComputed.
+func (o *Oracle) Pair(i, j int) float64 {
+	if i == j {
+		return 0
+	}
+	return o.affinityPair(i, j)
+}
+
 // Column fills dst[r] = a_{rows[r], j} for the given global column j.
 // dst must have len(rows). This is the A_{βi} column of Fig. 3, computed as
 // one fused pass over contiguous rows; it performs no allocation.

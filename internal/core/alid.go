@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"alid/internal/affinity"
 	"alid/internal/index"
@@ -50,11 +52,12 @@ type Config struct {
 	// pass a positive density threshold anyway.
 	MinClusterSize int
 
-	// Pool is the deterministic intra-detection parallel layer: when set,
-	// the hot loops inside one DetectFrom — CIVS candidate scoring, A_{βα}
-	// submatrix fills, LID payoff/immunity scans — fan out over its workers.
-	// Results are bit-identical to the serial path at any worker count and
-	// any GOMAXPROCS (see package par); nil keeps every loop serial. The
+	// Pool is the deterministic parallel layer: when set, DetectAll peels
+	// independent LSH components on its workers, and the hot loops inside
+	// each DetectFrom — CIVS candidate scoring, A_{βα} submatrix fills, LID
+	// payoff/immunity scans — fan out over them too. Results are
+	// bit-identical to the serial path at any worker count and any
+	// GOMAXPROCS (see package par); nil keeps everything serial. The
 	// Detector itself remains single-caller: the fan-out lives entirely
 	// inside each call. One pool may be shared by many detectors (PALID
 	// executors, the streaming commit path).
@@ -150,16 +153,21 @@ type Detector struct {
 	oracle *affinity.Oracle
 	index  index.Index
 
-	// scratch for CIVS candidate deduplication and selection (steady-state
-	// CIVS calls allocate only the returned ψ slice)
+	scratch civsScratch // DetectFrom's; DetectAll's peel workers own theirs
+
+	// instrumentation
+	peakEntries int
+}
+
+// civsScratch is one detection's CIVS candidate deduplication and selection
+// scratch (steady-state CIVS calls allocate only the returned ψ slice). A
+// scratch serves one detection at a time.
+type civsScratch struct {
 	mark  []uint32
 	gen   uint32
 	raw   []int32
 	cand  []civsCand
 	parts [][]civsCand // per-chunk buffers of the parallel CIVS filter
-
-	// instrumentation
-	peakEntries int
 }
 
 // NewDetector flattens the dataset once (the [][]float64 → matrix.Matrix
@@ -204,10 +212,10 @@ func NewDetectorMatrix(m *matrix.Matrix, cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	return &Detector{
-		cfg:    cfg,
-		oracle: o,
-		index:  idx,
-		mark:   make([]uint32, m.N),
+		cfg:     cfg,
+		oracle:  o,
+		index:   idx,
+		scratch: civsScratch{mark: make([]uint32, m.N)},
 	}, nil
 }
 
@@ -231,7 +239,7 @@ func NewDetectorMatrixWithIndex(m *matrix.Matrix, cfg Config, idx index.Index) (
 	if idx.N() != m.N {
 		return nil, fmt.Errorf("core: index over %d points, dataset has %d", idx.N(), m.N)
 	}
-	return &Detector{cfg: cfg, oracle: o, index: idx, mark: make([]uint32, m.N)}, nil
+	return &Detector{cfg: cfg, oracle: o, index: idx, scratch: civsScratch{mark: make([]uint32, m.N)}}, nil
 }
 
 // Oracle exposes the instrumented affinity oracle (for experiments).
@@ -242,8 +250,8 @@ func (d *Detector) Oracle() *affinity.Oracle { return d.oracle }
 // streaming layer reuses one detector across commits and calls this instead
 // of reconstructing, avoiding an O(n) scratch allocation per commit.
 func (d *Detector) Grow() {
-	if n := d.oracle.N(); len(d.mark) < n {
-		d.mark = append(d.mark, make([]uint32, n-len(d.mark))...)
+	if n := d.oracle.N(); len(d.scratch.mark) < n {
+		d.scratch.mark = append(d.scratch.mark, make([]uint32, n-len(d.scratch.mark))...)
 	}
 }
 
@@ -261,6 +269,18 @@ func (d *Detector) PeakEntries() int { return d.peakEntries }
 // non-nil, restricts the search to unpeeled vertices (active[i] == true);
 // the seed itself must be active.
 func (d *Detector) DetectFrom(ctx context.Context, seed int, active []bool) (*Cluster, error) {
+	cl, err := d.detectFrom(ctx, seed, active, &d.scratch)
+	if err != nil {
+		return nil, err
+	}
+	d.peakEntries = max(d.peakEntries, cl.PeakEntries)
+	return cl, nil
+}
+
+// detectFrom is DetectFrom on the given CIVS scratch. It reads active only
+// at ids of seed's LSH component and writes no Detector state, so calls on
+// distinct scratch may run concurrently on disjoint components.
+func (d *Detector) detectFrom(ctx context.Context, seed int, active []bool, sc *civsScratch) (*Cluster, error) {
 	if active != nil && !active[seed] {
 		return nil, fmt.Errorf("core: seed %d is not active", seed)
 	}
@@ -295,7 +315,7 @@ func (d *Detector) DetectFrom(ctx context.Context, seed int, active []bool) (*Cl
 		}
 
 		// Step 3: CIVS retrieval of candidate infective vertices.
-		psi := d.civs(st, sup, roi, active)
+		psi := d.civs(sc, st, sup, roi, active)
 		if len(psi) == 0 {
 			break // nothing new inside the ROI: x̂ is globally immune
 		}
@@ -316,9 +336,6 @@ func (d *Detector) DetectFrom(ctx context.Context, seed int, active []bool) (*Cl
 
 	members, weights := st.SupportWeights()
 	orderMembers(members, weights)
-	if st.PeakEntries() > d.peakEntries {
-		d.peakEntries = st.PeakEntries()
-	}
 	return &Cluster{
 		Members:         members,
 		Weights:         weights,
@@ -361,13 +378,11 @@ type civsCand struct {
 // For p = 2 candidates are filtered by comparing fused squared distances
 // against R², and the δ-nearest cap uses an O(len) partial selection instead
 // of a full sort.
-func (d *Detector) civs(st *lid.State, support []int, roi ROI, active []bool) []int {
-	d.gen++
-	if d.gen == 0 { // uint32 wrap: reset scratch
-		for i := range d.mark {
-			d.mark[i] = 0
-		}
-		d.gen = 1
+func (d *Detector) civs(sc *civsScratch, st *lid.State, support []int, roi ROI, active []bool) []int {
+	sc.gen++
+	if sc.gen == 0 { // uint32 wrap: reset scratch
+		clear(sc.mark)
+		sc.gen = 1
 	}
 	queries := support
 	if d.cfg.SingleQueryCIVS && len(support) > 1 {
@@ -381,11 +396,11 @@ func (d *Detector) civs(st *lid.State, support []int, roi ROI, active []bool) []
 		}
 		queries = []int{best}
 	}
-	raw := d.raw[:0]
+	raw := sc.raw[:0]
 	for _, id := range queries {
-		raw = d.index.CandidatesByIDInto(id, raw, d.mark, d.gen)
+		raw = d.index.CandidatesByIDInto(id, raw, sc.mark, sc.gen)
 	}
-	d.raw = raw
+	sc.raw = raw
 
 	m := d.oracle.Mat
 	euclid := d.cfg.Kernel.P == 2
@@ -430,21 +445,21 @@ func (d *Detector) civs(st *lid.State, support []int, roi ROI, active []bool) []
 	var cands []civsCand
 	if d.cfg.Pool.Parallel() && len(raw) >= civsParMin {
 		chunks := par.NumChunks(len(raw), civsGrain)
-		for len(d.parts) < chunks {
-			d.parts = append(d.parts, nil)
+		for len(sc.parts) < chunks {
+			sc.parts = append(sc.parts, nil)
 		}
-		parts := d.parts[:chunks]
+		parts := sc.parts[:chunks]
 		d.cfg.Pool.ForChunks(len(raw), civsGrain, func(c, lo, hi int) {
 			parts[c] = filter(raw[lo:hi], parts[c][:0])
 		})
-		cands = d.cand[:0]
+		cands = sc.cand[:0]
 		for _, p := range parts {
 			cands = append(cands, p...)
 		}
 	} else {
-		cands = filter(raw, d.cand[:0])
+		cands = filter(raw, sc.cand[:0])
 	}
-	d.cand = cands
+	sc.cand = cands
 	// Keep the δ candidates nearest to the ball center: O(len) quickselect
 	// partition, then order just the kept δ (ties broken by id, so the
 	// result is deterministic whatever the partition order).
@@ -513,14 +528,90 @@ func selectNearest(c []civsCand, k int) {
 // its support off, and reiterate on the remaining vertices until everything
 // is peeled. Subgraphs passing the density threshold and minimum size are
 // returned, ordered by decreasing density.
+//
+// With a parallel Pool, the connected components of the index's
+// co-bucketing graph (index.Components) peel concurrently, largest first.
+// A detection reads and consumes only vertices of its seed's component, so
+// peeling each component in ascending seed order reproduces the serial peel
+// exactly: clusters, their order, weights, densities, PeakEntries and the
+// oracle's evaluation count are bit-identical to a nil Pool. An index with
+// evicted ids peels serially, since a dead seed's candidates lie outside
+// its component. On error DetectAll returns the clusters accepted so far,
+// unsorted, after every worker has stopped.
 func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
 	n := d.oracle.N()
 	active := make([]bool, n)
 	for i := range active {
 		active[i] = true
 	}
+	if !d.cfg.Pool.Parallel() || d.index.Live() < n {
+		return d.peelSerial(ctx, active)
+	}
+	return d.peelComponents(ctx, active)
+}
+
+// peelComponents is DetectAll's parallel peel: the components, largest
+// first, on the pool's workers, each in ascending seed order on its
+// worker's CIVS scratch. Every write lands on the component's own entries
+// of active and accepted, or on the worker's own slots.
+func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluster, error) {
+	n := len(active)
+	comps := index.Components(d.index)
+	sort.SliceStable(comps, func(a, b int) bool { return len(comps[a]) > len(comps[b]) })
+
+	workers := d.cfg.Pool.Workers()
+	scratch := make([]*civsScratch, workers)
+	peaks := make([]int, workers)
+	errs := make([]error, workers)
+	var failed atomic.Bool
+	accepted := make([]*Cluster, n) // by seed
+	d.cfg.Pool.Each(len(comps), func(w, c int) {
+		if scratch[w] == nil {
+			scratch[w] = &civsScratch{mark: make([]uint32, n)}
+		}
+		for _, id := range comps[c] {
+			seed := int(id)
+			if !active[seed] {
+				continue
+			}
+			if failed.Load() {
+				return
+			}
+			cl, err := d.detectFrom(ctx, seed, active, scratch[w])
+			if err != nil {
+				errs[w] = err
+				failed.Store(true)
+				return
+			}
+			peel(cl, active)
+			peaks[w] = max(peaks[w], cl.PeakEntries)
+			if d.accepts(cl) {
+				accepted[seed] = cl
+			}
+		}
+	})
+	d.peakEntries = max(d.peakEntries, slices.Max(peaks))
+	// Seed order is the order the serial loop appends in.
 	var clusters []*Cluster
-	for seed := 0; seed < n; seed++ {
+	for _, cl := range accepted {
+		if cl != nil {
+			clusters = append(clusters, cl)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return clusters, err
+		}
+	}
+	sortByDensity(clusters)
+	return clusters, nil
+}
+
+// peelSerial is DetectAll's serial loop: every unpeeled seed in index
+// order, on the Detector's own scratch.
+func (d *Detector) peelSerial(ctx context.Context, active []bool) ([]*Cluster, error) {
+	var clusters []*Cluster
+	for seed := range active {
 		if !active[seed] {
 			continue
 		}
@@ -531,16 +622,30 @@ func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
 		if err != nil {
 			return clusters, err
 		}
-		for _, m := range cl.Members {
-			active[m] = false
-		}
-		active[seed] = false // defensive: seed is always consumed
-		if cl.Density >= d.cfg.DensityThreshold && cl.Size() >= d.cfg.MinClusterSize {
+		peel(cl, active)
+		if d.accepts(cl) {
 			clusters = append(clusters, cl)
 		}
 	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Density > clusters[j].Density })
+	sortByDensity(clusters)
 	return clusters, nil
+}
+
+// peel removes a detection's support and its seed from the active set.
+func peel(cl *Cluster, active []bool) {
+	for _, m := range cl.Members {
+		active[m] = false
+	}
+	active[cl.Seed] = false // defensive: seed is always consumed
+}
+
+// accepts reports whether a peeled subgraph is reported as a cluster.
+func (d *Detector) accepts(cl *Cluster) bool {
+	return cl.Density >= d.cfg.DensityThreshold && cl.Size() >= d.cfg.MinClusterSize
+}
+
+func sortByDensity(clusters []*Cluster) {
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Density > clusters[j].Density })
 }
 
 // Labels converts a cluster list to a per-point assignment: label[i] is the

@@ -427,3 +427,110 @@ func TestConformanceDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		})
 	}
 }
+
+// Components partitions the ids into the connected components of the
+// co-bucketing graph, before and after Evict. CandidatesByIDInto of a live
+// id never leaves its component: the property DetectAll's concurrent peel
+// rests on. A walk over CandidatesByID from a component's first id reaches
+// the whole component, so the partition is no coarser than the graph.
+func TestConformanceComponents(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(b.name, func(t *testing.T) {
+			// Every third point is repeated, so components of two or more
+			// ids exist whatever the backend's collision rate.
+			var pts [][]float64
+			for i, p := range b.gen(9, 300) {
+				pts = append(pts, p)
+				if i%3 == 0 {
+					pts = append(pts, p)
+				}
+			}
+			ix, err := b.build(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkComponents(t, ix, func(int) bool { return true })
+			if got := ix.Evict(evictEveryThird(len(pts))); got == 0 {
+				t.Fatal("Evict evicted nothing")
+			}
+			checkComponents(t, ix, func(id int) bool { return id%3 != 0 })
+		})
+	}
+}
+
+func evictEveryThird(n int) []int {
+	var dead []int
+	for id := 0; id < n; id += 3 {
+		dead = append(dead, id)
+	}
+	return dead
+}
+
+func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
+	t.Helper()
+	comps := index.Components(ix)
+	comp := make([]int, ix.N())
+	for i := range comp {
+		comp[i] = -1
+	}
+	multi := 0
+	for c, ids := range comps {
+		if len(ids) == 0 {
+			t.Fatalf("component %d is empty", c)
+		}
+		if c > 0 && ids[0] <= comps[c-1][0] {
+			t.Fatalf("component %d starts at %d, after component %d at %d", c, ids[0], c-1, comps[c-1][0])
+		}
+		for k, id := range ids {
+			if k > 0 && id <= ids[k-1] {
+				t.Fatalf("component %d not ascending at %d", c, k)
+			}
+			if comp[id] != -1 {
+				t.Fatalf("id %d in components %d and %d", id, comp[id], c)
+			}
+			comp[id] = c
+		}
+		if len(ids) > 1 {
+			multi++
+		}
+	}
+	for id, c := range comp {
+		if c == -1 {
+			t.Fatalf("id %d in no component", id)
+		}
+	}
+	if multi < 2 || multi == len(comps) {
+		t.Fatalf("%d components, %d of them with ≥ 2 ids: the check needs several of each kind", len(comps), multi)
+	}
+	mark := make([]uint32, ix.N())
+	for i := range comp {
+		if !live(i) {
+			if len(comps[comp[i]]) != 1 {
+				t.Fatalf("evicted id %d shares a component", i)
+			}
+			continue
+		}
+		for _, j := range ix.CandidatesByIDInto(i, nil, mark, uint32(i+1)) {
+			if comp[j] != comp[i] {
+				t.Fatalf("candidate %d of id %d lies in component %d, not %d", j, i, comp[j], comp[i])
+			}
+		}
+	}
+	for _, ids := range comps {
+		if !live(int(ids[0])) {
+			continue
+		}
+		seen := map[int32]bool{ids[0]: true}
+		for queue := []int32{ids[0]}; len(queue) > 0; queue = queue[1:] {
+			for _, j := range ix.CandidatesByID(int(queue[0])) {
+				if !seen[j] {
+					seen[j] = true
+					queue = append(queue, j)
+				}
+			}
+		}
+		if len(seen) != len(ids) {
+			t.Fatalf("component of %d has %d ids, its walk reaches %d", ids[0], len(ids), len(seen))
+		}
+	}
+}

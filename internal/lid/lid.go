@@ -43,14 +43,17 @@ type State struct {
 	cols map[int][]float64 // global column index -> column over beta rows
 
 	// per-chunk scratch of the parallel paths (argmax partials, Extend tail
-	// slab, Immune chunk flags), reused across iterations
+	// slab, Immune chunk flags and evaluation counts), reused across
+	// iterations
 	argBest []int
 	argAbs  []float64
 	argR    []float64
 	tails   []float64
 	infect  []bool
+	evals   []int
 
-	peakEntries int // high-water mark of cached submatrix entries
+	cached      int // cached submatrix entries: Σ len(cols[i])
+	peakEntries int // high-water mark of cached
 	iterations  int // total LID iterations performed
 }
 
@@ -73,6 +76,7 @@ func NewState(o *affinity.Oracle, seed int) (*State, error) {
 		x:      []float64{1},
 		g:      []float64{0},
 		cols:   map[int][]float64{seed: {0}},
+		cached: 1,
 	}
 	s.trackPeak()
 	return s, nil
@@ -165,6 +169,7 @@ func (s *State) column(global int) []float64 {
 	c := make([]float64, len(s.beta))
 	s.oracle.ColumnPar(s.pool, global, s.beta, c)
 	s.cols[global] = c
+	s.cached += len(c)
 	s.trackPeak()
 	return c
 }
@@ -382,6 +387,7 @@ func (s *State) Extend(newGlobal []int) int {
 			}
 		}
 	}
+	s.cached += len(tails)
 	s.trackPeak()
 	return len(fresh)
 }
@@ -393,27 +399,18 @@ var extendParMin = 2048
 // dropNonSupportColumns releases cached columns for vertices outside the
 // current support. Support columns must be kept: they are exactly A_{βα}.
 func (s *State) dropNonSupportColumns() {
-	for colIdx := range s.cols {
+	for colIdx, c := range s.cols {
 		if s.x[s.pos[colIdx]] <= simplex.WeightEps {
 			delete(s.cols, colIdx)
+			s.cached -= len(c)
 		}
 	}
 }
 
 // CachedEntries returns the current number of cached submatrix entries.
-func (s *State) CachedEntries() int {
-	n := 0
-	for _, c := range s.cols {
-		n += len(c)
-	}
-	return n
-}
+func (s *State) CachedEntries() int { return s.cached }
 
-func (s *State) trackPeak() {
-	if n := s.CachedEntries(); n > s.peakEntries {
-		s.peakEntries = n
-	}
-}
+func (s *State) trackPeak() { s.peakEntries = max(s.peakEntries, s.cached) }
 
 // immuneGrain is the candidate-chunk size of the parallel immunity scan;
 // each candidate costs O(|α|) kernel evaluations, so chunks stay small.
@@ -428,54 +425,63 @@ var immuneParMin = 1 << 14
 // the oracle in O(|α|) each without growing the cache: π(s_j, x) = Σ a_ji x_i.
 //
 // For large candidate sets the scan fans out in fixed chunks, each chunk
-// recording an "infective found" flag in its own slot and stopping early
-// within its own range only; the verdict is the OR of the flags, read in
-// chunk order. The boolean answer is identical to the serial scan. The
-// kernel-evaluation COUNT can exceed the serial scan's (chunks past the
-// first infective candidate still run), but it is the same at every worker
-// count, because which chunks scan which candidates is fixed.
+// recording an "infective found" flag and its kernel-evaluation count in its
+// own slots and stopping early within its own range only; the verdict is the
+// OR of the flags, read in chunk order. Chunks past the first infective one
+// still run, but their evaluations are discarded work: the oracle is
+// credited only with the counts of the chunks up to that one, which are
+// exactly the evaluations the serial scan makes. Verdict and count are
+// therefore identical to the serial scan at any worker count.
 func (s *State) Immune(candidates []int, tol float64) bool {
 	pi := s.Density()
 	sup, w := s.SupportWeights()
-	infective := func(gidx int) bool {
+	// infective returns the verdict for one candidate and the kernel
+	// evaluations it took.
+	infective := func(gidx int) (bool, int) {
 		if p, ok := s.pos[gidx]; ok {
-			return s.payoff(p, pi) > tol
+			return s.payoff(p, pi) > tol, 0
 		}
 		var gj float64
 		for t, i := range sup {
-			gj += w[t] * s.oracle.At(gidx, i)
+			gj += w[t] * s.oracle.Pair(gidx, i)
 		}
-		return gj-pi > tol
+		return gj-pi > tol, len(sup)
+	}
+	// scan checks candidates in order up to the first infective one.
+	scan := func(cands []int) (found bool, evals int) {
+		for _, gidx := range cands {
+			inf, n := infective(gidx)
+			evals += n
+			if inf {
+				return true, evals
+			}
+		}
+		return false, evals
 	}
 	if s.pool.Parallel() && len(candidates) >= 2*immuneGrain && len(candidates)*len(sup) >= immuneParMin {
 		chunks := par.NumChunks(len(candidates), immuneGrain)
 		if cap(s.infect) < chunks {
 			s.infect = make([]bool, chunks)
+			s.evals = make([]int, chunks)
 		}
-		flags := s.infect[:chunks]
+		flags, evals := s.infect[:chunks], s.evals[:chunks]
 		s.pool.ForChunks(len(candidates), immuneGrain, func(c, lo, hi int) {
-			found := false
-			for _, gidx := range candidates[lo:hi] {
-				if infective(gidx) {
-					found = true
-					break
-				}
-			}
-			flags[c] = found
+			flags[c], evals[c] = scan(candidates[lo:hi])
 		})
-		for _, f := range flags {
+		total := 0
+		for c, f := range flags {
+			total += evals[c]
 			if f {
+				s.oracle.AddComputed(int64(total))
 				return false
 			}
 		}
+		s.oracle.AddComputed(int64(total))
 		return true
 	}
-	for _, gidx := range candidates {
-		if infective(gidx) {
-			return false
-		}
-	}
-	return true
+	found, n := scan(candidates)
+	s.oracle.AddComputed(int64(n))
+	return !found
 }
 
 // Sanity verifies internal invariants (x on simplex, g consistent with the

@@ -60,7 +60,9 @@ func runScript(t *testing.T, o *affinity.Oracle, pool *par.Pool) (*State, []bool
 // The full LID state — β order, weights, g, cached columns, density — must
 // be bit-identical between the serial path and any pool width: vertex
 // selection reduces per-chunk winners in chunk order, Extend merges tails in
-// sorted column order, and column fills are chunk-invariant.
+// sorted column order, and column fills are chunk-invariant. The oracle's
+// kernel-evaluation count and the cached-entry accounting match too: the
+// parallel immunity scan credits only the evaluations the serial scan makes.
 func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 	lowerParGates(t)
 	rng := rand.New(rand.NewSource(9))
@@ -72,11 +74,25 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 	o := mustOracle(t, pts, affinity.Kernel{K: 1, P: 2})
 
 	serial, serialImm := runScript(t, o, nil)
-	if len(serialImm) == 0 {
-		t.Fatal("no immunity checks reached the parallel-scan size — crosscheck is vacuous")
+	serialEvals := o.ResetComputed()
+	infective := 0
+	for _, immune := range serialImm {
+		if !immune {
+			infective++
+		}
+	}
+	if len(serialImm) == 0 || infective == 0 {
+		t.Fatalf("%d immunity checks at the parallel-scan size, %d infective — crosscheck is vacuous", len(serialImm), infective)
 	}
 	for _, workers := range []int{2, 4, 8} {
 		got, gotImm := runScript(t, o, par.New(workers))
+		if evals := o.ResetComputed(); evals != serialEvals {
+			t.Fatalf("workers=%d: %d kernel evaluations, serial %d", workers, evals, serialEvals)
+		}
+		if got.PeakEntries() != serial.PeakEntries() || got.CachedEntries() != serial.CachedEntries() {
+			t.Fatalf("workers=%d: peak/cached entries %d/%d, serial %d/%d", workers,
+				got.PeakEntries(), got.CachedEntries(), serial.PeakEntries(), serial.CachedEntries())
+		}
 		if got.Len() != serial.Len() || got.Iterations() != serial.Iterations() {
 			t.Fatalf("workers=%d: len/iters %d/%d, serial %d/%d", workers, got.Len(), got.Iterations(), serial.Len(), serial.Iterations())
 		}
@@ -118,6 +134,13 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 		}
 		if err := got.Sanity(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		entries := 0
+		for _, c := range got.cols {
+			entries += len(c)
+		}
+		if entries != got.CachedEntries() {
+			t.Fatalf("workers=%d: CachedEntries %d, columns hold %d", workers, got.CachedEntries(), entries)
 		}
 	}
 }

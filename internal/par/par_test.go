@@ -105,3 +105,32 @@ func TestForChunksEmptyAndDegenerateGrain(t *testing.T) {
 		t.Fatalf("grain 0 over n=5: %d calls, want 5", count.Load())
 	}
 }
+
+// Each visits every item once and returns after the last call finished,
+// and a worker index is never held by two goroutines at a time, so fn may
+// index per-worker scratch by it.
+func TestEachWorkerOwnership(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 100} {
+		for _, pool := range []*Pool{nil, New(2), New(8)} {
+			hits := make([]int32, n)
+			busy := make([]atomic.Bool, pool.Workers())
+			pool.Each(n, func(w, i int) {
+				if w < 0 || w >= pool.Workers() {
+					t.Errorf("worker %d outside [0,%d)", w, pool.Workers())
+					return
+				}
+				if busy[w].Swap(true) {
+					t.Errorf("worker %d ran two items at once", w)
+				}
+				runtime.Gosched()
+				busy[w].Store(false)
+				atomic.AddInt32(&hits[i], 1)
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: item %d visited %d times", n, pool.Workers(), i, h)
+				}
+			}
+		}
+	}
+}

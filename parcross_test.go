@@ -11,13 +11,14 @@ import (
 
 	"alid/internal/core"
 	"alid/internal/dataset"
+	"alid/internal/index"
 	"alid/internal/lid"
 	"alid/internal/testutil"
 	"alid/internal/vec"
 )
 
-// PR 4 invariant: the intra-detection parallel layer (Config.Parallelism)
-// is bit-deterministic. These crosschecks run the serial path once, then the
+// Standing invariant: the parallel layer (Config.Parallelism) is
+// bit-deterministic. These crosschecks run the serial path once, then the
 // parallel path (4 workers) under GOMAXPROCS ∈ {1, 4, 8}, and demand
 // byte-identical output — clusters, weights, densities, assignments, stream
 // labels — for DetectAll, DetectParallel AND the streaming commit path.
@@ -60,41 +61,76 @@ func parcrossGOMAXPROCS(t *testing.T, check func(t *testing.T)) {
 	}
 }
 
-func TestGOMAXPROCSCrosscheckDetectAll(t *testing.T) {
-	lowerParGates(t)
-	pts := parcrossPoints()
-	cfg, err := AutoConfig(pts)
+// peelMixture is a small paper mixture at d=10: in the eta regime its
+// overlapping cluster pairs, single clusters and noise make many LSH
+// components; in the cap regime (5-point clusters) AutoConfig tunes to the
+// noise scale and one component holds every point.
+func peelMixture(t *testing.T, regime dataset.Regime, n int) [][]float64 {
+	t.Helper()
+	mc := dataset.DefaultMixtureConfig(n, regime)
+	mc.Dim, mc.P, mc.Seed = 10, 100, 7
+	ds, err := dataset.Mixture(mc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	detect := func(parallelism int) ([]Cluster, Stats) {
-		c := cfg
-		c.Parallelism = parallelism
-		det, err := NewDetector(pts, c)
+	return ds.Points
+}
+
+// DetectAll at Parallelism 4 peels LSH components concurrently; clusters,
+// their order, weights, densities and both Stats fields must equal the
+// serial run's at every GOMAXPROCS, on fixtures of many components and of
+// one giant component.
+func TestGOMAXPROCSCrosscheckDetectAll(t *testing.T) {
+	lowerParGates(t)
+	for _, fx := range []struct {
+		name  string
+		pts   [][]float64
+		shape func(comps [][]int32) bool
+	}{
+		{"blobs", parcrossPoints(), func([][]int32) bool { return true }},
+		{"eta", peelMixture(t, dataset.RegimeEta, 600), func(comps [][]int32) bool {
+			multi := 0
+			for _, c := range comps {
+				if len(c) > 1 {
+					multi++
+				}
+			}
+			return multi >= 2 && multi < len(comps)
+		}},
+		{"cap", peelMixture(t, dataset.RegimeCap, 800), func(comps [][]int32) bool { return len(comps) == 1 }},
+	} {
+		cfg, err := AutoConfig(fx.pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cls, err := det.DetectAll(context.Background())
-		if err != nil {
-			t.Fatal(err)
+		detect := func(parallelism int) ([]Cluster, Stats) {
+			c := cfg
+			c.Parallelism = parallelism
+			det, err := NewDetector(fx.pts, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fx.shape(index.Components(det.inner.Index())) {
+				t.Fatalf("%s: LSH components lack the fixture's shape", fx.name)
+			}
+			cls, err := det.DetectAll(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cls, det.Stats()
 		}
-		return cls, det.Stats()
-	}
-	serial, serialStats := detect(0)
-	if len(serial) == 0 {
-		t.Fatal("no clusters detected — crosscheck is vacuous")
-	}
-	parcrossGOMAXPROCS(t, func(t *testing.T) {
-		got, gotStats := detect(parcrossWorkers)
-		sameClusters(t, serial, got, "DetectAll")
-		// The peak-submatrix instrumentation is schedule-independent too;
-		// kernel-eval counts are compared only for the serial path (the
-		// parallel immunity scan deterministically evaluates more, see
-		// lid.Immune) — so assert the one field that must match.
-		if gotStats.PeakSubmatrixEntries != serialStats.PeakSubmatrixEntries {
-			t.Fatalf("peak submatrix %d, serial %d", gotStats.PeakSubmatrixEntries, serialStats.PeakSubmatrixEntries)
+		serial, serialStats := detect(0)
+		if len(serial) == 0 {
+			t.Fatalf("%s: no clusters detected — crosscheck is vacuous", fx.name)
 		}
-	})
+		parcrossGOMAXPROCS(t, func(t *testing.T) {
+			got, gotStats := detect(parcrossWorkers)
+			sameClusters(t, serial, got, "DetectAll "+fx.name)
+			if gotStats != serialStats {
+				t.Fatalf("%s: stats %+v, serial %+v", fx.name, gotStats, serialStats)
+			}
+		})
+	}
 }
 
 func TestGOMAXPROCSCrosscheckDetectParallel(t *testing.T) {
@@ -177,6 +213,7 @@ func TestGOMAXPROCSCrosscheckStreamCommits(t *testing.T) {
 // with early-exit distances must reproduce it bit for bit.
 func autoConfigBySort(points [][]float64) Config {
 	cfg := DefaultConfig()
+	cfg.Parallelism = -1
 	rng := rand.New(rand.NewSource(1))
 	sample := min(len(points), 200)
 	idx := rng.Perm(len(points))[:sample]

@@ -4,6 +4,12 @@
 #     DetectParallel, stream commits, AutoConfig) plus the per-path
 #     crosschecks in internal/core, internal/lid and internal/affinity that
 #     force every fan-out gate open;
+#   - the component peel: DetectAll peeling LSH components concurrently,
+#     bit-identical to the serial peel (clusters, order, weights, densities,
+#     kernel-evaluation count, peak submatrix) on many-component,
+#     one-giant-component and minhash fixtures, a cancelled peel returning
+#     only after every worker stopped, and the index conformance check that
+#     CIVS candidates never leave their seed's component;
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
@@ -75,7 +81,7 @@ crosscheck() {
 
 crosscheck 'TestGOMAXPROCSCrosscheck' .
 
-crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction' \
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
 crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \

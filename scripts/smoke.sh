@@ -10,7 +10,8 @@ cd "$(dirname "$0")/.."
 ADDR="${ADDR:-127.0.0.1:18080}"
 PPROF_ADDR="${PPROF_ADDR:-127.0.0.1:18081}"
 tmp="$(mktemp -d)"
-trap 'kill $alidd_pid 2>/dev/null || true; rm -rf "$tmp"' EXIT
+# The trap waits for the daemon's final save before removing its directory.
+trap 'if [ -n "${alidd_pid:-}" ]; then kill "$alidd_pid" 2>/dev/null || true; wait "$alidd_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 
 echo "smoke: building..." >&2
 go build -o "$tmp/datagen" ./cmd/datagen
