@@ -75,13 +75,13 @@ func NewDetector(points [][]float64, cfg Config) (*Detector, error) {
 
 // NewDetectorFlat is NewDetector for data already in flat row-major form:
 // data holds n points of dimension d contiguously (point i is
-// data[i*d:(i+1)*d]). The slice is captured by reference — zero copies — and
-// must not be mutated while the detector is in use.
+// data[i*d:(i+1)*d]). The data is copied once into the detector's chunked
+// matrix, so the caller may reuse the slice afterwards.
 func NewDetectorFlat(data []float64, n, d int, cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := matrix.FromFlat(data, n, d)
+	m, err := matrix.FromFlat(data, n, d, nil)
 	if err != nil {
 		return nil, fmt.Errorf("alid: %w", err)
 	}

@@ -84,7 +84,10 @@ func TestEndToEndDetectAll(t *testing.T) {
 	if len(clusters) < 3 {
 		t.Fatalf("clusters = %d, want ≥ 3", len(clusters))
 	}
-	score := eval.MustScore(labels, Labels(len(pts), clusters))
+	score, err := eval.Score(labels, Labels(len(pts), clusters))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.55 {
 		t.Fatalf("AVG-F = %v, want ≥ 0.55", score.AVGF)
 	}
@@ -160,7 +163,10 @@ func TestDetectParallelMatchesQuality(t *testing.T) {
 	if res.Seeds == 0 || len(res.Clusters) == 0 {
 		t.Fatalf("degenerate result: %d seeds %d clusters", res.Seeds, len(res.Clusters))
 	}
-	score := eval.MustScore(labels, res.Assign)
+	score, err := eval.Score(labels, res.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.55 {
 		t.Fatalf("PALID AVG-F = %v", score.AVGF)
 	}

@@ -23,9 +23,7 @@ package affinity
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"alid/internal/matrix"
@@ -103,11 +101,6 @@ func (k Kernel) Affinity(a, b []float64) float64 {
 	return math.Exp(-k.K * k.Distance(a, b))
 }
 
-// AffinityFromDistance converts a precomputed distance to an affinity.
-func (k Kernel) AffinityFromDistance(d float64) float64 {
-	return math.Exp(-k.K * d)
-}
-
 // Oracle provides on-demand affinity computation over a fixed dataset and
 // counts how many kernel evaluations were performed. It is safe for
 // concurrent use; the counter is atomic and the dataset is read-only.
@@ -148,9 +141,6 @@ func NewOracleMatrix(m *matrix.Matrix, k Kernel) (*Oracle, error) {
 
 // N returns the dataset size.
 func (o *Oracle) N() int { return o.Mat.N }
-
-// Point returns data point i (aliases the matrix storage; read-only).
-func (o *Oracle) Point(i int) []float64 { return o.Mat.Row(i) }
 
 // affinityPair evaluates exp(-k·‖v_i−v_j‖_p) on matrix rows, using the fused
 // norms+dot distance for p = 2.
@@ -531,50 +521,31 @@ type Dense struct {
 }
 
 // NewDense materializes the full matrix from the oracle: O(n²) time and
-// space, exactly the cost the paper's baselines pay. Row blocks are computed
-// in parallel across GOMAXPROCS goroutines; every entry is written exactly
+// space, exactly the cost the paper's baselines pay. Row blocks fan out over
+// GOMAXPROCS workers through internal/par; every entry is written exactly
 // once, so the result is identical to the sequential fill.
 func NewDense(o *Oracle) *Dense {
 	n := o.N()
 	d := &Dense{N: n, Data: make([]float64, n*n)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := atomic.Int64{}
+	pool := par.New(-1)
+	evals := make([]int64, pool.Workers())
 	const block = 32
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var evals int64
-			for {
-				lo := int(next.Add(block)) - block
-				if lo >= n {
-					break
-				}
-				hi := lo + block
-				if hi > n {
-					hi = n
-				}
-				for i := lo; i < hi; i++ {
-					row := d.Data[i*n : (i+1)*n]
-					for j := i + 1; j < n; j++ {
-						a := o.affinityPair(i, j)
-						row[j] = a
-						d.Data[j*n+i] = a
-						evals++
-					}
-				}
+	pool.Each(par.NumChunks(n, block), func(w, c int) {
+		for i := c * block; i < min((c+1)*block, n); i++ {
+			row := d.Data[i*n : (i+1)*n]
+			for j := i + 1; j < n; j++ {
+				a := o.affinityPair(i, j)
+				row[j] = a
+				d.Data[j*n+i] = a
 			}
-			o.computed.Add(evals)
-		}()
+			evals[w] += int64(n - 1 - i)
+		}
+	})
+	var total int64
+	for _, e := range evals {
+		total += e
 	}
-	wg.Wait()
+	o.computed.Add(total)
 	return d
 }
 
@@ -590,34 +561,6 @@ func (d *Dense) MulVec(dst, x []float64) {
 	for i := 0; i < n; i++ {
 		dst[i] = vec.Dot(d.Data[i*n:(i+1)*n], x)
 	}
-}
-
-// Quad returns xᵀA x, the graph density π(x) of Eq. 2 for subgraph x.
-func (d *Dense) Quad(x []float64) float64 {
-	n := d.N
-	var total float64
-	for i := 0; i < n; i++ {
-		if x[i] == 0 {
-			continue
-		}
-		total += x[i] * vec.Dot(d.Data[i*n:(i+1)*n], x)
-	}
-	return total
-}
-
-// DenseFromSparse expands a sparse matrix into dense storage with zeros at
-// the pruned positions. The Fig. 6 sparsity experiments use this to feed the
-// sparsified graph to dense-matrix methods (IID) without recomputing kernels.
-func DenseFromSparse(s *Sparse) *Dense {
-	d := &Dense{N: s.N, Data: make([]float64, s.N*s.N)}
-	for i := 0; i < s.N; i++ {
-		cols, vals := s.Row(i)
-		row := d.Data[i*s.N : (i+1)*s.N]
-		for t, j := range cols {
-			row[j] = vals[t]
-		}
-	}
-	return d
 }
 
 // Sparse is a CSR matrix holding only the retained (near-neighbor) affinity
@@ -694,25 +637,6 @@ func (s *Sparse) Row(i int) ([]int32, []float64) {
 	return s.Col[lo:hi], s.Val[lo:hi]
 }
 
-// At returns a_ij, zero when the entry is not stored. O(log deg) via binary
-// search over the sorted row.
-func (s *Sparse) At(i, j int) float64 {
-	cols, vals := s.Row(i)
-	lo, hi := 0, len(cols)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cols[mid] < int32(j) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(cols) && cols[lo] == int32(j) {
-		return vals[lo]
-	}
-	return 0
-}
-
 // MulVec computes dst = A·x using only stored entries.
 func (s *Sparse) MulVec(dst, x []float64) {
 	for i := 0; i < s.N; i++ {
@@ -723,21 +647,4 @@ func (s *Sparse) MulVec(dst, x []float64) {
 		}
 		dst[i] = sum
 	}
-}
-
-// Quad returns xᵀAx over stored entries.
-func (s *Sparse) Quad(x []float64) float64 {
-	var total float64
-	for i := 0; i < s.N; i++ {
-		if x[i] == 0 {
-			continue
-		}
-		cols, vals := s.Row(i)
-		var sum float64
-		for t, j := range cols {
-			sum += vals[t] * x[j]
-		}
-		total += x[i] * sum
-	}
-	return total
 }

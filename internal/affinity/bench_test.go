@@ -63,10 +63,16 @@ func BenchmarkDenseMulVec(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseMulVec measures the SEA sweep cost on a 20-NN graph.
+// BenchmarkSparseMulVec measures the SEA sweep cost on a ring graph of
+// degree 40: each point lists its 20 successors and NewSparse symmetrizes.
 func BenchmarkSparseMulVec(b *testing.B) {
 	o := benchOracle(b, 1000, 100)
-	lists := KNNNeighborLists(o.Mat, o.Kernel, 20)
+	lists := make([][]int, o.N())
+	for i := range lists {
+		for k := 1; k <= 20; k++ {
+			lists[i] = append(lists[i], (i+k)%o.N())
+		}
+	}
 	sp := NewSparse(o, lists)
 	x := make([]float64, sp.N)
 	for i := range x {
@@ -104,7 +110,7 @@ func BenchmarkCandScan(b *testing.B) {
 	packed := make([]float64, nr*d)
 	norms := make([]float64, nr)
 	for r, m := range rows {
-		copy(packed[r*d:(r+1)*d], o.Point(m))
+		copy(packed[r*d:(r+1)*d], o.Mat.Row(m))
 		norms[r] = o.Mat.NormSq(m)
 	}
 	col := make([]float64, nr)

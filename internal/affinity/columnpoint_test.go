@@ -32,7 +32,7 @@ func TestColumnPointMatchesColumnOnDatasetRows(t *testing.T) {
 	ext := make([]float64, len(rows))
 	for j := 0; j < o.N(); j += 13 {
 		o.Column(j, rows, col)
-		o.ColumnPoint(o.Point(j), o.Mat.NormSq(j), rows, ext)
+		o.ColumnPoint(o.Mat.Row(j), o.Mat.NormSq(j), rows, ext)
 		for r := range rows {
 			if rows[r] == j {
 				if ext[r] != 1 {
@@ -110,7 +110,7 @@ func TestColumnPointPackedMatchesGathered(t *testing.T) {
 		packed := make([]float64, len(rows)*d)
 		norms := make([]float64, len(rows))
 		for r, m := range rows {
-			copy(packed[r*d:(r+1)*d], o.Point(m))
+			copy(packed[r*d:(r+1)*d], o.Mat.Row(m))
 			norms[r] = o.Mat.NormSq(m)
 		}
 		rng := rand.New(rand.NewSource(45))
@@ -122,7 +122,7 @@ func TestColumnPointPackedMatchesGathered(t *testing.T) {
 			}
 			qs[i] = q
 		}
-		qs[0] = append([]float64(nil), o.Point(3)...)
+		qs[0] = append([]float64(nil), o.Mat.Row(3)...)
 		want := make([]float64, len(rows))
 		got := make([]float64, len(rows))
 		for qi, q := range qs {
@@ -152,7 +152,7 @@ func TestScorePackedMatchesColumnSum(t *testing.T) {
 		norms := make([]float64, len(rows))
 		w := make([]float64, len(rows))
 		for r, m := range rows {
-			copy(packed[r*d:(r+1)*d], o.Point(m))
+			copy(packed[r*d:(r+1)*d], o.Mat.Row(m))
 			norms[r] = o.Mat.NormSq(m)
 			w[r] = 1.0 / float64(3+r)
 		}
@@ -165,7 +165,7 @@ func TestScorePackedMatchesColumnSum(t *testing.T) {
 			}
 			qs[i] = q
 		}
-		qs[0] = append([]float64(nil), o.Point(3)...)
+		qs[0] = append([]float64(nil), o.Mat.Row(3)...)
 		col := make([]float64, len(rows))
 		scratch := make([]float64, len(rows))
 		for qi, q := range qs {

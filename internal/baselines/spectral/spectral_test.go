@@ -25,7 +25,10 @@ func TestFullRecoversBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := eval.MustScore(labels, res.Assign)
+	score, err := eval.Score(labels, res.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.95 {
 		t.Fatalf("SC-FL AVG-F = %v on clean blobs, want ≥ 0.95", score.AVGF)
 	}
@@ -40,7 +43,10 @@ func TestNystromRecoversBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := eval.MustScore(labels, res.Assign)
+	score, err := eval.Score(labels, res.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.9 {
 		t.Fatalf("SC-NYS AVG-F = %v on clean blobs, want ≥ 0.9", score.AVGF)
 	}
@@ -67,7 +73,10 @@ func TestNystromLandmarksClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	score := eval.MustScore(labels, res.Assign)
+	score, err := eval.Score(labels, res.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.9 {
 		t.Fatalf("AVG-F = %v", score.AVGF)
 	}
@@ -88,8 +97,14 @@ func TestNoiseDegradesPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := eval.MustScore(cleanLabels, r1.Assign)
-	s2 := eval.MustScore(noisyLabels, r2.Assign)
+	s1, err := eval.Score(cleanLabels, r1.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := eval.Score(noisyLabels, r2.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(s2.AVGF < s1.AVGF) {
 		t.Fatalf("noise did not degrade SC-FL: clean %v vs noisy %v", s1.AVGF, s2.AVGF)
 	}

@@ -219,15 +219,6 @@ func NewDetectorMatrix(m *matrix.Matrix, cfg Config) (*Detector, error) {
 	}, nil
 }
 
-// NewDetectorWithIndex flattens the dataset and reuses a prebuilt index.
-func NewDetectorWithIndex(pts [][]float64, cfg Config, idx index.Index) (*Detector, error) {
-	m, err := matrix.FromRows(pts)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return NewDetectorMatrixWithIndex(m, cfg, idx)
-}
-
 // NewDetectorMatrixWithIndex reuses a prebuilt index (PALID executors share
 // one). The index must have been built over the same points.
 func NewDetectorMatrixWithIndex(m *matrix.Matrix, cfg Config, idx index.Index) (*Detector, error) {
@@ -534,17 +525,17 @@ func selectNearest(c []civsCand, k int) {
 // A detection reads and consumes only vertices of its seed's component, so
 // peeling each component in ascending seed order reproduces the serial peel
 // exactly: clusters, their order, weights, densities, PeakEntries and the
-// oracle's evaluation count are bit-identical to a nil Pool. An index with
-// evicted ids peels serially, since a dead seed's candidates lie outside
-// its component. On error DetectAll returns the clusters accepted so far,
-// unsorted, after every worker has stopped.
+// oracle's evaluation count are bit-identical to a nil Pool. Evicted rows
+// of the matrix are never seeds; the index must have evicted the same ids
+// (the stream evicts both together), so no candidate is dead either. On
+// error DetectAll returns the clusters accepted so far, unsorted, after
+// every worker has stopped.
 func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
-	n := d.oracle.N()
-	active := make([]bool, n)
+	active := make([]bool, d.oracle.N())
 	for i := range active {
-		active[i] = true
+		active[i] = d.oracle.Mat.Live(i)
 	}
-	if !d.cfg.Pool.Parallel() || d.index.Live() < n {
+	if !d.cfg.Pool.Parallel() {
 		return d.peelSerial(ctx, active)
 	}
 	return d.peelComponents(ctx, active)

@@ -14,6 +14,7 @@ import (
 	"alid/internal/dataset"
 	"alid/internal/index"
 	"alid/internal/lsh"
+	"alid/internal/matrix"
 	"alid/internal/minhash"
 	"alid/internal/par"
 )
@@ -200,29 +201,42 @@ func TestDetectAllCrosscheckSerialVsPool(t *testing.T) {
 	}
 }
 
-// A dead seed's candidates lie outside its component, so DetectAll over an
-// index holding evicted ids must still equal the serial peel.
+// DetectAll over a matrix and an index that evicted the same ids, as the
+// stream evicts them, seeds only at live ids and reports no evicted member;
+// the component peel at workers {2, 4} equals the serial loop.
 func TestDetectAllCrosscheckEvictedIndex(t *testing.T) {
 	f := peelFixtures(t)[1]
+	var dead []int
+	for id := 0; id < len(f.pts); id += 7 {
+		dead = append(dead, id)
+	}
 	run := func(pool *par.Pool) peelResult {
-		idx, err := lsh.Build(f.pts, f.cfg.LSH)
+		m, err := matrix.FromRows(f.pts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dead []int
-		for id := 0; id < len(f.pts); id += 7 {
-			dead = append(dead, id)
+		idx, err := lsh.BuildMatrix(m, f.cfg.LSH)
+		if err != nil {
+			t.Fatal(err)
 		}
+		m.Evict(dead)
 		idx.Evict(dead)
 		cfg := f.cfg
 		cfg.Pool = pool
-		det, err := NewDetectorWithIndex(f.pts, cfg, idx)
+		det, err := NewDetectorMatrixWithIndex(m, cfg, idx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cls, err := det.DetectAll(context.Background())
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, cl := range cls {
+			for _, id := range append([]int{cl.Seed}, cl.Members...) {
+				if id%7 == 0 {
+					t.Fatalf("workers=%d: evicted id %d in the cluster seeded at %d", pool.Workers(), id, cl.Seed)
+				}
+			}
 		}
 		return peelResult{cls, det.Oracle().Computed(), det.PeakEntries()}
 	}

@@ -78,11 +78,3 @@ func EstimateROI(m *matrix.Matrix, support []int, weights []float64, pi float64,
 	roi.R = roi.Rin + thetaGrowth(c)*(roi.Rout-roi.Rin)
 	return roi
 }
-
-// Contains reports whether point v lies within the current search radius.
-func (r ROI) Contains(v []float64, k affinity.Kernel) bool {
-	if math.IsInf(r.R, 1) {
-		return true
-	}
-	return k.Distance(v, r.D) <= r.R
-}

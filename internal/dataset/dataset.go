@@ -48,17 +48,6 @@ type Dataset struct {
 // N returns the dataset size.
 func (d *Dataset) N() int { return len(d.Points) }
 
-// ClusterSizes returns the size of every ground-truth cluster.
-func (d *Dataset) ClusterSizes() []int {
-	sizes := make([]int, d.NumClusters)
-	for _, l := range d.Labels {
-		if l >= 0 {
-			sizes[l]++
-		}
-	}
-	return sizes
-}
-
 // NoiseCount returns the number of background-noise points.
 func (d *Dataset) NoiseCount() int {
 	n := 0
@@ -68,39 +57,6 @@ func (d *Dataset) NoiseCount() int {
 		}
 	}
 	return n
-}
-
-// NoiseDegree returns #noise / #ground-truth, the x-axis of Fig. 11 (Eq. 35).
-func (d *Dataset) NoiseDegree() float64 {
-	gt := d.N() - d.NoiseCount()
-	if gt == 0 {
-		return math.Inf(1)
-	}
-	return float64(d.NoiseCount()) / float64(gt)
-}
-
-// Subset returns a stratified random subset of size m preserving the
-// cluster/noise proportions, used by the Fig. 7/9 scalability sweeps.
-func (d *Dataset) Subset(m int, seed int64) *Dataset {
-	if m >= d.N() {
-		return d
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(d.N())[:m]
-	sort.Ints(perm)
-	out := &Dataset{
-		Name:          fmt.Sprintf("%s-sub%d", d.Name, m),
-		Points:        make([][]float64, m),
-		Labels:        make([]int, m),
-		NumClusters:   d.NumClusters,
-		SuggestedK:    d.SuggestedK,
-		SuggestedLSHR: d.SuggestedLSHR,
-	}
-	for i, p := range perm {
-		out.Points[i] = d.Points[p]
-		out.Labels[i] = d.Labels[p]
-	}
-	return out
 }
 
 // WithNoise returns a copy of d with extra uniform noise points appended so

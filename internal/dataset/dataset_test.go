@@ -205,30 +205,12 @@ func TestSIFTLike(t *testing.T) {
 	}
 }
 
-func TestSubset(t *testing.T) {
-	ds, _ := Mixture(DefaultMixtureConfig(2000, RegimeCap))
-	sub := ds.Subset(500, 9)
-	if sub.N() != 500 {
-		t.Fatalf("subset N = %d", sub.N())
-	}
-	if sub.SuggestedK != ds.SuggestedK {
-		t.Error("subset lost tuned scales")
-	}
-	// Subset of full size returns the dataset itself.
-	if ds.Subset(5000, 9) != ds {
-		t.Error("oversized subset should return original")
-	}
-}
-
 func TestWithNoiseIncrease(t *testing.T) {
 	ds, _ := Mixture(DefaultMixtureConfig(1000, RegimeCap))
 	gt := ds.N() - ds.NoiseCount()
 	noisy := ds.WithNoise(3, 5)
 	if got := noisy.NoiseCount(); got != 3*gt {
 		t.Fatalf("noise = %d, want %d", got, 3*gt)
-	}
-	if math.Abs(noisy.NoiseDegree()-3) > 1e-9 {
-		t.Fatalf("NoiseDegree = %v", noisy.NoiseDegree())
 	}
 	// Original untouched.
 	if ds.NoiseCount() == noisy.NoiseCount() {
@@ -253,14 +235,6 @@ func TestWithNoiseDecrease(t *testing.T) {
 	}
 }
 
-func TestNoiseDegree(t *testing.T) {
-	ds := &Dataset{Labels: []int{-1, -1, 0, 1}, NumClusters: 2,
-		Points: [][]float64{{0}, {0}, {0}, {0}}}
-	if got := ds.NoiseDegree(); got != 1 {
-		t.Fatalf("NoiseDegree = %v, want 1", got)
-	}
-}
-
 func TestRandGammaMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	for _, shape := range []float64{0.3, 1.0, 4.5} {
@@ -274,4 +248,15 @@ func TestRandGammaMoments(t *testing.T) {
 			t.Errorf("Gamma(%v) sample mean = %v", shape, mean)
 		}
 	}
+}
+
+// ClusterSizes returns the size of every ground-truth cluster.
+func (d *Dataset) ClusterSizes() []int {
+	sizes := make([]int, d.NumClusters)
+	for _, l := range d.Labels {
+		if l >= 0 {
+			sizes[l]++
+		}
+	}
+	return sizes
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -10,32 +9,8 @@ import (
 	"strings"
 )
 
-// WriteCSV emits one point per line, features comma-separated, with the
-// ground-truth label as the last column (-1 for noise) — the interchange
-// format of cmd/datagen and cmd/alid.
-func (d *Dataset) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	for i, p := range d.Points {
-		for _, v := range p {
-			if _, err := bw.WriteString(strconv.FormatFloat(v, 'g', 8, 64)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString(strconv.Itoa(d.Labels[i])); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadPointsCSV parses the interchange CSV as raw points: one point per
-// line, comma-separated features, blank lines skipped. With labeled the last
+// ReadPointsCSV parses the interchange CSV that cmd/datagen writes as raw
+// points: one point per line, comma-separated features, blank lines skipped. With labeled the last
 // column is an integer ground-truth label (returned separately, never
 // clustered); without it, labels is nil. Non-finite feature values are
 // rejected. This is the single parser behind cmd/alid and cmd/alidd.
@@ -121,138 +96,4 @@ func ReadSetsCSV(r io.Reader, name string, labeled bool) ([][]string, error) {
 		return nil, fmt.Errorf("%s: no sets", name)
 	}
 	return sets, nil
-}
-
-// ReadCSV parses the WriteCSV format. Cluster count and tuned scales are
-// reconstructed from the labels.
-func ReadCSV(r io.Reader) (*Dataset, error) {
-	d := &Dataset{Name: "csv"}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	dim := -1
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		fields := strings.Split(line, ",")
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("dataset: line %d: need features plus label", lineNo)
-		}
-		nf := len(fields) - 1
-		if dim == -1 {
-			dim = nf
-		} else if nf != dim {
-			return nil, fmt.Errorf("dataset: line %d: dimension %d, want %d", lineNo, nf, dim)
-		}
-		lbl, err := strconv.Atoi(strings.TrimSpace(fields[nf]))
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad label %q", lineNo, fields[nf])
-		}
-		p := make([]float64, nf)
-		for i := 0; i < nf; i++ {
-			v, err := strconv.ParseFloat(strings.TrimSpace(fields[i]), 64)
-			if err != nil {
-				return nil, fmt.Errorf("dataset: line %d: bad value %q", lineNo, fields[i])
-			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("dataset: line %d: non-finite value %q", lineNo, fields[i])
-			}
-			p[i] = v
-		}
-		d.Points = append(d.Points, p)
-		d.Labels = append(d.Labels, lbl)
-		if lbl >= d.NumClusters {
-			d.NumClusters = lbl + 1
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(d.Points) == 0 {
-		return nil, fmt.Errorf("dataset: empty input")
-	}
-	d.tuneScales(1)
-	return d, nil
-}
-
-// fvecs-style binary layout (little endian):
-//
-//	[uint32 n][uint32 dim]
-//	n × { dim × float32 features, int32 label }
-//
-// Float32 matches the SIFT distribution format the paper's corpus uses and
-// halves the on-disk size relative to CSV.
-const binMagic = uint32(0xA11DDA7A)
-
-// WriteBinary emits the compact binary layout.
-func (d *Dataset) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	dim := 0
-	if len(d.Points) > 0 {
-		dim = len(d.Points[0])
-	}
-	for _, v := range []uint32{binMagic, uint32(len(d.Points)), uint32(dim)} {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	row := make([]float32, dim)
-	for i, p := range d.Points {
-		for j, v := range p {
-			row[j] = float32(v)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, row); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int32(d.Labels[i])); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses the WriteBinary layout.
-func ReadBinary(r io.Reader) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic, n, dim uint32
-	for _, dst := range []*uint32{&magic, &n, &dim} {
-		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("dataset: bad binary header: %w", err)
-		}
-	}
-	if magic != binMagic {
-		return nil, fmt.Errorf("dataset: bad magic %#x", magic)
-	}
-	if n == 0 || dim == 0 || n > 1<<30 || dim > 1<<20 {
-		return nil, fmt.Errorf("dataset: implausible header n=%d dim=%d", n, dim)
-	}
-	d := &Dataset{Name: "binary"}
-	row := make([]float32, dim)
-	for i := uint32(0); i < n; i++ {
-		if err := binary.Read(br, binary.LittleEndian, row); err != nil {
-			return nil, fmt.Errorf("dataset: truncated at point %d: %w", i, err)
-		}
-		var lbl int32
-		if err := binary.Read(br, binary.LittleEndian, &lbl); err != nil {
-			return nil, fmt.Errorf("dataset: truncated label at point %d: %w", i, err)
-		}
-		p := make([]float64, dim)
-		for j, v := range row {
-			fv := float64(v)
-			if math.IsNaN(fv) || math.IsInf(fv, 0) {
-				return nil, fmt.Errorf("dataset: non-finite value at point %d", i)
-			}
-			p[j] = fv
-		}
-		d.Points = append(d.Points, p)
-		d.Labels = append(d.Labels, int(lbl))
-		if int(lbl) >= d.NumClusters {
-			d.NumClusters = int(lbl) + 1
-		}
-	}
-	d.tuneScales(1)
-	return d, nil
 }

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,109 +21,47 @@ func roundTripDataset(t *testing.T) *Dataset {
 	return d
 }
 
+// The CSV layout cmd/datagen writes (%g with 8 significant digits, label
+// last) reads back through ReadPointsCSV with labels parallel to points.
 func TestCSVRoundTrip(t *testing.T) {
 	d := roundTripDataset(t)
 	var buf bytes.Buffer
-	if err := d.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
+	for i, p := range d.Points {
+		for _, v := range p {
+			buf.WriteString(strconv.FormatFloat(v, 'g', 8, 64) + ",")
+		}
+		buf.WriteString(strconv.Itoa(d.Labels[i]) + "\n")
 	}
-	got, err := ReadCSV(&buf)
+	pts, labels, err := ReadPointsCSV(&buf, "mixture.csv", true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.N() != d.N() {
-		t.Fatalf("N = %d, want %d", got.N(), d.N())
+	if len(pts) != d.N() || len(labels) != d.N() {
+		t.Fatalf("read %d points, %d labels, want %d", len(pts), len(labels), d.N())
 	}
 	for i := range d.Points {
-		if got.Labels[i] != d.Labels[i] {
+		if labels[i] != d.Labels[i] {
 			t.Fatalf("label %d mismatch", i)
 		}
 		for j := range d.Points[i] {
-			// CSV uses %g with 8 significant digits.
-			if math.Abs(got.Points[i][j]-d.Points[i][j]) > 1e-4*math.Abs(d.Points[i][j])+1e-9 {
-				t.Fatalf("point %d,%d: %v vs %v", i, j, got.Points[i][j], d.Points[i][j])
+			if math.Abs(pts[i][j]-d.Points[i][j]) > 1e-4*math.Abs(d.Points[i][j])+1e-9 {
+				t.Fatalf("point %d,%d: %v vs %v", i, j, pts[i][j], d.Points[i][j])
 			}
 		}
-	}
-	if got.NumClusters != d.NumClusters {
-		t.Fatalf("clusters = %d, want %d", got.NumClusters, d.NumClusters)
-	}
-	if got.SuggestedK <= 0 {
-		t.Fatal("scales not re-tuned on load")
 	}
 }
 
 func TestCSVErrors(t *testing.T) {
 	cases := []string{
-		"",                 // empty
-		"1.0\n",            // no label column
-		"1.0,2.0,xx\n",     // bad label
-		"zz,2.0,1\n",       // bad value
-		"1,2,0\n1,2,3,0\n", // ragged
+		"",             // empty
+		"1.0\n",        // label only
+		"1.0,2.0,xx\n", // bad label
+		"zz,2.0,1\n",   // bad value
+		"nan,2.0,1\n",  // non-finite value
 	}
 	for i, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c)); err == nil {
+		if _, _, err := ReadPointsCSV(strings.NewReader(c), "in.csv", true); err == nil {
 			t.Errorf("case %d accepted: %q", i, c)
 		}
-	}
-}
-
-func TestBinaryRoundTrip(t *testing.T) {
-	d := roundTripDataset(t)
-	var buf bytes.Buffer
-	if err := d.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != d.N() || got.NumClusters != d.NumClusters {
-		t.Fatalf("N=%d clusters=%d", got.N(), got.NumClusters)
-	}
-	for i := range d.Points {
-		if got.Labels[i] != d.Labels[i] {
-			t.Fatalf("label %d mismatch", i)
-		}
-		for j := range d.Points[i] {
-			// float32 storage: relative error up to ~1e-7.
-			want := d.Points[i][j]
-			if math.Abs(got.Points[i][j]-want) > 1e-5*math.Abs(want)+1e-6 {
-				t.Fatalf("point %d,%d: %v vs %v", i, j, got.Points[i][j], want)
-			}
-		}
-	}
-}
-
-func TestBinaryErrors(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader(nil)); err == nil {
-		t.Error("empty binary accepted")
-	}
-	if _, err := ReadBinary(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})); err == nil {
-		t.Error("bad magic accepted")
-	}
-	// Truncated body.
-	d := roundTripDataset(t)
-	var buf bytes.Buffer
-	if err := d.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
-		t.Error("truncated binary accepted")
-	}
-}
-
-func TestBinarySmallerThanCSV(t *testing.T) {
-	d := roundTripDataset(t)
-	var csvBuf, binBuf bytes.Buffer
-	if err := d.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteBinary(&binBuf); err != nil {
-		t.Fatal(err)
-	}
-	if binBuf.Len() >= csvBuf.Len() {
-		t.Errorf("binary %d B not smaller than CSV %d B", binBuf.Len(), csvBuf.Len())
 	}
 }

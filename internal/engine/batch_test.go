@@ -71,7 +71,8 @@ func fullScanOracle(t *testing.T, e *Engine) func(q []float64) (int, float64) {
 		qn := vec.Dot(q, q)
 		seen := make(map[int]bool)
 		best, bestScore := -1, math.Inf(-1)
-		for _, id := range v.Index.Query(q) {
+		cands := v.Index.QueryInto(q, make([]int64, v.Index.SigLen()), nil, make([]uint32, v.Index.N()), 1)
+		for _, id := range cands {
 			ci := v.Labels.At(int(id))
 			if ci < 0 || seen[ci] {
 				continue

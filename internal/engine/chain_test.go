@@ -62,9 +62,9 @@ func chainWave(t *testing.T, s *Sharded, wi int) {
 // engine: initial detection, a full save, then three windows of
 // ingest/evict each followed by a delta save. Returns the engine (still
 // open), its writer and the save path.
-func chainedEngine(t *testing.T, n int) (*Sharded, *ChainWriter, string) {
+func chainedEngine(t *testing.T, n int, share float64) (*Sharded, *ChainWriter, string) {
 	t.Helper()
-	s := blobSharded(t, n)
+	s := blobSharded(t, n, share)
 	path := filepath.Join(t.TempDir(), "alid.snap")
 	c := NewChainWriter(s, path, 8)
 	if err := c.Save(); err != nil { // full base
@@ -82,12 +82,14 @@ func chainedEngine(t *testing.T, n int) (*Sharded, *ChainWriter, string) {
 	return s, c, path
 }
 
-// blobSharded is blobEngine's initial detection routed over n shards,
-// closed when the test ends.
-func blobSharded(t *testing.T, n int) *Sharded {
+// blobSharded is blobEngine's initial detection routed over n shards with
+// the given CompactEvictedShare, closed when the test ends.
+func blobSharded(t *testing.T, n int, share float64) *Sharded {
 	t.Helper()
 	initial, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 20, 0, 15)
-	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n}, initial)
+	cfg := engineConfig()
+	cfg.CompactEvictedShare = share
+	s, err := NewSharded(ShardedConfig{Engine: cfg, Shards: n}, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +112,7 @@ func damage(t *testing.T, path string) {
 // to the live engine's own encoding — and serves bit-identically.
 func TestChainRestoreByteIdenticalToFull(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
-		s, _, path := chainedEngine(t, n)
+		s, _, path := chainedEngine(t, n, 0)
 		_, chains := readLayout(t, path)
 		for i, ch := range chains {
 			if len(ch.Deltas) != 3 {
@@ -161,7 +163,7 @@ func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			forShards(t, func(t *testing.T, n int) {
-				s, _, path := chainedEngine(t, n)
+				s, _, path := chainedEngine(t, n, 0)
 				hit := n - 1 // the shard whose tail is damaged
 				_, chains := readLayout(t, path)
 				hurt(t, filepath.Join(filepath.Dir(path), chains[hit].Deltas[2].Name))
@@ -195,7 +197,7 @@ func TestChainRestoreTruncatedTailFallsBackToPrefix(t *testing.T) {
 // ErrDeltaChainBroken. Same for a damaged base.
 func TestChainRestoreRefusesBrokenMiddleAndBase(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
-		_, _, path := chainedEngine(t, n)
+		_, _, path := chainedEngine(t, n, 0)
 		dir := filepath.Dir(path)
 		_, chains := readLayout(t, path)
 		hit := chains[n/2]
@@ -226,17 +228,19 @@ func TestChainRestoreRefusesBrokenMiddleAndBase(t *testing.T) {
 func TestChainGenerationCompactionRerootsChain(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
 		ctx := context.Background()
-		s, c, path := chainedEngine(t, n)
+		// The waves evict under a tenth of every shard. Evicting the upper
+		// three quarters of the hit shard (the first blob stays for the
+		// assigns below) crosses the share, and its writer compacts before
+		// the evict replies.
+		s, c, path := chainedEngine(t, n, 0.5)
 		_, before := readLayout(t, path)
 		hit := n - 1 // the shard that compacts
 		var ids []int
-		for local := 30; local < 34; local++ {
+		nh := s.shards[hit].Stats().N
+		for local := nh / 4; local < nh; local++ {
 			ids = append(ids, local*n+hit)
 		}
 		if _, err := s.Evict(ctx, ids); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.shards[hit].CompactGeneration(ctx); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Save(); err != nil {
@@ -278,7 +282,7 @@ func TestChainGenerationCompactionRerootsChain(t *testing.T) {
 // so the directory holds exactly what the manifest names.
 func TestChainWriterFullOnly(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
-		s := blobSharded(t, n)
+		s := blobSharded(t, n, 0)
 		dir := t.TempDir()
 		path := filepath.Join(dir, "alid.snap")
 		c := NewChainWriter(s, path, 0)
@@ -326,7 +330,7 @@ func TestChainWriterFullOnly(t *testing.T) {
 func TestSaveFailureKeepsPreviousSave(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
 		for _, every := range []int{0, 8} {
-			s := blobSharded(t, n)
+			s := blobSharded(t, n, 0)
 			path := filepath.Join(t.TempDir(), "alid.snap")
 			c := NewChainWriter(s, path, every)
 			chainWave(t, s, 0)
@@ -382,7 +386,7 @@ func TestSaveFailureKeepsPreviousSave(t *testing.T) {
 // serialize, each commits a restorable save, and the last one restores
 // byte-identically.
 func TestChainWriterConcurrentSaves(t *testing.T) {
-	s := blobSharded(t, 4)
+	s := blobSharded(t, 4, 0)
 	path := filepath.Join(t.TempDir(), "alid.snap")
 	c := NewChainWriter(s, path, 3)
 	var wg sync.WaitGroup

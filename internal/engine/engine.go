@@ -63,8 +63,7 @@ type Config struct {
 	// half the id space is dead). Compaction renumbers the live points into
 	// a fresh dense generation, releasing all bookkeeping that scaled with
 	// points ever seen — what keeps a retention-bounded stream's memory flat
-	// over unbounded uptime. 0 disables auto-compaction (manual
-	// CompactGeneration still works).
+	// over unbounded uptime. 0 disables compaction.
 	CompactEvictedShare float64
 	// Obs is the metrics registry the engine (and its clusterer) register
 	// into; nil makes the engine create a private one, retrievable via
@@ -168,9 +167,10 @@ type Stats struct {
 	// (upper-bound interpolation within a bucket; zero until the first
 	// assign, and always zero under the noobs build tag).
 	AssignP50, AssignP95, AssignP99 float64
-	// Generation is the published id-renumbering epoch: CompactGeneration
-	// bumps it and reassigns every id densely over the survivors (a sharded
-	// engine reports the max across shards).
+	// Generation is the published id-renumbering epoch: a generation
+	// compaction (CompactEvictedShare) bumps it and reassigns every id
+	// densely over the survivors (a sharded engine reports the max across
+	// shards).
 	Generation int
 	// EverSeenIDs counts ids ever minted across all generations — the
 	// quantity resident bookkeeping NO LONGER scales with once compaction
@@ -225,7 +225,6 @@ const (
 	reqIngest reqKind = iota
 	reqFlush
 	reqEvict
-	reqCompact
 )
 
 type request struct {
@@ -233,7 +232,7 @@ type request struct {
 	pts    [][]float64
 	ids    []int          // evict only
 	reply  chan error     // flush only
-	ereply chan evictDone // evict and compact: n = points evicted / ids released
+	ereply chan evictDone // evict only
 }
 
 type evictDone struct {
@@ -323,17 +322,13 @@ func New(cfg Config, initial [][]float64) (*Engine, error) {
 	return start(cfg, reg, c), nil
 }
 
-// Restore builds an engine from persisted state — the crash-restart path:
-// the matrix, index and clusters come back exactly as published, with no
-// re-detection. Ownership of all arguments transfers to the engine.
-func Restore(cfg Config, mat *matrix.Matrix, idx index.Index, clusters []*core.Cluster, labels []int, commits int) (*Engine, error) {
-	return RestoreGeneration(cfg, mat, idx, clusters, labels, commits, 0, 0)
-}
-
-// RestoreGeneration is Restore with the persisted id-lifecycle counters:
-// the generation number and the count of ids retired by past compactions
-// (v5 snapshots carry both; older formats restore at generation 0 with no
-// retired ids).
+// RestoreGeneration builds an engine from persisted state — the
+// crash-restart path: the matrix, index and clusters come back exactly as
+// published, with no re-detection, together with the id-lifecycle
+// counters: the generation number and the count of ids retired by past
+// compactions (v5 snapshots carry both; older formats restore at generation
+// 0 with no retired ids). Ownership of all arguments transfers to the
+// engine.
 func RestoreGeneration(cfg Config, mat *matrix.Matrix, idx index.Index, clusters []*core.Cluster, labels []int, commits, generation, retired int) (*Engine, error) {
 	reg := cfg.Obs // see New: defaulted locally, never stored back
 	if reg == nil {
@@ -520,15 +515,6 @@ func (e *Engine) handle(ctx context.Context, req request) {
 		// threshold is renumbered by the time Evict returns, so callers see
 		// the new generation deterministically.
 		e.maybeCompact()
-		req.ereply <- evictDone{n: n, err: err}
-	case reqCompact:
-		// Settle first for the same reason as eviction: compaction renumbers
-		// the committed state, so buffered points must land before the scan.
-		e.settle(ctx)
-		n, err := e.clusterer.CompactGeneration()
-		if n > 0 {
-			e.publish()
-		}
 		req.ereply <- evictDone{n: n, err: err}
 	}
 }
@@ -805,61 +791,6 @@ func (e *Engine) Evict(ctx context.Context, ids []int) (int, error) {
 	}
 }
 
-// CompactGeneration renumbers the live ids into a fresh dense generation,
-// releasing every ever-seen-scaled structure (chunk headers, liveness
-// bitmaps, tombstone bitmaps, label chunks). It routes through the
-// single-writer queue like Evict, waits for completion, and returns the
-// number of dead ids released (0 when nothing was tombstoned). After it
-// returns, old ids are only resolvable through MapID — and only until the
-// next compaction.
-func (e *Engine) CompactGeneration(ctx context.Context) (int, error) {
-	reply := make(chan evictDone, 1)
-	e.closeMu.RLock()
-	if e.closed {
-		e.closeMu.RUnlock()
-		return 0, fmt.Errorf("engine: closed")
-	}
-	var sendErr error
-	select {
-	case e.reqs <- request{kind: reqCompact, ereply: reply}:
-	case <-ctx.Done():
-		sendErr = ctx.Err()
-	}
-	e.closeMu.RUnlock()
-	if sendErr != nil {
-		return 0, sendErr
-	}
-	select {
-	case done := <-reply:
-		return done.n, done.err
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
-}
-
-// MapID translates an id from the previous generation to the current one.
-// Before any compaction it is the identity on committed ids; after one it
-// consults the published old→new map (-1 entries — dead ids with no
-// successor — report ok=false, as do out-of-range ids). The map covers
-// exactly one generation back: ids from two compactions ago are gone.
-func (e *Engine) MapID(old int) (int, bool) {
-	st := e.state.Load()
-	if st == nil || old < 0 {
-		return 0, false
-	}
-	m := st.view.IDMap
-	if m == nil {
-		if st.view.Mat == nil || old >= st.view.Mat.N {
-			return 0, false
-		}
-		return old, true
-	}
-	if old >= len(m) || m[old] < 0 {
-		return 0, false
-	}
-	return m[old], true
-}
-
 // Close stops the writer after draining the queue and committing buffered
 // points. Further Ingest/Flush calls fail; reads keep serving the final
 // published state.
@@ -903,15 +834,6 @@ func (e *Engine) ClustersWithMeta() (clusters []*core.Cluster, n, commits int) {
 		n = st.view.Mat.N
 	}
 	return append([]*core.Cluster(nil), st.view.Clusters...), n, st.view.Commits
-}
-
-// Labels returns a copy of the published per-point assignment.
-func (e *Engine) Labels() []int {
-	st := e.state.Load()
-	if st == nil {
-		return nil
-	}
-	return st.view.Labels.Flat()
 }
 
 // View returns the current published immutable view (snapshot persistence

@@ -223,7 +223,7 @@ func TestIngestFlushAbsorbs(t *testing.T) {
 func TestLabelsMatchClusters(t *testing.T) {
 	e, _ := blobEngine(t)
 	defer e.Close()
-	labels := e.Labels()
+	labels := e.View().Labels.Flat()
 	for ci, cl := range e.Clusters() {
 		for _, m := range cl.Members {
 			if labels[m] != ci {

@@ -68,7 +68,7 @@ func survivorRestore(t *testing.T, e *Engine) *Engine {
 			labels[ni] = flat[id]
 		}
 	}
-	restored, err := Restore(e.Config(), m, idx, clusters, labels, v.Commits)
+	restored, err := RestoreGeneration(e.Config(), m, idx, clusters, labels, v.Commits, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +111,8 @@ func TestEvictCrosscheckSurvivorRebuild(t *testing.T) {
 
 	// Labels agree through the id mapping: every live point keeps its
 	// cluster, every evicted point is noise.
-	el := e.Labels()
-	rl := rebuilt.Labels()
+	el := e.View().Labels.Flat()
+	rl := rebuilt.View().Labels.Flat()
 	ni := 0
 	for id, l := range el {
 		dead := false

@@ -1,5 +1,6 @@
-// Acceptance-gate crosscheck for generation compaction: after
-// CompactGeneration the engine must answer BIT-identically to an engine
+// Acceptance-gate crosscheck for generation compaction: after an Evict that
+// crosses CompactEvictedShare (the writer compacts before it replies) the
+// engine must answer BIT-identically to an engine
 // rebuilt from ONLY the survivors — same rows, same hash config, clusters
 // and labels remapped through the dense old→new id map — for both index
 // backends and for Sharded routers. Compaction is a memory operation;
@@ -17,8 +18,25 @@ import (
 	"alid/internal/testutil"
 )
 
+// compactOnEvict is a compaction share every test eviction crosses: an
+// Evict then compacts before it replies.
+const compactOnEvict = 1e-9
+
+// compactingEngine is blobEngine armed with compactOnEvict.
+func compactingEngine(t *testing.T) (*Engine, [][]float64) {
+	t.Helper()
+	cfg := engineConfig()
+	cfg.CompactEvictedShare = compactOnEvict
+	pts, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 20, 0, 15)
+	e, err := New(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, pts
+}
+
 // compactReference rebuilds an engine from only the live points of e's
-// published view, restating CompactGeneration's documented contract
+// published view, restating the stream's CompactGeneration contract
 // independently: survivor rows in old-id order, a fresh index under the same
 // config, members/labels remapped through the monotone old→new map, and a
 // dead cluster seed remapped to the cluster's heaviest surviving member. The
@@ -91,10 +109,10 @@ func compactReference(t *testing.T, e *Engine, generation int) *Engine {
 
 // The tentpole invariant, dense backend: evict → compact → the engine is
 // indistinguishable from a survivors-only rebuild (clusters, labels, every
-// Assign field, snapshot bytes), id translation works one generation back,
-// and both engines stay in lockstep under further identical traffic.
+// Assign field, snapshot bytes), and both engines stay in lockstep under
+// further identical traffic.
 func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
-	e, pts := blobEngine(t)
+	e, pts := compactingEngine(t)
 	defer e.Close()
 	ctx := context.Background()
 	if len(e.Clusters()) < 2 {
@@ -107,17 +125,8 @@ func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
 		ids = append(ids, i)
 	}
 	ids = append(ids, 63, 71)
-	if _, err := e.Evict(ctx, ids); err != nil {
-		t.Fatal(err)
-	}
-	preStats := e.Stats()
-
-	released, err := e.CompactGeneration(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if released != len(ids) {
-		t.Fatalf("released %d ids, want %d", released, len(ids))
+	if n, err := e.Evict(ctx, ids); err != nil || n != len(ids) {
+		t.Fatalf("evicted %d ids (err %v), want %d", n, err, len(ids))
 	}
 	st := e.Stats()
 	if st.Generation != 1 {
@@ -128,35 +137,6 @@ func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
 	}
 	if st.EverSeenIDs != len(pts) {
 		t.Fatalf("ever-seen ids = %d, want %d", st.EverSeenIDs, len(pts))
-	}
-	if preStats.EverSeenIDs != len(pts) {
-		t.Fatalf("pre-compact ever-seen ids = %d, want %d", preStats.EverSeenIDs, len(pts))
-	}
-
-	// Old ids translate one generation back; dead ids do not.
-	dead := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		dead[id] = true
-	}
-	next := 0
-	for old := 0; old < len(pts); old++ {
-		ni, ok := e.MapID(old)
-		if dead[old] {
-			if ok {
-				t.Fatalf("evicted id %d mapped to %d", old, ni)
-			}
-			continue
-		}
-		if !ok || ni != next {
-			t.Fatalf("MapID(%d) = %d,%v, want %d,true", old, ni, ok, next)
-		}
-		next++
-	}
-	if _, ok := e.MapID(-1); ok {
-		t.Fatal("negative id mapped")
-	}
-	if _, ok := e.MapID(len(pts)); ok {
-		t.Fatal("out-of-range id mapped")
 	}
 
 	rebuilt := compactReference(t, e, 1)
@@ -188,9 +168,6 @@ func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
 		if _, err := eng.Evict(ctx, []int{0, 1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.CompactGeneration(ctx); err != nil {
-			t.Fatal(err)
-		}
 	}
 	sameClusters(t, e, rebuilt)
 	sameAssigns(t, e, rebuilt, append(crossQueries(60), []float64{-20, -20}))
@@ -199,20 +176,24 @@ func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
 	}
 }
 
-// A compaction with nothing evicted is a no-op: no generation bump, no
-// republish of a different state.
+// With the share armed but nothing evicted, commits and an empty Evict
+// never compact: no generation bump, no renumbering.
 func TestCompactGenerationNoTombstonesNoOp(t *testing.T) {
-	e, _ := blobEngine(t)
+	e, pts := compactingEngine(t)
 	defer e.Close()
-	released, err := e.CompactGeneration(context.Background())
-	if err != nil {
+	ctx := context.Background()
+	extra, _ := testutil.Blobs(85, [][]float64{{-20, -20}}, 30, 0.3, 0, 0, 1)
+	if err := e.Ingest(ctx, extra); err != nil {
 		t.Fatal(err)
 	}
-	if released != 0 {
-		t.Fatalf("released %d ids from a tombstone-free engine", released)
+	if err := e.Flush(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Generation != 0 {
-		t.Fatalf("generation = %d, want 0", st.Generation)
+	if n, err := e.Evict(ctx, nil); err != nil || n != 0 {
+		t.Fatalf("empty evict: %d, %v", n, err)
+	}
+	if st := e.Stats(); st.Generation != 0 || st.N != len(pts)+len(extra) {
+		t.Fatalf("generation = %d, N = %d, want 0 and %d", st.Generation, st.N, len(pts)+len(extra))
 	}
 }
 
@@ -221,7 +202,9 @@ func TestCompactGenerationNoTombstonesNoOp(t *testing.T) {
 func TestCompactGenerationCrosscheckMinHash(t *testing.T) {
 	ctx := context.Background()
 	initial := append(communitySigs(t, 7, 0, 25), communitySigs(t, 7, 1, 25)...)
-	e, err := New(minhashEngineConfig(), initial)
+	cfg := minhashEngineConfig()
+	cfg.CompactEvictedShare = compactOnEvict
+	e, err := New(cfg, initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +220,8 @@ func TestCompactGenerationCrosscheckMinHash(t *testing.T) {
 	if _, err := e.Evict(ctx, ids); err != nil {
 		t.Fatal(err)
 	}
-	released, err := e.CompactGeneration(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if released != len(ids) {
-		t.Fatalf("released %d ids, want %d", released, len(ids))
+	if st := e.Stats(); st.Generation != 1 || st.N != len(initial)-len(ids) {
+		t.Fatalf("after compact: generation=%d N=%d, want 1 and %d", st.Generation, st.N, len(initial)-len(ids))
 	}
 
 	rebuilt := compactReference(t, e, 1)
@@ -252,9 +231,9 @@ func TestCompactGenerationCrosscheckMinHash(t *testing.T) {
 	sameAssigns(t, e, rebuilt, queries)
 }
 
-// Auto-compaction: with CompactEvictedShare set, crossing the threshold by
-// explicit eviction renumbers without any CompactGeneration call, and the
-// compacted engine still matches a survivors-only rebuild.
+// Auto-compaction: with CompactEvictedShare set, eviction under the
+// threshold does not renumber, crossing it does, and the compacted engine
+// still matches a survivors-only rebuild.
 func TestAutoCompactionOnEvictedShare(t *testing.T) {
 	cfg := engineConfig()
 	cfg.CompactEvictedShare = 0.25
@@ -348,50 +327,47 @@ func TestAutoCompactionBoundsNUnderRetention(t *testing.T) {
 }
 
 // Sharded compaction: each shard renumbers its LOCAL id space, so global
-// routing never changes; answers before and after must be identical (the
-// plain-engine crosscheck proves compaction ≡ survivor rebuild, and the evict
-// crosscheck proves eviction ≡ survivor rebuild, so pre/post equality is the
-// composed invariant). MapID composes shard-locally, stats aggregate.
+// routing never changes. A router whose evict compacts must answer exactly
+// like one that evicted the same ids and never compacted (the plain-engine
+// crosscheck proves compaction ≡ survivor rebuild, and the evict crosscheck
+// proves eviction ≡ survivor rebuild, so this is the composed invariant);
+// stats aggregate.
 func TestShardedCompactGenerationCrosscheck(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
 			ctx := context.Background()
 			initial, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 120, 0.3, 30, 0, 15)
-			s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n}, initial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-
 			evict := []int{2, 7, 11, 40, 41, 42, 43, 44, 45, 46, 61, 63, 80}
-			if _, err := s.Evict(ctx, evict); err != nil {
-				t.Fatal(err)
-			}
-			queries := crossQueries(90)
-			before := make([]Assignment, len(queries))
-			for i, q := range queries {
-				if before[i], err = s.Assign(q); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			released, err := s.CompactGeneration(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if released != len(evict) {
-				t.Fatalf("released %d ids, want %d", released, len(evict))
-			}
-			assigned := 0
-			for i, q := range queries {
-				after, err := s.Assign(q)
+			router := func(share float64) *Sharded {
+				cfg := engineConfig()
+				cfg.CompactEvictedShare = share
+				s, err := NewSharded(ShardedConfig{Engine: cfg, Shards: n}, initial)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if after != before[i] {
-					t.Fatalf("query %d changed: before %+v after %+v", i, before[i], after)
+				if _, err := s.Evict(ctx, evict); err != nil {
+					t.Fatal(err)
 				}
-				if after.Cluster >= 0 {
+				return s
+			}
+			s, ref := router(compactOnEvict), router(0)
+			defer s.Close()
+			defer ref.Close()
+
+			assigned := 0
+			for i, q := range crossQueries(90) {
+				want, err := ref.Assign(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := s.Assign(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("query %d: compacted %+v, uncompacted %+v", i, got, want)
+				}
+				if got.Cluster >= 0 {
 					assigned++
 				}
 			}
@@ -409,27 +385,8 @@ func TestShardedCompactGenerationCrosscheck(t *testing.T) {
 			if st.N != len(initial)-len(evict) || st.LiveN != st.N {
 				t.Fatalf("after compact: N=%d live=%d, want both %d", st.N, st.LiveN, len(initial)-len(evict))
 			}
-
-			// Global MapID: dead globals are gone; every live global maps to
-			// a global on the SAME shard (routing is stable under renumbering).
-			dead := make(map[int]bool, len(evict))
-			for _, id := range evict {
-				dead[id] = true
-			}
-			for old := 0; old < len(initial); old++ {
-				ni, ok := s.MapID(old)
-				if dead[old] {
-					if ok {
-						t.Fatalf("evicted global %d mapped to %d", old, ni)
-					}
-					continue
-				}
-				if !ok {
-					t.Fatalf("live global %d unmapped", old)
-				}
-				if ni%n != old%n {
-					t.Fatalf("global %d hopped shards: %d → %d", old, old%n, ni%n)
-				}
+			if rst := ref.Stats(); rst.Generation != 0 || rst.N != len(initial) {
+				t.Fatalf("reference compacted: generation=%d N=%d", rst.Generation, rst.N)
 			}
 		})
 	}

@@ -66,8 +66,8 @@ func TestLegacyLayoutsRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			if s.Shards() != len(tc.want) {
-				t.Fatalf("restored %d shards, want %d", s.Shards(), len(tc.want))
+			if len(s.shards) != len(tc.want) {
+				t.Fatalf("restored %d shards, want %d", len(s.shards), len(tc.want))
 			}
 			got := shardBytes(t, s)
 			for i, want := range tc.want {
@@ -169,7 +169,7 @@ func TestSaveReplacesLegacyLayout(t *testing.T) {
 			}
 			// Legacy chain files reappearing beside the manifest are ignored.
 			copyGolden(t, dir, "chain/alid.snap.chain", "chain/alid.snap.delta0")
-			r, err := LoadSharded(path, ShardedLoadOptions{Shards: s.Shards()})
+			r, err := LoadSharded(path, ShardedLoadOptions{Shards: len(s.shards)})
 			if err != nil {
 				t.Fatal(err)
 			}

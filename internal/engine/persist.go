@@ -61,14 +61,6 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteSnapshot persists the current published state. It reads only the
-// immutable view, so it is safe to call concurrently with assigns and
-// ingest; points still queued or buffered are NOT included (flush first for
-// a point-in-time-complete snapshot).
-func (e *Engine) WriteSnapshot(w io.Writer) error {
-	return e.writeSnapshotView(w, e.View())
-}
-
 // writeSnapshotView persists one explicit published view. Saves go through
 // this: the saver reads every shard's view ONCE, derives the manifest's
 // id-mint cursor from those exact views, and then writes exactly them — a

@@ -62,7 +62,7 @@ func TestConcurrentAssignIngest(t *testing.T) {
 				case 0:
 					e.Clusters()
 				case 1:
-					e.Labels()
+					e.View().Labels.Flat()
 				case 2:
 					e.Stats()
 				}
@@ -183,7 +183,7 @@ func TestConcurrentAssignIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Final consistency between the published labels and clusters.
-	labels := e.Labels()
+	labels := e.View().Labels.Flat()
 	for ci, cl := range e.Clusters() {
 		for _, m := range cl.Members {
 			if labels[m] != ci {

@@ -285,9 +285,6 @@ func (s *Sharded) finish(reg *obs.Registry) {
 	}
 }
 
-// Shards returns the shard count.
-func (s *Sharded) Shards() int { return s.n }
-
 // Dim returns the committed point dimensionality (the max over shards: all
 // non-empty shards agree, empty ones report 0).
 func (s *Sharded) Dim() int {
@@ -419,48 +416,6 @@ func (s *Sharded) Evict(ctx context.Context, ids []int) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// CompactGeneration runs a generation compaction on every shard. Each shard
-// renumbers its LOCAL id space independently (the global layout id = local·N
-// + shard is preserved — renumbering never moves a point between shards), so
-// the router's MapID composes the shard routing with the shard's local map.
-// Returns the total number of dead ids released; shard errors resolve by
-// lowest shard index.
-func (s *Sharded) CompactGeneration(ctx context.Context) (int, error) {
-	type compactSlot struct {
-		n   int
-		err error
-	}
-	res := make([]compactSlot, s.n)
-	mapreduce.Scatter(s.n, s.width, res, func(i int) compactSlot {
-		n, err := s.shards[i].CompactGeneration(ctx)
-		return compactSlot{n: n, err: err}
-	})
-	total := 0
-	for _, r := range res {
-		total += r.n
-	}
-	for _, r := range res {
-		if r.err != nil {
-			return total, r.err
-		}
-	}
-	return total, nil
-}
-
-// MapID translates a GLOBAL id from a shard's previous generation to the
-// current one: the owning shard never changes (id mod N is structural), so
-// the translation is the shard's local map re-embedded in the global layout.
-func (s *Sharded) MapID(old int) (int, bool) {
-	if old < 0 {
-		return 0, false
-	}
-	lo, ok := s.shards[old%s.n].MapID(old / s.n)
-	if !ok {
-		return 0, false
-	}
-	return lo*s.n + old%s.n, true
 }
 
 // Assign scatters the query to every shard, pins one published generation

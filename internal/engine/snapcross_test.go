@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -15,6 +16,12 @@ import (
 // restored engine's Clusters, Labels and — most importantly — every Assign
 // answer (cluster, score, density, infectivity) must equal the live
 // engine's exactly, down to the float bits.
+
+// WriteSnapshot persists e's current published view as one standalone
+// snapshot, the form these crosschecks compare byte for byte.
+func (e *Engine) WriteSnapshot(w io.Writer) error {
+	return e.writeSnapshotView(w, e.View())
+}
 
 func sameClusters(t *testing.T, live, restored *Engine) {
 	t.Helper()
@@ -41,7 +48,7 @@ func sameClusters(t *testing.T, live, restored *Engine) {
 			}
 		}
 	}
-	la, lb := live.Labels(), restored.Labels()
+	la, lb := live.View().Labels.Flat(), restored.View().Labels.Flat()
 	if len(la) != len(lb) {
 		t.Fatalf("label lengths differ: %d vs %d", len(la), len(lb))
 	}

@@ -119,13 +119,3 @@ func Score(truth, pred []int) (Result, error) {
 	}
 	return res, nil
 }
-
-// MustScore is Score for callers with statically valid inputs (tests,
-// benchmark harness); it panics on length mismatch.
-func MustScore(truth, pred []int) Result {
-	r, err := Score(truth, pred)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}

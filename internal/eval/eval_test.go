@@ -24,7 +24,7 @@ func TestF1(t *testing.T) {
 func TestScorePerfect(t *testing.T) {
 	truth := []int{0, 0, 1, 1, -1, -1}
 	pred := []int{0, 0, 1, 1, -1, -1}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	if r.AVGF != 1 {
 		t.Errorf("AVGF = %v, want 1", r.AVGF)
 	}
@@ -41,7 +41,7 @@ func TestScoreLabelPermutationInvariant(t *testing.T) {
 	pred := []int{7, 7, 2, 2} // different ids, same partition
 	// Score infers cluster count from max id; ids need not be dense for
 	// correctness of best-match F1.
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	if r.AVGF != 1 {
 		t.Errorf("AVGF = %v, want 1 under relabeling", r.AVGF)
 	}
@@ -51,7 +51,7 @@ func TestScorePartialMatch(t *testing.T) {
 	// GT cluster 0 = {0,1,2,3}; detected cluster 0 = {0,1} → P=1, R=0.5, F1=2/3.
 	truth := []int{0, 0, 0, 0}
 	pred := []int{0, 0, -1, -1}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	if math.Abs(r.AVGF-2.0/3) > 1e-12 {
 		t.Errorf("AVGF = %v, want 2/3", r.AVGF)
 	}
@@ -65,7 +65,7 @@ func TestScoreBestMatchChoosesBest(t *testing.T) {
 	// must define its F1.
 	truth := []int{0, 0, 0, 0, 0, 0}
 	pred := []int{1, 1, 1, 1, 2, 2}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	want := F1(4, 4, 6)
 	if math.Abs(r.AVGF-want) > 1e-12 {
 		t.Errorf("AVGF = %v, want %v", r.AVGF, want)
@@ -76,7 +76,7 @@ func TestScoreNoiseAbsorption(t *testing.T) {
 	// A detected cluster that swallows noise loses precision.
 	truth := []int{0, 0, -1, -1}
 	pred := []int{0, 0, 0, 0}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	want := F1(2, 4, 2)
 	if math.Abs(r.AVGF-want) > 1e-12 {
 		t.Errorf("AVGF = %v, want %v", r.AVGF, want)
@@ -89,7 +89,7 @@ func TestScoreNoiseAbsorption(t *testing.T) {
 func TestScoreMultipleClusters(t *testing.T) {
 	truth := []int{0, 0, 1, 1, 2, 2}
 	pred := []int{0, 0, -1, -1, 1, 1}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	// Clusters 0 and 2 perfect, cluster 1 missed.
 	if math.Abs(r.AVGF-2.0/3) > 1e-12 {
 		t.Errorf("AVGF = %v, want 2/3", r.AVGF)
@@ -107,7 +107,7 @@ func TestScoreEmptyTruthCluster(t *testing.T) {
 	// from the average.
 	truth := []int{0, 0, 2, 2}
 	pred := []int{0, 0, 1, 1}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	if !math.IsNaN(r.PerCluster[1]) {
 		t.Errorf("PerCluster[1] = %v, want NaN", r.PerCluster[1])
 	}
@@ -120,22 +120,25 @@ func TestScoreLengthMismatch(t *testing.T) {
 	if _, err := Score([]int{0}, []int{0, 1}); err == nil {
 		t.Fatal("length mismatch must error")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustScore must panic on mismatch")
-		}
-	}()
-	MustScore([]int{0}, []int{0, 1})
 }
 
 func TestScoreAllNoise(t *testing.T) {
 	truth := []int{-1, -1, -1}
 	pred := []int{-1, 0, -1}
-	r := MustScore(truth, pred)
+	r := mustScore(t, truth, pred)
 	if r.AVGF != 0 {
 		t.Errorf("AVGF = %v for pure-noise truth", r.AVGF)
 	}
 	if math.Abs(r.NoiseFiltered-2.0/3) > 1e-12 {
 		t.Errorf("NoiseFiltered = %v, want 2/3", r.NoiseFiltered)
 	}
+}
+
+func mustScore(t *testing.T, truth, pred []int) Result {
+	t.Helper()
+	r, err := Score(truth, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }

@@ -92,7 +92,14 @@ func backends() []conformanceBackend {
 				}
 				return sigs
 			},
-			build: func(pts [][]float64) (index.Index, error) { return minhash.Build(pts, confMHCfg) },
+			build: func(pts [][]float64) (index.Index, error) {
+				ix, err := minhash.New(confMHCfg)
+				if err != nil {
+					return nil, err
+				}
+				_, err = ix.Append(pts)
+				return ix, err
+			},
 			restore: func(ix index.Index, n int, live func(int) bool) (index.Index, error) {
 				mh := ix.(*minhash.Index)
 				if live == nil {
@@ -210,8 +217,8 @@ func TestConformanceQueryPathsMatchReference(t *testing.T) {
 			if ix.Backend() != b.name {
 				t.Fatalf("Backend() = %q, want %q", ix.Backend(), b.name)
 			}
-			if ix.N() != len(pts) || ix.Live() != len(pts) {
-				t.Fatalf("N %d Live %d, want %d", ix.N(), ix.Live(), len(pts))
+			if ix.N() != len(pts) || liveCount(ix) != len(pts) {
+				t.Fatalf("N %d Live %d, want %d", ix.N(), liveCount(ix), len(pts))
 			}
 			if ix.Dim() != len(pts[0]) {
 				t.Fatalf("Dim %d, want %d", ix.Dim(), len(pts[0]))
@@ -227,19 +234,15 @@ func TestConformanceQueryPathsMatchReference(t *testing.T) {
 			probes := append(pts[:50:50], b.gen(2, 20)...)
 			into := queryAll(ix, probes)
 			for i, p := range probes {
-				want := ref.candidates(ix, p, -1)
-				wantSameIDs(t, want, sortedCopy(ix.Query(p)), "Query")
-				wantSameIDs(t, want, sortedCopy(into[i]), "QueryInto")
+				wantSameIDs(t, ref.candidates(ix, p, -1), sortedCopy(into[i]), "QueryInto")
 			}
 			mark := make([]uint32, ix.N())
 			var gen uint32
 			var dst []int32
 			for id := 0; id < len(pts); id += 7 {
-				want := ref.candidates(ix, pts[id], id)
-				wantSameIDs(t, want, sortedCopy(ix.CandidatesByID(id)), "CandidatesByID")
 				gen++
 				dst = ix.CandidatesByIDInto(id, dst[:0], mark, gen)
-				wantSameIDs(t, want, sortedCopy(dst), "CandidatesByIDInto")
+				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(dst), "CandidatesByIDInto")
 			}
 
 			// VisitLiveBuckets enumerates exactly the oracle's buckets with
@@ -289,15 +292,15 @@ func TestConformancePublishIsolation(t *testing.T) {
 			}
 			ix.PublishIndex()
 
-			if snap.N() != 200 || snap.Live() != 200 {
-				t.Fatalf("snapshot mutated: N %d Live %d", snap.N(), snap.Live())
+			if snap.N() != 200 || liveCount(snap) != 200 {
+				t.Fatalf("snapshot mutated: N %d Live %d", snap.N(), liveCount(snap))
 			}
 			after := queryAll(snap, probes)
 			for i := range before {
 				wantSameIDs(t, before[i], after[i], "snapshot QueryInto after live mutation")
 			}
-			if ix.N() != 300 || ix.Live() != 296 {
-				t.Fatalf("live index N %d Live %d", ix.N(), ix.Live())
+			if ix.N() != 300 || liveCount(ix) != 296 {
+				t.Fatalf("live index N %d Live %d", ix.N(), liveCount(ix))
 			}
 		})
 	}
@@ -326,17 +329,19 @@ func TestConformanceTombstones(t *testing.T) {
 				t.Fatalf("re-Evict counted %d, want 0", got)
 			}
 			ref.evict(dead)
-			if ix.Live() != len(pts)-len(dead) {
-				t.Fatalf("Live %d, want %d", ix.Live(), len(pts)-len(dead))
+			if liveCount(ix) != len(pts)-len(dead) {
+				t.Fatalf("Live %d, want %d", liveCount(ix), len(pts)-len(dead))
 			}
-			for _, p := range pts[:80] {
-				wantSameIDs(t, ref.candidates(ix, p, -1), sortedCopy(ix.Query(p)), "evicted Query")
+			for i, got := range queryAll(ix, pts[:80]) {
+				wantSameIDs(t, ref.candidates(ix, pts[i], -1), sortedCopy(got), "evicted QueryInto")
 			}
+			mark := make([]uint32, ix.N())
 			for id := 1; id < len(pts); id += 9 {
 				if id%3 == 0 {
 					continue
 				}
-				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(ix.CandidatesByID(id)), "evicted CandidatesByID")
+				got := ix.CandidatesByIDInto(id, nil, mark, uint32(id))
+				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(got), "evicted CandidatesByIDInto")
 			}
 			ix.VisitLiveBuckets(func(table int, key uint64, ids []int32) {
 				for _, id := range ids {
@@ -385,8 +390,8 @@ func TestConformanceDumpRestore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if restored.Live() != ix.Live() {
-				t.Fatalf("restored Live %d, want %d", restored.Live(), ix.Live())
+			if liveCount(restored) != liveCount(ix) {
+				t.Fatalf("restored Live %d, want %d", liveCount(restored), liveCount(ix))
 			}
 			want, got = queryAll(ix, probes), queryAll(restored, probes)
 			for i := range want {
@@ -431,8 +436,9 @@ func TestConformanceDeterminismAcrossGOMAXPROCS(t *testing.T) {
 // Components partitions the ids into the connected components of the
 // co-bucketing graph, before and after Evict. CandidatesByIDInto of a live
 // id never leaves its component: the property DetectAll's concurrent peel
-// rests on. A walk over CandidatesByID from a component's first id reaches
-// the whole component, so the partition is no coarser than the graph.
+// rests on. A walk over CandidatesByIDInto from a component's first id
+// reaches the whole component, so the partition is no coarser than the
+// graph.
 func TestConformanceComponents(t *testing.T) {
 	for _, b := range backends() {
 		t.Run(b.name, func(t *testing.T) {
@@ -503,6 +509,7 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 		t.Fatalf("%d components, %d of them with ≥ 2 ids: the check needs several of each kind", len(comps), multi)
 	}
 	mark := make([]uint32, ix.N())
+	gen := uint32(ix.N())
 	for i := range comp {
 		if !live(i) {
 			if len(comps[comp[i]]) != 1 {
@@ -522,7 +529,8 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 		}
 		seen := map[int32]bool{ids[0]: true}
 		for queue := []int32{ids[0]}; len(queue) > 0; queue = queue[1:] {
-			for _, j := range ix.CandidatesByID(int(queue[0])) {
+			gen++
+			for _, j := range ix.CandidatesByIDInto(int(queue[0]), nil, mark, gen) {
 				if !seen[j] {
 					seen[j] = true
 					queue = append(queue, j)
@@ -533,4 +541,16 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 			t.Fatalf("component of %d has %d ids, its walk reaches %d", ids[0], len(ids), len(seen))
 		}
 	}
+}
+
+// liveCount counts the ids the read paths still return: every live id sits
+// in exactly one bucket of table 0.
+func liveCount(ix index.Index) int {
+	n := 0
+	ix.VisitLiveBuckets(func(table int, _ uint64, ids []int32) {
+		if table == 0 {
+			n += len(ids)
+		}
+	})
+	return n
 }

@@ -11,9 +11,11 @@
 // sharding and the snapshot codec — programs against this interface and
 // never names a concrete backend.
 //
-// Contract highlights every implementation must honor (they are what the
-// pipeline's standing bit-identical invariants rest on; the backend
-// conformance suite in conformance_test.go makes them executable):
+// The interface holds only what the pipeline calls; candidate reads take
+// caller scratch and do not allocate. Contract highlights every
+// implementation must honor (they are what the pipeline's standing
+// bit-identical invariants rest on; the backend conformance suite in
+// conformance_test.go makes them executable):
 //
 //   - Deterministic candidate order: QueryInto and CandidatesByIDInto
 //     enumerate tables in order and bucket members in ascending id order,
@@ -23,9 +25,10 @@
 //     live side never disturb it.
 //   - Tombstone semantics: after Evict, every read path answers exactly as
 //     an index built over only the survivors.
-//   - Reads (Query*, CandidatesBy*, Buckets, Stats) are safe for unlimited
-//     concurrency; Append, PublishIndex and Evict are writer-side and must
-//     be serialized by the caller (the streaming layer's single writer).
+//   - Reads (QueryInto, CandidatesByIDInto, Buckets, Stats) are safe for
+//     unlimited concurrency; Append, PublishIndex and Evict are writer-side
+//     and must be serialized by the caller (the streaming layer's single
+//     writer).
 package index
 
 // Index is a locality-sensitive candidate index over the committed matrix.
@@ -40,8 +43,6 @@ type Index interface {
 	// Dim is the vector dimensionality the index hashes (for set backends:
 	// the signature length).
 	Dim() int
-	// Live is the number of ids not yet evicted.
-	Live() int
 	// SigLen is the per-table signature scratch length QueryInto and
 	// BucketKeys require (callers size their pooled scratch from it).
 	SigLen() int
@@ -62,9 +63,6 @@ type Index interface {
 	// the concrete backends' covariantly-typed Publish). Writer-side.
 	PublishIndex() Index
 
-	// Query returns the deduplicated live ids sharing a bucket with v in
-	// any table (allocating diagnostic path; ordering unspecified).
-	Query(v []float64) []int32
 	// QueryInto is the allocation-free query path: sig is caller scratch of
 	// length SigLen, mark/gen a marker-value dedup array of length N.
 	// Candidate order is deterministic: tables in order, members ascending.
@@ -78,11 +76,9 @@ type Index interface {
 	// bucket's live member ids in ascending id order. The ids slice may
 	// alias index storage and is valid only for the duration of the call.
 	VisitLiveBuckets(f func(table int, key uint64, ids []int32))
-	// CandidatesByID returns the live ids co-bucketed with the (live) point
-	// id in any table, excluding id itself, using the stored inverted list.
-	CandidatesByID(id int) []int32
-	// CandidatesByIDInto is the allocation-light form CIVS uses: mark/gen
-	// dedup as in QueryInto.
+	// CandidatesByIDInto appends the live ids co-bucketed with the (live)
+	// point id in any table, excluding id itself, using the stored inverted
+	// list; mark/gen dedup as in QueryInto. CIVS retrieves through it.
 	CandidatesByIDInto(id int, dst []int32, mark []uint32, gen uint32) []int32
 	// Buckets returns every bucket with more than minSize live members in a
 	// deterministic order (by table, then bucket key) — PALID's seed pool.

@@ -82,9 +82,6 @@ func NewState(o *affinity.Oracle, seed int) (*State, error) {
 	return s, nil
 }
 
-// Beta returns the local range as global indices (aliases internal storage).
-func (s *State) Beta() []int { return s.beta }
-
 // Contains reports whether the global index is already in the local range β.
 func (s *State) Contains(global int) bool {
 	_, ok := s.pos[global]
@@ -100,12 +97,6 @@ func (s *State) Weight(global int) float64 {
 	return s.x[p]
 }
 
-// Len returns b = |β|.
-func (s *State) Len() int { return len(s.beta) }
-
-// Iterations returns the total number of LID iterations performed so far.
-func (s *State) Iterations() int { return s.iterations }
-
 // PeakEntries returns the high-water mark of cached A_{βα} entries, the
 // quantity bounded by a*(a*+δ) in Section 4.5.
 func (s *State) PeakEntries() int { return s.peakEntries }
@@ -119,17 +110,6 @@ func (s *State) Density() float64 {
 		}
 	}
 	return pi
-}
-
-// Support returns the global indices with positive weight.
-func (s *State) Support() []int {
-	var out []int
-	for i, xi := range s.x {
-		if xi > simplex.WeightEps {
-			out = append(out, s.beta[i])
-		}
-	}
-	return out
 }
 
 // SupportWeights returns parallel slices of global indices and their weights,
@@ -148,16 +128,6 @@ func (s *State) SupportWeights() ([]int, []float64) {
 
 // Payoff returns π(s_j − x, x) = g_j − π(x) for the local position p.
 func (s *State) payoff(p int, pi float64) float64 { return s.g[p] - pi }
-
-// PayoffOf returns π(s_j − x, x) for a global index already in β, and false
-// if the index is not in the local range.
-func (s *State) PayoffOf(global int) (float64, bool) {
-	p, ok := s.pos[global]
-	if !ok {
-		return 0, false
-	}
-	return s.payoff(p, s.Density()), true
-}
 
 // column returns the affinity column A_{β,global}, computing and caching it
 // on first use (the dashed green column of Fig. 3). The fill fans out over
@@ -407,9 +377,6 @@ func (s *State) dropNonSupportColumns() {
 	}
 }
 
-// CachedEntries returns the current number of cached submatrix entries.
-func (s *State) CachedEntries() int { return s.cached }
-
 func (s *State) trackPeak() { s.peakEntries = max(s.peakEntries, s.cached) }
 
 // immuneGrain is the candidate-chunk size of the parallel immunity scan;
@@ -487,8 +454,13 @@ func (s *State) Immune(candidates []int, tol float64) bool {
 // Sanity verifies internal invariants (x on simplex, g consistent with the
 // cached columns). It is O(|β|·|α|) and intended for tests and debugging.
 func (s *State) Sanity() error {
-	if !simplex.IsMember(s.x, 1e-6) {
-		return fmt.Errorf("lid: x off simplex (sum=%v)", sum(s.x))
+	for p, xi := range s.x {
+		if xi < -1e-6 {
+			return fmt.Errorf("lid: x off simplex (x[%d]=%v)", p, xi)
+		}
+	}
+	if total := sum(s.x); !(math.Abs(total-1) <= 1e-6) {
+		return fmt.Errorf("lid: x off simplex (sum=%v)", total)
 	}
 	for p, gidx := range s.beta {
 		if s.pos[gidx] != p {
@@ -505,7 +477,7 @@ func (s *State) Sanity() error {
 			if r == p {
 				continue
 			}
-			want[r] += xi * s.oracle.Kernel.Affinity(s.oracle.Point(rg), s.oracle.Point(s.beta[p]))
+			want[r] += xi * s.oracle.Kernel.Affinity(s.oracle.Mat.Row(rg), s.oracle.Mat.Row(s.beta[p]))
 		}
 	}
 	for r := range want {

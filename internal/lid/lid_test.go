@@ -60,8 +60,8 @@ func TestNewStateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 1 || s.Density() != 0 {
-		t.Fatalf("fresh state: len=%d π=%v", s.Len(), s.Density())
+	if len(s.beta) != 1 || s.Density() != 0 {
+		t.Fatalf("fresh state: len=%d π=%v", len(s.beta), s.Density())
 	}
 }
 
@@ -74,7 +74,7 @@ func TestMotzkinStrausDensity(t *testing.T) {
 	if got, want := s.Density(), 0.75; math.Abs(got-want) > 1e-6 {
 		t.Fatalf("converged density = %v, want %v", got, want)
 	}
-	sup := s.Support()
+	sup, _ := s.SupportWeights()
 	if len(sup) != 4 {
 		t.Fatalf("support = %v, want the 4-clique", sup)
 	}
@@ -132,11 +132,8 @@ func TestConvergenceKKT(t *testing.T) {
 	s := newFullState(t, o, 0)
 	s.Solve(context.Background(), 5000, 1e-9)
 	pi := s.Density()
-	for p, gidx := range s.Beta() {
-		r, ok := s.PayoffOf(gidx)
-		if !ok {
-			t.Fatalf("beta vertex %d not found", gidx)
-		}
+	for p, gidx := range s.beta {
+		r := s.payoff(p, pi)
 		if r > 1e-6 {
 			t.Errorf("infective vertex %d survives convergence: payoff %v", gidx, r)
 		}
@@ -243,14 +240,14 @@ func TestColumnsBoundedBySupport(t *testing.T) {
 	s := newFullState(t, o, 0)
 	s.Solve(context.Background(), 2000, 1e-9)
 	s.Extend(nil) // triggers non-support column cleanup
-	sup := s.Support()
+	sup, _ := s.SupportWeights()
 	if got := len(s.cols); got > len(sup) {
 		t.Fatalf("cached columns %d > support size %d", got, len(sup))
 	}
 	if s.PeakEntries() <= 0 {
 		t.Fatal("peak entries not tracked")
 	}
-	if s.CachedEntries() > s.PeakEntries() {
+	if s.cached > s.PeakEntries() {
 		t.Fatal("peak below current")
 	}
 }
@@ -281,8 +278,8 @@ func TestIterationsCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || s.Iterations() != n {
-		t.Fatalf("Solve=%d Iterations=%d", n, s.Iterations())
+	if n == 0 || s.iterations != n {
+		t.Fatalf("Solve=%d iterations=%d", n, s.iterations)
 	}
 }
 
@@ -343,8 +340,8 @@ func TestSolvePreCancelledContext(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("Solve ran %d iterations under a pre-cancelled context", n)
 	}
-	if s.Iterations() != 0 {
-		t.Fatalf("state advanced %d iterations under a pre-cancelled context", s.Iterations())
+	if s.iterations != 0 {
+		t.Fatalf("state advanced %d iterations under a pre-cancelled context", s.iterations)
 	}
 }
 

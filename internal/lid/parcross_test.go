@@ -89,12 +89,12 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 		if evals := o.ResetComputed(); evals != serialEvals {
 			t.Fatalf("workers=%d: %d kernel evaluations, serial %d", workers, evals, serialEvals)
 		}
-		if got.PeakEntries() != serial.PeakEntries() || got.CachedEntries() != serial.CachedEntries() {
+		if got.PeakEntries() != serial.PeakEntries() || got.cached != serial.cached {
 			t.Fatalf("workers=%d: peak/cached entries %d/%d, serial %d/%d", workers,
-				got.PeakEntries(), got.CachedEntries(), serial.PeakEntries(), serial.CachedEntries())
+				got.PeakEntries(), got.cached, serial.PeakEntries(), serial.cached)
 		}
-		if got.Len() != serial.Len() || got.Iterations() != serial.Iterations() {
-			t.Fatalf("workers=%d: len/iters %d/%d, serial %d/%d", workers, got.Len(), got.Iterations(), serial.Len(), serial.Iterations())
+		if len(got.beta) != len(serial.beta) || got.iterations != serial.iterations {
+			t.Fatalf("workers=%d: len/iters %d/%d, serial %d/%d", workers, len(got.beta), got.iterations, len(serial.beta), serial.iterations)
 		}
 		if got.Density() != serial.Density() {
 			t.Fatalf("workers=%d: density %v != serial %v", workers, got.Density(), serial.Density())
@@ -139,8 +139,8 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 		for _, c := range got.cols {
 			entries += len(c)
 		}
-		if entries != got.CachedEntries() {
-			t.Fatalf("workers=%d: CachedEntries %d, columns hold %d", workers, got.CachedEntries(), entries)
+		if entries != got.cached {
+			t.Fatalf("workers=%d: cached entries %d, columns hold %d", workers, got.cached, entries)
 		}
 	}
 }

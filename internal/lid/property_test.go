@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"alid/internal/affinity"
-	"alid/internal/simplex"
 )
 
 // Property: under ANY interleaving of Extend and Solve over random data, the
@@ -43,7 +42,7 @@ func TestRandomInterleavingInvariants(t *testing.T) {
 				return false
 			}
 		}
-		return simplex.IsMember(s.x, 1e-6)
+		return s.Sanity() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)

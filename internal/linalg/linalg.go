@@ -19,26 +19,10 @@ type Sym struct {
 // NewSym allocates an n×n zero matrix.
 func NewSym(n int) *Sym { return &Sym{N: n, Data: make([]float64, n*n)} }
 
-// At returns element (i,j).
-func (s *Sym) At(i, j int) float64 { return s.Data[i*s.N+j] }
-
 // Set sets elements (i,j) and (j,i).
 func (s *Sym) Set(i, j int, v float64) {
 	s.Data[i*s.N+j] = v
 	s.Data[j*s.N+i] = v
-}
-
-// MulVec computes dst = S·x.
-func (s *Sym) MulVec(dst, x []float64) {
-	n := s.N
-	for i := 0; i < n; i++ {
-		row := s.Data[i*n : (i+1)*n]
-		var acc float64
-		for j, v := range row {
-			acc += v * x[j]
-		}
-		dst[i] = acc
-	}
 }
 
 // Jacobi computes the full eigendecomposition of a symmetric matrix using

@@ -210,3 +210,21 @@ func TestJacobiEmpty(t *testing.T) {
 		t.Error("empty matrix accepted")
 	}
 }
+
+// Test helpers on Sym: the eigensolver tests check A·v = λ·v and the trace.
+
+// At returns element (i,j).
+func (s *Sym) At(i, j int) float64 { return s.Data[i*s.N+j] }
+
+// MulVec computes dst = S·x.
+func (s *Sym) MulVec(dst, x []float64) {
+	n := s.N
+	for i := 0; i < n; i++ {
+		row := s.Data[i*n : (i+1)*n]
+		var acc float64
+		for j, v := range row {
+			acc += v * x[j]
+		}
+		dst[i] = acc
+	}
+}

@@ -91,7 +91,7 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := make([]int64, idx.Config().Projections)
+	sig := make([]int64, idx.SigLen())
 	mark := make([]uint32, idx.N())
 	var dst []int32
 	var gen uint32

@@ -13,7 +13,7 @@
 // list ... and do not store the hash keys" design.
 //
 // Construction operates on the segmented matrix.Matrix layout and runs the
-// O(n·d·µ·l) hashing pass in parallel across GOMAXPROCS goroutines. Hash
+// O(n·d·µ·l) hashing pass on GOMAXPROCS workers through internal/par. Hash
 // parameters are still drawn from a single deterministic stream (that part is
 // O(l·µ·d) — negligible) and bucket insertion happens in ascending point-id
 // order per table, so the built index is bit-identical regardless of
@@ -53,13 +53,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"alid/internal/index"
 	"alid/internal/matrix"
+	"alid/internal/par"
 	"alid/internal/vec"
 )
 
@@ -155,15 +153,6 @@ func (v *keyvec) snapshot() *keyvec {
 	return s
 }
 
-// flat materializes the keys into a fresh slice (compat/diagnostic path).
-func (v *keyvec) flat() []uint64 {
-	out := make([]uint64, 0, v.n)
-	for _, c := range v.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
-
 // fromKeyChunks adopts canonically chunked keys without copying.
 func fromKeyChunks(chunks [][]uint64) (*keyvec, error) {
 	n := 0
@@ -207,11 +196,11 @@ type table struct {
 	deadResident int
 }
 
-// Index is an LSH index over a dataset. Reads (Query, CandidatesByID, …) are
-// safe for unlimited concurrency; Append, Publish and Evict are writer-side
-// and must be serialized by the caller (the streaming layer's single
-// writer). Published snapshots are immutable and share sealed state with the
-// live index.
+// Index is an LSH index over a dataset. Reads (QueryInto, CandidatesByID,
+// …) are safe for unlimited concurrency; Append, Publish and Evict are
+// writer-side and must be serialized by the caller (the streaming layer's
+// single writer). Published snapshots are immutable and share sealed state
+// with the live index.
 type Index struct {
 	cfg    Config
 	dim    int
@@ -370,40 +359,25 @@ func BuildMatrix(m *matrix.Matrix, cfg Config) (*Index, error) {
 	}
 
 	// Phase 1: compute every point's bucket key, parallel over (table, block)
-	// jobs. Each job writes a disjoint range of one table's key chunks.
+	// jobs. Each job writes a disjoint range of one table's key chunks. The
+	// per-worker signature scratch is allocated by its own worker, so no two
+	// workers write to one cache line.
 	const block = 256
 	blocksPerTable := (m.N + block - 1) / block
-	jobs := cfg.Tables * blocksPerTable
-	workers := runtime.GOMAXPROCS(0)
-	if workers > jobs {
-		workers = jobs
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sig := make([]int64, cfg.Projections)
-			for {
-				job := int(next.Add(1)) - 1
-				if job >= jobs {
-					return
-				}
-				tb := &idx.tables[job/blocksPerTable]
-				lo := (job % blocksPerTable) * block
-				hi := lo + block
-				if hi > m.N {
-					hi = m.N
-				}
-				for i := lo; i < hi; i++ {
-					tb.signature(m.Row(i), cfg.R, sig)
-					tb.keys.set(i, fold(sig))
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	pool := par.New(-1)
+	sigs := make([][]int64, pool.Workers())
+	pool.Each(cfg.Tables*blocksPerTable, func(w, job int) {
+		if sigs[w] == nil {
+			sigs[w] = make([]int64, cfg.Projections)
+		}
+		sig := sigs[w]
+		tb := &idx.tables[job/blocksPerTable]
+		lo := (job % blocksPerTable) * block
+		for i := lo; i < min(lo+block, m.N); i++ {
+			tb.signature(m.Row(i), cfg.R, sig)
+			tb.keys.set(i, fold(sig))
+		}
+	})
 
 	// Phase 2: bucket fill per table, points in ascending id order so bucket
 	// membership order (and everything downstream: candidate order, PALID
@@ -411,38 +385,16 @@ func BuildMatrix(m *matrix.Matrix, cfg Config) (*Index, error) {
 	// is capped: clustered data hashes to far fewer distinct keys than n, so
 	// an unconditional O(n) hint per table would waste memory at scale,
 	// while no hint at all pays repeated rehash growth during the fill.
-	bucketHint := m.N
-	if bucketHint > 1<<16 {
-		bucketHint = 1 << 16
-	}
-	tableWorkers := workers
-	if tableWorkers > cfg.Tables {
-		tableWorkers = cfg.Tables
-	}
-	if tableWorkers < 1 {
-		tableWorkers = 1
-	}
-	var tnext atomic.Int64
-	wg.Add(tableWorkers)
-	for w := 0; w < tableWorkers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(tnext.Add(1)) - 1
-				if t >= cfg.Tables {
-					return
-				}
-				tb := &idx.tables[t]
-				base := &segment{buckets: make(map[uint64][]int32, bucketHint), size: m.N}
-				for i := 0; i < m.N; i++ {
-					key := tb.keys.at(i)
-					base.buckets[key] = append(base.buckets[key], int32(i))
-				}
-				tb.segs = []*segment{base}
-			}
-		}()
-	}
-	wg.Wait()
+	bucketHint := min(m.N, 1<<16)
+	pool.Each(cfg.Tables, func(_, t int) {
+		tb := &idx.tables[t]
+		base := &segment{buckets: make(map[uint64][]int32, bucketHint), size: m.N}
+		for i := 0; i < m.N; i++ {
+			key := tb.keys.at(i)
+			base.buckets[key] = append(base.buckets[key], int32(i))
+		}
+		tb.segs = []*segment{base}
+	})
 	return idx, nil
 }
 
@@ -673,38 +625,6 @@ func (i *Index) fullCompactTable(tb *table) {
 	}
 }
 
-// Config returns the index parameters.
-func (i *Index) Config() Config { return i.cfg }
-
-// Query returns the ids of all live points sharing a bucket with v in any
-// table, deduplicated, excluding nothing else. The result ordering is
-// unspecified. Evicted ids never appear.
-func (i *Index) Query(v []float64) []int32 {
-	if len(v) != i.dim {
-		panic(fmt.Sprintf("lsh: query dimension %d, want %d", len(v), i.dim))
-	}
-	seen := make(map[int32]struct{})
-	sig := make([]int64, i.cfg.Projections)
-	var out []int32
-	for t := range i.tables {
-		tb := &i.tables[t]
-		tb.signature(v, i.cfg.R, sig)
-		key := fold(sig)
-		for _, seg := range tb.allSegments() {
-			for _, id := range seg.buckets[key] {
-				if !i.alive(id) {
-					continue
-				}
-				if _, ok := seen[id]; !ok {
-					seen[id] = struct{}{}
-					out = append(out, id)
-				}
-			}
-		}
-	}
-	return out
-}
-
 // QueryInto is the allocation-free read path behind Query: it appends the
 // ids of all points sharing a bucket with v in any table to dst, using the
 // caller's scratch — sig (length Projections) for the hash signature and
@@ -825,18 +745,6 @@ type TableDump struct {
 	Off []float64
 	// Keys is the inverted list: Keys[i] is point i's bucket key.
 	Keys []uint64
-}
-
-// Dump exports the index state in flat form. Proj and Off alias index
-// storage (read-only); Keys is freshly materialized from the chunked
-// inverted list.
-func (i *Index) Dump() (Config, int, []TableDump) {
-	out := make([]TableDump, len(i.tables))
-	for t := range i.tables {
-		tb := &i.tables[t]
-		out[t] = TableDump{Proj: tb.proj, Off: tb.off, Keys: tb.keys.flat()}
-	}
-	return i.cfg, i.dim, out
 }
 
 // TableChunks is the chunked serializable state of one hash table: the

@@ -90,20 +90,6 @@ type Matrix struct {
 	D int
 }
 
-// New returns a zeroed n×d matrix.
-func New(n, d int) *Matrix {
-	if n < 0 || d <= 0 {
-		panic(fmt.Sprintf("matrix: invalid shape %d×%d", n, d))
-	}
-	m := &Matrix{N: n, D: d}
-	for left := n; left > 0; left -= ChunkRows {
-		rows := min(left, ChunkRows)
-		m.chunks = append(m.chunks, make([]float64, rows*d, ChunkRows*d))
-		m.norms = append(m.norms, make([]float64, rows, ChunkRows))
-	}
-	return m
-}
-
 // appendRow adds one row of width D with a precomputed squared norm,
 // extending the tail chunk or opening a fresh one when the tail is full (or
 // was released — a released chunk is by construction full of dead rows and
@@ -168,41 +154,28 @@ func RowsDim(rows [][]float64) (int, error) {
 	return d, nil
 }
 
-// FromFlat copies an existing row-major slice into chunked storage and
-// computes the norm cache. len(data) must equal n*d.
-func FromFlat(data []float64, n, d int) (*Matrix, error) {
+// FromFlat copies a row-major slice of n points of dimension d into chunked
+// storage. A nil norms computes the norm cache; otherwise norms is adopted
+// as the cache, which makes the legacy v1 snapshot restore bit-identical by
+// construction, independent of any future change to the norm kernel.
+func FromFlat(data []float64, n, d int, norms []float64) (*Matrix, error) {
 	if n <= 0 || d <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %d×%d", n, d)
 	}
 	if len(data) != n*d {
 		return nil, fmt.Errorf("matrix: flat data has %d values, want %d×%d = %d", len(data), n, d, n*d)
 	}
-	m := &Matrix{D: d}
-	for i := 0; i < n; i++ {
-		row := data[i*d : (i+1)*d]
-		m.appendRow(row, vec.Dot(row, row))
-	}
-	return m, nil
-}
-
-// FromFlatWithNorms copies a row-major slice together with its precomputed
-// norm cache into chunked storage. It is the snapshot-restore counterpart of
-// FromFlat for the legacy v1 codec: reusing the stored norms (rather than
-// recomputing them) makes the round trip bit-identical by construction,
-// independent of any future change to the norm kernel.
-func FromFlatWithNorms(data []float64, n, d int, norms []float64) (*Matrix, error) {
-	if n <= 0 || d <= 0 {
-		return nil, fmt.Errorf("matrix: invalid shape %d×%d", n, d)
-	}
-	if len(data) != n*d {
-		return nil, fmt.Errorf("matrix: flat data has %d values, want %d×%d = %d", len(data), n, d, n*d)
-	}
-	if len(norms) != n {
+	if norms != nil && len(norms) != n {
 		return nil, fmt.Errorf("matrix: norm cache has %d values, want %d", len(norms), n)
 	}
 	m := &Matrix{D: d}
 	for i := 0; i < n; i++ {
-		m.appendRow(data[i*d:(i+1)*d], norms[i])
+		row := data[i*d : (i+1)*d]
+		if norms != nil {
+			m.appendRow(row, norms[i])
+		} else {
+			m.appendRow(row, vec.Dot(row, row))
+		}
 	}
 	return m, nil
 }
@@ -436,35 +409,6 @@ func (m *Matrix) Row(i int) []float64 {
 // NormSq returns the cached squared L2 norm ‖row i‖².
 func (m *Matrix) NormSq(i int) float64 { return m.norms[i>>ChunkShift][i&chunkMask] }
 
-// NormsSq materializes the full norm cache into a fresh flat slice. Intended
-// for tests and boundary interop, not hot paths (use NormSq per row there).
-// It panics on a matrix with released chunks — their norms no longer exist
-// (the legacy flat codec refuses tombstoned matrices for the same reason).
-func (m *Matrix) NormsSq() []float64 {
-	out := make([]float64, 0, m.N)
-	for c, nc := range m.norms {
-		if nc == nil {
-			panic(fmt.Sprintf("matrix: NormsSq on released chunk %d", c))
-		}
-		out = append(out, nc...)
-	}
-	return out
-}
-
-// Flat materializes the coordinates into a fresh row-major slice. Intended
-// for tests and boundary interop, not hot paths. It panics on a matrix with
-// released chunks — their rows no longer exist.
-func (m *Matrix) Flat() []float64 {
-	out := make([]float64, 0, m.N*m.D)
-	for i, c := range m.chunks {
-		if c == nil {
-			panic(fmt.Sprintf("matrix: Flat on released chunk %d", i))
-		}
-		out = append(out, c...)
-	}
-	return out
-}
-
 // AppendRows appends points (each of dimension D), extending the norm cache.
 // It returns the index of the first appended row. Appends never rewrite a
 // sealed chunk, so snapshots taken earlier stay frozen.
@@ -513,24 +457,6 @@ func (m *Matrix) PairDistSq(i, j int) float64 {
 	return s
 }
 
-// DistSqRows fills dst[r] = ‖row rows[r] − q‖² for an external query q with
-// precomputed squared norm qNormSq: one batched pass of fused distance rows
-// (exact fallback per entry, see CancelGuard). dst must have len(rows).
-// It performs no allocation.
-func (m *Matrix) DistSqRows(rows []int, q []float64, qNormSq float64, dst []float64) {
-	if len(dst) != len(rows) {
-		panic(fmt.Sprintf("matrix: dst length %d != rows length %d", len(dst), len(rows)))
-	}
-	for r, i := range rows {
-		ni := m.NormSq(i)
-		s := ni + qNormSq - 2*vec.Dot(m.Row(i), q)
-		if s < CancelGuard*(ni+qNormSq) {
-			s = vec.SquaredL2(m.Row(i), q)
-		}
-		dst[r] = s
-	}
-}
-
 // WeightedCentroid returns Σ w[t]·row(idx[t]) — the ROI ball center D of the
 // paper (Eq. 15). Weights are used as given.
 func (m *Matrix) WeightedCentroid(idx []int, w []float64) []float64 {
@@ -543,16 +469,6 @@ func (m *Matrix) WeightedCentroid(idx []int, w []float64) []float64 {
 	out := make([]float64, m.D)
 	for t, id := range idx {
 		vec.Axpy(out, w[t], m.Row(id))
-	}
-	return out
-}
-
-// Rows materializes the matrix back into [][]float64 (each row freshly
-// allocated). Intended for tests and boundary interop, not hot paths.
-func (m *Matrix) Rows() [][]float64 {
-	out := make([][]float64, m.N)
-	for i := range out {
-		out[i] = append([]float64(nil), m.Row(i)...)
 	}
 	return out
 }

@@ -40,14 +40,6 @@ func TestFromRowsRoundTrip(t *testing.T) {
 			t.Fatalf("norm %d = %v, want %v", i, m.NormSq(i), want)
 		}
 	}
-	back := m.Rows()
-	for i := range rows {
-		for j := range rows[i] {
-			if back[i][j] != rows[i][j] {
-				t.Fatal("Rows() round trip failed")
-			}
-		}
-	}
 }
 
 func TestFromRowsErrors(t *testing.T) {
@@ -64,7 +56,7 @@ func TestFromRowsErrors(t *testing.T) {
 
 func TestFromFlat(t *testing.T) {
 	data := []float64{1, 2, 3, 4, 5, 6}
-	m, err := FromFlat(data, 3, 2)
+	m, err := FromFlat(data, 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +66,19 @@ func TestFromFlat(t *testing.T) {
 	if m.NormSq(0) != 5 {
 		t.Fatalf("norm = %v, want 5", m.NormSq(0))
 	}
-	if _, err := FromFlat(data, 4, 2); err == nil {
+	if _, err := FromFlat(data, 4, 2, nil); err == nil {
 		t.Error("shape mismatch accepted")
 	}
-	if _, err := FromFlat(data, 0, 2); err == nil {
+	if _, err := FromFlat(data, 0, 2, nil); err == nil {
 		t.Error("zero rows accepted")
+	}
+	// Given norms are adopted as the cache, not recomputed.
+	m, err = FromFlat(data, 3, 2, []float64{7, 8, 9})
+	if err != nil || m.NormSq(1) != 8 {
+		t.Fatalf("adopted norm = %v (err %v), want 8", m.NormSq(1), err)
+	}
+	if _, err := FromFlat(data, 3, 2, []float64{1}); err == nil {
+		t.Error("short norm cache accepted")
 	}
 }
 
@@ -164,13 +164,6 @@ func TestDistSqFarFromOrigin(t *testing.T) {
 			t.Fatalf("DistSq(%d) = %v, want %v (cancellation)", i, got, want)
 		}
 	}
-	dst := make([]float64, len(rows))
-	m.DistSqRows([]int{0, 1, 2}, q, vec.Dot(q, q), dst)
-	for i := range rows {
-		if want := vec.SquaredL2(rows[i], q); math.Abs(dst[i]-want) > 1e-6*(1+want) {
-			t.Fatalf("DistSqRows[%d] = %v, want %v (cancellation)", i, dst[i], want)
-		}
-	}
 }
 
 func TestDistSqNonNegative(t *testing.T) {
@@ -185,27 +178,6 @@ func TestDistSqNonNegative(t *testing.T) {
 	q := []float64{0.1, 0.2, 0.3}
 	if d := m.DistSq(0, q, vec.Dot(q, q)); d < 0 {
 		t.Fatalf("negative distance %v", d)
-	}
-}
-
-func TestDistSqRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	rows := randRows(rng, 30, 8)
-	m, err := FromRows(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := make([]float64, 8)
-	for j := range q {
-		q[j] = rng.NormFloat64()
-	}
-	ids := []int{0, 5, 29, 5, 12}
-	dst := make([]float64, len(ids))
-	m.DistSqRows(ids, q, vec.Dot(q, q), dst)
-	for t2, id := range ids {
-		if want := m.DistSq(id, q, vec.Dot(q, q)); dst[t2] != want {
-			t.Fatalf("DistSqRows[%d] = %v, want %v", t2, dst[t2], want)
-		}
 	}
 }
 
@@ -248,8 +220,8 @@ func TestChunkBoundaries(t *testing.T) {
 			t.Fatalf("norm %d = %v, want %v", i, m.NormSq(i), want)
 		}
 	}
-	if got := m.Flat(); len(got) != n*3 || got[ChunkRows*3] != rows[ChunkRows][0] {
-		t.Fatal("Flat() mis-ordered across chunks")
+	if got := m.DataChunks()[1]; len(got) != ChunkRows*3 || got[0] != rows[ChunkRows][0] {
+		t.Fatal("chunk 1 does not start at row ChunkRows")
 	}
 	// Appends fill the tail then open a fourth chunk.
 	extra := randRows(rng, ChunkRows, 3)
@@ -329,9 +301,9 @@ func TestFromChunksValidation(t *testing.T) {
 	}
 }
 
-// The batched fused distance kernel must not allocate: it sits inside CIVS's
+// The fused distance kernels must not allocate: they sit inside CIVS's
 // per-iteration loop.
-func TestDistSqRowsAllocFree(t *testing.T) {
+func TestDistSqAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m, err := FromRows(randRows(rng, 100, 32))
 	if err != nil {
@@ -342,15 +314,14 @@ func TestDistSqRowsAllocFree(t *testing.T) {
 		q[j] = rng.NormFloat64()
 	}
 	qn := vec.Dot(q, q)
-	ids := make([]int, 50)
-	for i := range ids {
-		ids[i] = i * 2
-	}
-	dst := make([]float64, len(ids))
+	var sink float64
 	allocs := testing.AllocsPerRun(100, func() {
-		m.DistSqRows(ids, q, qn, dst)
+		for i := 0; i < m.N; i += 2 {
+			sink += m.DistSq(i, q, qn) + m.PairDistSq(i, i+1)
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("DistSqRows allocates %v per run, want 0", allocs)
+		t.Fatalf("DistSq/PairDistSq allocate %v per run, want 0", allocs)
 	}
+	_ = sink
 }

@@ -37,8 +37,11 @@ func benchSigs(b *testing.B, cfg Config, nCommunities, size int) [][]float64 {
 func BenchmarkMinHashQuery(b *testing.B) {
 	cfg := DefaultConfig()
 	sigs := benchSigs(b, cfg, 200, 50)
-	ix, err := Build(sigs, cfg)
+	ix, err := New(cfg)
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ix.Append(sigs); err != nil {
 		b.Fatal(err)
 	}
 	sig := make([]int64, ix.SigLen())

@@ -82,20 +82,6 @@ func BuildMatrix(m *matrix.Matrix, cfg Config) (*Index, error) {
 	return ix, nil
 }
 
-// Build indexes a slice of signatures.
-func Build(sigs [][]float64, cfg Config) (*Index, error) {
-	ix, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if len(sigs) > 0 {
-		if _, err := ix.inner.Append(sigs); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
-}
-
 // Config returns the MinHash parameters.
 func (ix *Index) Config() Config { return ix.cfg }
 
@@ -107,9 +93,6 @@ func (ix *Index) N() int { return ix.inner.N() }
 
 // Dim is the signature length Bands·Rows.
 func (ix *Index) Dim() int { return ix.inner.Dim() }
-
-// Live is the number of ids not yet evicted.
-func (ix *Index) Live() int { return ix.inner.Live() }
 
 // SigLen is the per-table scratch length (Rows lanes per band key).
 func (ix *Index) SigLen() int { return ix.inner.SigLen() }
@@ -130,9 +113,6 @@ func (ix *Index) Publish() *Index { return &Index{cfg: ix.cfg, inner: ix.inner.P
 // PublishIndex is Publish behind the backend-neutral seam.
 func (ix *Index) PublishIndex() index.Index { return ix.Publish() }
 
-// Query returns the deduplicated live ids sharing a band bucket with sig.
-func (ix *Index) Query(sig []float64) []int32 { return ix.inner.Query(sig) }
-
 // QueryInto is the allocation-free query path; see index.Index.
 func (ix *Index) QueryInto(v []float64, sig []int64, dst []int32, mark []uint32, gen uint32) []int32 {
 	return ix.inner.QueryInto(v, sig, dst, mark, gen)
@@ -147,9 +127,6 @@ func (ix *Index) BucketKeys(v []float64, sig []int64, keys []uint64) {
 func (ix *Index) VisitLiveBuckets(f func(table int, key uint64, ids []int32)) {
 	ix.inner.VisitLiveBuckets(f)
 }
-
-// CandidatesByID returns the live ids co-bucketed with id in any band.
-func (ix *Index) CandidatesByID(id int) []int32 { return ix.inner.CandidatesByID(id) }
 
 // CandidatesByIDInto is the allocation-light form CIVS uses.
 func (ix *Index) CandidatesByIDInto(id int, dst []int32, mark []uint32, gen uint32) []int32 {

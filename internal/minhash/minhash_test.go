@@ -134,14 +134,18 @@ func TestIndexBucketsFollowSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := Build(sigs, cfg)
+	ix, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ix.CandidatesByID(0); !slices.Equal(got, []int32{1}) {
+	if _, err := ix.Append(sigs); err != nil {
+		t.Fatal(err)
+	}
+	mark := make([]uint32, ix.N())
+	if got := ix.CandidatesByIDInto(0, nil, mark, 1); !slices.Equal(got, []int32{1}) {
 		t.Fatalf("duplicate set candidates = %v, want [1]", got)
 	}
-	if got := ix.CandidatesByID(2); len(got) != 0 {
+	if got := ix.CandidatesByIDInto(2, nil, mark, 2); len(got) != 0 {
 		t.Fatalf("disjoint set candidates = %v, want none", got)
 	}
 }

@@ -3,8 +3,8 @@
 // the Prometheus text exposition format by hand (the module has zero
 // dependencies and keeps it that way).
 //
-// The primitives are built for the RCU read path: a Counter or Gauge is one
-// atomic.Int64, and a Histogram is a fixed vector of power-of-two buckets —
+// The primitives are built for the RCU read path: a Counter is one
+// atomic.Int64 (gauges sample a callback at scrape time), and a Histogram is a fixed vector of power-of-two buckets —
 // recording an observation is one atomic add into the bucket owning the
 // value (plus one into the running sum), with no locks, no allocations and
 // no coordination with renderers. Readers (the /metrics scrape, quantile
@@ -65,8 +65,8 @@ func Labels(parts ...string) string {
 }
 
 // Metric is one registered sample source. Implementations live in this
-// package only (the render method is unexported): Counter, Gauge,
-// CounterFunc, GaugeFunc and Histogram.
+// package only (the render method is unexported): Counter, CounterFunc,
+// GaugeFunc and Histogram.
 type Metric interface {
 	describe() desc
 	render(b *strings.Builder)
@@ -84,33 +84,10 @@ func NewCounter(name, help, labels string) *Counter {
 	return &Counter{d: desc{name: name, help: help, typ: "counter", labels: labels}}
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
 func (c *Counter) describe() desc { return c.d }
 
 func (c *Counter) render(b *strings.Builder) {
 	sampleLine(b, c.d.name, "", c.d.labels, "", float64(c.v.Load()), true)
-}
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct {
-	d desc
-	v atomic.Int64
-}
-
-// NewGauge builds a standalone gauge.
-func NewGauge(name, help, labels string) *Gauge {
-	return &Gauge{d: desc{name: name, help: help, typ: "gauge", labels: labels}}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-func (g *Gauge) describe() desc { return g.d }
-
-func (g *Gauge) render(b *strings.Builder) {
-	sampleLine(b, g.d.name, "", g.d.labels, "", float64(g.v.Load()), true)
 }
 
 // funcMetric samples a callback at render time. The callback runs on the
@@ -166,15 +143,6 @@ func bucketIndex(v int64) int {
 		return 0
 	}
 	return bits.Len64(uint64(v - 1))
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.buckets {
-		n += h.buckets[i].Load()
-	}
-	return n
 }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) in rendered units, linearly

@@ -19,7 +19,7 @@ func TestRenderGolden(t *testing.T) {
 	reg := NewRegistry()
 	scans := NewCounter("alid_scans_total", "cluster scans by tier", `tier="exact"`)
 	pruned := NewCounter("alid_scans_total", "cluster scans by tier", `tier="pruned"`)
-	depth := NewGauge("alid_queue_points", "ingest queue depth", "")
+	depth := NewGaugeFunc("alid_queue_points", "ingest queue depth", "", func() int64 { return 7 })
 	up := NewGaugeFunc("alid_up", "always one", "", func() int64 { return 1 })
 	lat := NewHistogram("alid_assign_duration_seconds", "assign latency", `mode="single"`, 1e-9)
 	sizes := NewHistogram("alid_batch_points", "batch sizes", "", 1)
@@ -27,7 +27,6 @@ func TestRenderGolden(t *testing.T) {
 
 	scans.Add(3)
 	pruned.Inc()
-	depth.Set(7)
 	for _, ns := range []int64{0, 1, 2, 900, 1000, 1024, 1025} {
 		lat.Observe(ns)
 	}
@@ -260,14 +259,21 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestObserveAllocFree(t *testing.T) {
 	h := NewHistogram("a_seconds", "a", "", 1e-9)
 	c := NewCounter("a_total", "a", "")
-	g := NewGauge("a_depth", "a", "")
 	if allocs := testing.AllocsPerRun(200, func() {
 		start := Now()
 		c.Add(3)
-		g.Set(9)
 		h.Observe(123456)
 		h.ObserveSince(start)
 	}); allocs != 0 {
 		t.Fatalf("Observe path allocates %v times per run, want 0", allocs)
 	}
+}
+
+// Count returns the total number of observations.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }

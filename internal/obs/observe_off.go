@@ -12,10 +12,6 @@ func (c *Counter) Add(n int64) {}
 
 func (c *Counter) Inc() {}
 
-func (g *Gauge) Set(n int64) {}
-
-func (g *Gauge) Add(n int64) {}
-
 func (h *Histogram) Observe(v int64) {}
 
 func (h *Histogram) ObserveSince(start time.Time) {}

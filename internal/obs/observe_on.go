@@ -17,12 +17,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the gauge by a delta.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Observe records one non-negative observation: one atomic add into the
 // owning bucket, one into the sum. Safe for unlimited concurrency.
 func (h *Histogram) Observe(v int64) {

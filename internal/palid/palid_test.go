@@ -32,7 +32,10 @@ func TestDetectBlobs(t *testing.T) {
 	if len(res.Clusters) < 3 {
 		t.Fatalf("clusters = %d, want ≥ 3", len(res.Clusters))
 	}
-	score := eval.MustScore(labels, res.Assign)
+	score, err := eval.Score(labels, res.Assign)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if score.AVGF < 0.6 {
 		t.Fatalf("AVG-F = %v, want ≥ 0.6", score.AVGF)
 	}

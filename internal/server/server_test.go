@@ -26,12 +26,18 @@ func testServer(t *testing.T) (*Server, *engine.Engine) {
 // metrics into the engine's registry, so servers and engines pair 1:1).
 func testServerOpts(t *testing.T, opts Options) (*Server, *engine.Engine) {
 	t.Helper()
+	return testServerShare(t, opts, 0)
+}
+
+// testServerShare is testServerOpts with the engine's CompactEvictedShare.
+func testServerShare(t *testing.T, opts Options, share float64) (*Server, *engine.Engine) {
+	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Kernel = affinity.Kernel{K: 0.3, P: 2}
 	cfg.LSH = lsh.Config{Projections: 6, Tables: 10, R: 4, Seed: 1}
 	cfg.Delta = 200
 	pts, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 10, 0, 15)
-	eng, err := engine.New(engine.Config{Core: cfg, BatchSize: 50}, pts)
+	eng, err := engine.New(engine.Config{Core: cfg, BatchSize: 50, CompactEvictedShare: share}, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +404,9 @@ func TestEvictAlreadyDead(t *testing.T) {
 // GET /v1/stats surfaces the generation counters and, when the operator
 // wired a delta chain, its current length.
 func TestStatsGenerationFields(t *testing.T) {
-	s, eng := testServer(t)
+	// Every eviction crosses the share, so the writer compacts before the
+	// evict replies.
+	s, _ := testServerShare(t, Options{}, 1e-9)
 	h := s.Handler()
 
 	var st StatsResponse
@@ -415,9 +423,6 @@ func TestStatsGenerationFields(t *testing.T) {
 	before := st.N
 	ids := []int{0, 1, 2, 3, 4}
 	doJSON(t, h, http.MethodPost, "/v1/evict", EvictRequest{IDs: ids}, nil)
-	if _, err := eng.CompactGeneration(context.Background()); err != nil {
-		t.Fatal(err)
-	}
 	doJSON(t, h, http.MethodGet, "/v1/stats", nil, &st)
 	if st.Generation != 1 {
 		t.Fatalf("generation=%d after compaction, want 1", st.Generation)

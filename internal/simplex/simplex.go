@@ -5,47 +5,12 @@
 // and by the IID / DS / SEA baselines.
 package simplex
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // WeightEps is the threshold below which a vertex weight is treated as zero.
 // Floating-point invasion updates leave dust of order 1e-17 on immunized
 // vertices; anything below WeightEps is clamped out of the support.
 const WeightEps = 1e-10
-
-// Uniform returns the barycenter of Δⁿ: x_i = 1/n.
-func Uniform(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	x := make([]float64, n)
-	w := 1 / float64(n)
-	for i := range x {
-		x[i] = w
-	}
-	return x
-}
-
-// Indicator returns the vertex subgraph s_i ∈ Δⁿ.
-func Indicator(n, i int) []float64 {
-	x := make([]float64, n)
-	x[i] = 1
-	return x
-}
-
-// Support returns the indices with weight above WeightEps, the set
-// α = {i : x_i > 0} of Section 4.1.
-func Support(x []float64) []int {
-	var s []int
-	for i, v := range x {
-		if v > WeightEps {
-			s = append(s, i)
-		}
-	}
-	return s
-}
 
 // Clamp zeroes weights below WeightEps and renormalizes x to sum 1 in place.
 // It returns the number of clamped entries. Clamping keeps supports exact so
@@ -72,31 +37,6 @@ func Clamp(x []float64) int {
 		}
 	}
 	return clamped
-}
-
-// IsMember reports whether x lies in Δⁿ up to tolerance tol on the sum.
-func IsMember(x []float64, tol float64) bool {
-	var sum float64
-	for _, v := range x {
-		if v < -tol || math.IsNaN(v) {
-			return false
-		}
-		sum += v
-	}
-	return math.Abs(sum-1) <= tol
-}
-
-// Invade applies the invasion model of Eq. 5 in place: x ← (1−ε)x + εy.
-// x and y must have the same length; ε is clamped to [0,1].
-func Invade(x, y []float64, eps float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("simplex: invade length mismatch %d vs %d", len(x), len(y)))
-	}
-	eps = clamp01(eps)
-	om := 1 - eps
-	for i := range x {
-		x[i] = om*x[i] + eps*y[i]
-	}
 }
 
 // InvadeVertex applies Eq. 5 with y = s_i without materializing s_i:

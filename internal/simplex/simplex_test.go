@@ -7,21 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestUniform(t *testing.T) {
-	x := Uniform(4)
-	for _, v := range x {
-		if v != 0.25 {
-			t.Fatalf("Uniform(4) = %v", x)
-		}
-	}
-	if Uniform(0) != nil {
-		t.Error("Uniform(0) should be nil")
-	}
-	if !IsMember(Uniform(7), 1e-12) {
-		t.Error("Uniform(7) not on simplex")
-	}
-}
-
 func TestIndicator(t *testing.T) {
 	x := Indicator(5, 2)
 	if x[2] != 1 {
@@ -33,14 +18,6 @@ func TestIndicator(t *testing.T) {
 	}
 	if sum != 1 {
 		t.Fatalf("Indicator sum = %v", sum)
-	}
-}
-
-func TestSupport(t *testing.T) {
-	x := []float64{0.5, 0, 1e-14, 0.5}
-	s := Support(x)
-	if len(s) != 2 || s[0] != 0 || s[1] != 3 {
-		t.Fatalf("Support = %v", s)
 	}
 }
 

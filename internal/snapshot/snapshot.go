@@ -55,8 +55,8 @@
 //
 // Version 5 adds the generation tag: the config block grows the stream's
 // generation counter, so an engine whose ids were renumbered by a generation
-// compaction restores with its id-lifecycle intact (MapID validity, the
-// ever-seen accounting). The rest of the payload is byte-for-byte the v4
+// compaction restores with its id-lifecycle intact (the generation number
+// and the ever-seen accounting). The rest of the payload is byte-for-byte the v4
 // layout — a generation-0 v5 snapshot differs from its v4 encoding only in
 // the version word and those eight bytes.
 //
@@ -690,7 +690,7 @@ func (r *reader) readV1(s *Snapshot) error {
 	data := r.f64s("matrix data")
 	norms := r.f64s("matrix norms")
 	if r.err == nil {
-		m, err := matrix.FromFlatWithNorms(data, n, d, norms)
+		m, err := matrix.FromFlat(data, n, d, norms)
 		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}

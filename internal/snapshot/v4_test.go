@@ -94,11 +94,11 @@ func TestV4BackendRoundTrip(t *testing.T) {
 			if got.Index.Backend() != tc.s.Index.Backend() {
 				t.Fatalf("index backend %q, want %q", got.Index.Backend(), tc.s.Index.Backend())
 			}
-			if !slices.Equal(got.Mat.Flat(), tc.s.Mat.Flat()) || !slices.Equal(got.Labels, tc.s.Labels) {
+			if !sameChunks(got.Mat.DataChunks(), tc.s.Mat.DataChunks()) || !slices.Equal(got.Labels, tc.s.Labels) {
 				t.Fatal("matrix/labels differ")
 			}
 			for id := 0; id < tc.s.Mat.N; id += 3 {
-				if !slices.Equal(tc.s.Index.CandidatesByID(id), got.Index.CandidatesByID(id)) {
+				if !slices.Equal(candidates(tc.s.Index, id), candidates(got.Index, id)) {
 					t.Fatalf("index candidates differ at %d", id)
 				}
 			}
@@ -131,15 +131,15 @@ func TestV4MinHashTombstoneRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Index.Live() != s.Index.Live() || got.Mat.LiveCount() != s.Mat.LiveCount() {
+	if liveCount(got.Index) != liveCount(s.Index) || got.Mat.LiveCount() != s.Mat.LiveCount() {
 		t.Fatalf("liveness: index %d/%d matrix %d/%d",
-			got.Index.Live(), s.Index.Live(), got.Mat.LiveCount(), s.Mat.LiveCount())
+			liveCount(got.Index), liveCount(s.Index), got.Mat.LiveCount(), s.Mat.LiveCount())
 	}
 	for id := 1; id < s.Mat.N; id += 2 {
 		if !s.Mat.Live(id) {
 			continue
 		}
-		if !slices.Equal(s.Index.CandidatesByID(id), got.Index.CandidatesByID(id)) {
+		if !slices.Equal(candidates(s.Index, id), candidates(got.Index, id)) {
 			t.Fatalf("candidates differ at %d", id)
 		}
 	}

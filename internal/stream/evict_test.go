@@ -58,7 +58,7 @@ func TestRestoreRejectsCorruptClusters(t *testing.T) {
 	}
 
 	restore := func(cls []*core.Cluster, labels []int) error {
-		_, err := Restore(streamConfig(), v.Mat, v.Index, cls, labels, v.Commits)
+		_, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, cls, labels, v.Commits, 0, 0)
 		return err
 	}
 	good := v.Labels.Flat()
@@ -90,7 +90,7 @@ func TestRestoreRejectsCorruptClusters(t *testing.T) {
 	}
 
 	// And the committing path stays alive after a valid restore: no panic.
-	ok, err := Restore(streamConfig(), v.Mat, v.Index, v.Clusters, good, v.Commits)
+	ok, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, good, v.Commits, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestEvictRemovesPointsEverywhere(t *testing.T) {
 	// The view's index answers only with survivors.
 	v := c.View()
 	for _, id := range []int{50, 90, 119} {
-		for _, cand := range v.Index.CandidatesByID(id) {
+		for _, cand := range candidates(v.Index, id) {
 			if int(cand) < 42 && cand >= 0 {
 				for _, dead := range ids {
 					if int(cand) == dead {

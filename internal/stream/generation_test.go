@@ -2,15 +2,16 @@ package stream
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"alid/internal/testutil"
 )
 
-// CompactGeneration's id-map contract: the published map covers every id of
-// the PREVIOUS generation, sends dead ids to -1 and live ids to a dense
-// renumbering that preserves order, and the ever-seen counter keeps counting
-// released ids across generations.
+// CompactGeneration's id-map contract: live ids are renumbered densely in
+// order (dead ids have no successor), every row and label moves with its
+// id, and the ever-seen counter keeps counting released ids across
+// generations.
 func TestCompactGenerationIDMapContract(t *testing.T) {
 	ctx := context.Background()
 	pts, _ := testutil.Blobs(9, [][]float64{{0, 0}, {15, 15}}, 15, 0.3, 0, 0, 15)
@@ -39,48 +40,40 @@ func TestCompactGenerationIDMapContract(t *testing.T) {
 			c.Generation(), c.N(), c.EverSeenIDs(), len(pts)-len(dead), len(pts))
 	}
 
-	m := c.IDMap()
-	if len(m) != len(pts) {
-		t.Fatalf("id map covers %d ids, want %d (previous generation)", len(m), len(pts))
-	}
 	isDead := map[int]bool{1: true, 3: true, 5: true}
 	next := 0
 	newLabels := c.Labels()
-	for old, nu := range m {
+	for old := range pts {
 		if isDead[old] {
-			if nu != -1 {
-				t.Fatalf("dead id %d maps to %d, want -1", old, nu)
-			}
 			continue
 		}
-		if nu != next {
-			t.Fatalf("live id %d maps to %d, want dense order-preserving %d", old, nu, next)
+		if !slices.Equal(c.mat.Row(next), pts[old]) {
+			t.Fatalf("live id %d: row %d holds %v, want its row %v", old, next, c.mat.Row(next), pts[old])
 		}
-		if newLabels[nu] != oldLabels[old] {
-			t.Fatalf("id %d→%d label %d, want %d", old, nu, newLabels[nu], oldLabels[old])
+		if newLabels[next] != oldLabels[old] {
+			t.Fatalf("id %d→%d label %d, want %d", old, next, newLabels[next], oldLabels[old])
 		}
 		next++
 	}
 
-	// A second generation: the map is rewritten for generation 1's ids and
-	// ever-seen keeps the full history.
+	// A second generation renumbers generation 1's ids; ever-seen keeps the
+	// full history.
 	if _, err := c.Evict(ctx, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CompactGeneration(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Generation() != 2 || c.EverSeenIDs() != len(pts) || len(c.IDMap()) != len(pts)-len(dead) {
-		t.Fatalf("second compaction: generation=%d ever=%d map=%d",
-			c.Generation(), c.EverSeenIDs(), len(c.IDMap()))
+	if c.Generation() != 2 || c.EverSeenIDs() != len(pts) || c.N() != len(pts)-len(dead)-1 {
+		t.Fatalf("second compaction: generation=%d ever=%d n=%d", c.Generation(), c.EverSeenIDs(), c.N())
 	}
-	if got := c.IDMap()[0]; got != -1 {
-		t.Fatalf("generation-1 id 0 maps to %d, want -1", got)
+	if !slices.Equal(c.mat.Row(0), pts[2]) {
+		t.Fatalf("generation-2 id 0 holds %v, want the row of original id 2", c.mat.Row(0))
 	}
 }
 
 // Compacting with nothing tombstoned is a no-op: no renumbering, no
-// generation bump, no id map.
+// generation bump.
 func TestCompactGenerationNoOpWithoutTombstones(t *testing.T) {
 	ctx := context.Background()
 	pts, _ := testutil.Blobs(10, [][]float64{{0, 0}}, 20, 0.3, 0, 0, 1)
@@ -95,9 +88,8 @@ func TestCompactGenerationNoOpWithoutTombstones(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if released != 0 || c.Generation() != 0 || c.IDMap() != nil {
-		t.Fatalf("no-op compaction: released=%d generation=%d map=%v",
-			released, c.Generation(), c.IDMap())
+	if released != 0 || c.Generation() != 0 {
+		t.Fatalf("no-op compaction: released=%d generation=%d", released, c.Generation())
 	}
 }
 

@@ -1,7 +1,5 @@
 package stream
 
-import "fmt"
-
 const (
 	labelChunkShift = 10
 	labelChunk      = 1 << labelChunkShift
@@ -142,14 +140,4 @@ func labelsFromFlat(flat []int) *Labels {
 		l.append(v)
 	}
 	return l
-}
-
-// checkRange validates that every label lies in [-1, clusters).
-func (l *Labels) checkRange(clusters int) error {
-	for i := 0; i < l.n; i++ {
-		if v := l.At(i); v < -1 || v >= clusters {
-			return fmt.Errorf("label %d of point %d out of range [-1,%d)", v, i, clusters)
-		}
-	}
-	return nil
 }

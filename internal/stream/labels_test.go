@@ -73,16 +73,3 @@ func TestLabelsCopyOnWrite(t *testing.T) {
 		t.Fatal("forked lineage lost its own writes")
 	}
 }
-
-func TestLabelsCheckRange(t *testing.T) {
-	l := labelsFromFlat([]int{-1, 0, 2})
-	if err := l.checkRange(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.checkRange(2); err == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-	if err := labelsFromFlat([]int{-2}).checkRange(1); err == nil {
-		t.Fatal("label below -1 accepted")
-	}
-}

@@ -30,7 +30,7 @@ func TestRestoreWithPendingBufferMatchesLive(t *testing.T) {
 	}
 
 	v := live.View()
-	restored, err := Restore(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits)
+	restored, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRestoreWithPendingBufferMatchesLive(t *testing.T) {
 		t.Fatalf("view sizes diverge: mat %d/%d index %d/%d", lv.Mat.N, rv.Mat.N, lv.Index.N(), rv.Index.N())
 	}
 	for id := 0; id < lv.Index.N(); id += 7 {
-		if !slices.Equal(lv.Index.CandidatesByID(id), rv.Index.CandidatesByID(id)) {
+		if !slices.Equal(candidates(lv.Index, id), candidates(rv.Index, id)) {
 			t.Fatalf("view index candidates diverge at %d", id)
 		}
 		if !slices.Equal(lv.Mat.Row(id), rv.Mat.Row(id)) {

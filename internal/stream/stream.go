@@ -148,14 +148,11 @@ type Clusterer struct {
 
 	// generation counts id renumberings: CompactGeneration rebuilds the
 	// committed state over only the live points, densely renumbered, and
-	// bumps this. Ids are stable WITHIN a generation (the PR-5 contract);
-	// idMap is the old→new translation of the most recent compaction, so
-	// external references survive exactly one generation back (-1 = the old
-	// id was dead and has no successor). baseIDs counts ids retired by past
-	// compactions: baseIDs + mat.N is the number of ids ever minted, however
-	// many generations have recycled the dense range.
+	// bumps this. Ids are stable WITHIN a generation.
+	// baseIDs counts ids retired by past compactions: baseIDs + mat.N is the
+	// number of ids ever minted, however many generations have recycled the
+	// dense range.
 	generation int
-	idMap      []int
 	baseIDs    int
 
 	// scratch for the dirtiness check's candidate retrieval (marker-value
@@ -189,20 +186,14 @@ func New(initial [][]float64, cfg Config) (*Clusterer, error) {
 	return c, nil
 }
 
-// Restore reconstructs a clusterer from persisted state: the committed
-// matrix, the LSH index built over it, the maintained clusters and the
-// per-point labels. It validates cross-component consistency so a corrupt or
-// mismatched snapshot fails here rather than on a later commit.
-func Restore(cfg Config, mat *matrix.Matrix, index index.Index, clusters []*core.Cluster, labels []int, commits int) (*Clusterer, error) {
-	return RestoreGeneration(cfg, mat, index, clusters, labels, commits, 0, 0)
-}
-
-// RestoreGeneration is Restore with the persisted id-lifecycle counters: a
-// clusterer restored from a v5 snapshot resumes numbering new generations
-// where the saved one stopped, and `retired` (ids released by the saved
-// stream's past compactions) keeps EverSeenIDs monotone across the restart.
-// The id map itself is not persisted — it only ever bridges one in-process
-// compaction.
+// RestoreGeneration reconstructs a clusterer from persisted state: the
+// committed matrix, the index built over it, the maintained clusters, the
+// per-point labels and the id-lifecycle counters. It validates
+// cross-component consistency so a corrupt or mismatched snapshot fails here
+// rather than on a later commit. A clusterer restored from a v5 snapshot
+// resumes numbering new generations where the saved one stopped, and
+// `retired` (ids released by the saved stream's past compactions) keeps the
+// published EverSeenIDs monotone across the restart.
 func RestoreGeneration(cfg Config, mat *matrix.Matrix, index index.Index, clusters []*core.Cluster, labels []int, commits, generation, retired int) (*Clusterer, error) {
 	if generation < 0 {
 		return nil, fmt.Errorf("stream: restore generation %d, want >= 0", generation)
@@ -317,7 +308,6 @@ func (c *Clusterer) View() View {
 		Commits:     c.commits,
 		KernelEvals: c.kernelEvals,
 		Generation:  c.generation,
-		IDMap:       c.idMap,
 		RetiredIDs:  c.baseIDs,
 		EverSeenIDs: c.baseIDs + c.N(),
 	}
@@ -354,10 +344,6 @@ type View struct {
 	// CompactGeneration bumps it and every id is reassigned densely over the
 	// survivors. Ids are stable within a generation.
 	Generation int
-	// IDMap translates ids of generation Generation−1 to this generation
-	// (-1 = dead, no successor). Nil before the first compaction. Immutable;
-	// shared by every view of the same generation.
-	IDMap []int
 	// RetiredIDs counts ids released by past compactions; persisted (v5) so
 	// ever-seen accounting survives restarts.
 	RetiredIDs int
@@ -387,17 +373,6 @@ func (c *Clusterer) Live() int {
 // Evicted returns the number of committed points tombstoned so far
 // (cumulative across generations — compaction does not reset it).
 func (c *Clusterer) Evicted() int { return c.evicted }
-
-// Generation returns the current id-renumbering epoch (0 until the first
-// CompactGeneration).
-func (c *Clusterer) Generation() int { return c.generation }
-
-// EverSeenIDs returns the number of ids ever minted across all generations.
-func (c *Clusterer) EverSeenIDs() int { return c.baseIDs + c.N() }
-
-// IDMap returns the old→new id translation of the most recent compaction
-// (nil before the first one). The slice is immutable.
-func (c *Clusterer) IDMap() []int { return c.idMap }
 
 // Pending returns the number of buffered, uncommitted points.
 func (c *Clusterer) Pending() int { return len(c.buffer) }
@@ -789,7 +764,7 @@ func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
 // configuration — so the compacted state is bit-identical to a fresh
 // clusterer restored from only the survivors: every maintained cluster,
 // weight, density and label survives with its ids remapped through the
-// monotone old→new map (retrievable via IDMap for one generation back).
+// monotone old→new map.
 // A dead cluster seed is remapped to the cluster's heaviest surviving
 // member, the same point re-convergence would seed from.
 //
@@ -832,7 +807,6 @@ func (c *Clusterer) CompactGeneration() (int, error) {
 		c.det, c.mark, c.cmark, c.markGen, c.cand = nil, nil, nil, 0, nil
 		c.stamps, c.evictCursor = nil, 0
 		c.generation++
-		c.idMap = oldToNew
 		c.baseIDs += oldN
 		c.met.generationCompactions.Inc()
 		c.met.compactionReleased.Add(int64(released))
@@ -893,7 +867,6 @@ func (c *Clusterer) CompactGeneration() (int, error) {
 	c.det, c.mark, c.cmark, c.markGen, c.cand = nil, nil, nil, 0, nil
 	c.evictCursor = 0
 	c.generation++
-	c.idMap = oldToNew
 	c.baseIDs += released
 	// Don't credit the rebuild's segment merges as stream-lifetime LSH
 	// compactions: the counter tracks the live index's publish-time merges.
@@ -963,9 +936,6 @@ func (c *Clusterer) enforceRetention(ctx context.Context) error {
 	}
 	return c.evictIDs(ctx, ids)
 }
-
-// KernelEvals returns the cumulative kernel evaluations spent by commits.
-func (c *Clusterer) KernelEvals() int64 { return c.kernelEvals }
 
 // affinity evaluates a_jm over committed points, using the fused squared
 // distance for the Euclidean kernel.

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"alid/internal/index"
 	"alid/internal/testutil"
 )
 
@@ -107,7 +108,7 @@ func TestDroppedRecovergenceClearsLabels(t *testing.T) {
 	// after re-convergence.
 	strict := streamConfig()
 	strict.Core.DensityThreshold = 0.999
-	rc, err := Restore(strict, v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits)
+	rc, err := RestoreGeneration(strict, v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestViewImmutableUnderCommits(t *testing.T) {
 	wantN := v.Mat.N
 	wantLabels := v.Labels.Flat()
 	wantRow0 := append([]float64(nil), v.Mat.Row(0)...)
-	wantCand := v.Index.CandidatesByID(0)
+	wantCand := candidates(v.Index, 0)
 
 	for i := 0; i < 60; i++ {
 		p := []float64{20 + rng.NormFloat64()*0.3, 20 + rng.NormFloat64()*0.3}
@@ -172,7 +173,7 @@ func TestViewImmutableUnderCommits(t *testing.T) {
 	if !slices.Equal(v.Mat.Row(0), wantRow0) {
 		t.Fatal("view matrix mutated")
 	}
-	if !slices.Equal(v.Index.CandidatesByID(0), wantCand) {
+	if !slices.Equal(candidates(v.Index, 0), wantCand) {
 		t.Fatal("view index mutated")
 	}
 	// A second view reflects the advanced state.
@@ -215,16 +216,20 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	v := c.View()
 
-	if _, err := Restore(streamConfig(), nil, v.Index, v.Clusters, v.Labels.Flat(), v.Commits); err == nil {
+	if _, err := RestoreGeneration(streamConfig(), nil, v.Index, v.Clusters, v.Labels.Flat(), v.Commits, 0, 0); err == nil {
 		t.Fatal("accepted nil matrix")
 	}
-	if _, err := Restore(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat()[:5], v.Commits); err == nil {
+	if _, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat()[:5], v.Commits, 0, 0); err == nil {
 		t.Fatal("accepted short labels")
 	}
 	bad := v.Labels.Flat()
 	bad[0] = len(v.Clusters) + 3
-	if _, err := Restore(streamConfig(), v.Mat, v.Index, v.Clusters, bad, v.Commits); err == nil {
+	if _, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, bad, v.Commits, 0, 0); err == nil {
 		t.Fatal("accepted out-of-range label")
+	}
+	bad[0] = -2
+	if _, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, bad, v.Commits, 0, 0); err == nil {
+		t.Fatal("accepted label below -1")
 	}
 	// An index hashing a different dimensionality must be rejected at load.
 	pts3 := make([][]float64, v.Mat.N)
@@ -238,11 +243,11 @@ func TestRestoreValidation(t *testing.T) {
 	if err := c3.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(streamConfig(), v.Mat, c3.View().Index, v.Clusters, v.Labels.Flat(), v.Commits); err == nil {
+	if _, err := RestoreGeneration(streamConfig(), v.Mat, c3.View().Index, v.Clusters, v.Labels.Flat(), v.Commits, 0, 0); err == nil {
 		t.Fatal("accepted dimension-mismatched index")
 	}
 
-	rc, err := Restore(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits)
+	rc, err := RestoreGeneration(streamConfig(), v.Mat, v.Index, v.Clusters, v.Labels.Flat(), v.Commits, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,4 +255,10 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatalf("restore mismatch: n=%d/%d clusters=%d/%d", rc.N(), c.N(), len(rc.Clusters()), len(c.Clusters()))
 	}
 	checkLabelClusterConsistency(t, rc)
+}
+
+// candidates returns the live ids co-bucketed with id, in the index's
+// deterministic order.
+func candidates(ix index.Index, id int) []int32 {
+	return ix.CandidatesByIDInto(id, nil, make([]uint32, ix.N()), 1)
 }

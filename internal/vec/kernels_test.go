@@ -29,10 +29,6 @@ func TestUnrolledKernelsMatchNaive(t *testing.T) {
 		if got := SquaredL2(a, b); math.Abs(got-sq) > 1e-12*(1+sq) {
 			t.Fatalf("n=%d: SquaredL2 = %v, want %v", n, got, sq)
 		}
-		na, nb := Dot(a, a), Dot(b, b)
-		if got := SquaredL2NormDot(na, nb, Dot(a, b)); math.Abs(got-sq) > 1e-9*(1+sq) {
-			t.Fatalf("n=%d: SquaredL2NormDot = %v, want %v", n, got, sq)
-		}
 	}
 }
 
@@ -77,14 +73,6 @@ func TestSquaredL2Below(t *testing.T) {
 	}
 }
 
-func TestSquaredL2NormDotClamps(t *testing.T) {
-	a := []float64{0.1, 0.2, 0.3}
-	n := Dot(a, a)
-	if got := SquaredL2NormDot(n, n, Dot(a, a)); got < 0 {
-		t.Fatalf("identical vectors gave negative distance %v", got)
-	}
-}
-
 // The distance kernels sit inside every hot loop; they must never allocate.
 func TestKernelsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
@@ -103,9 +91,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s, _ := SquaredL2Below(a, b, 50); sink += s }); allocs != 0 {
 		t.Fatalf("SquaredL2Below allocates %v per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sink += SquaredL2NormDot(2, 3, 1) }); allocs != 0 {
-		t.Fatalf("SquaredL2NormDot allocates %v per run, want 0", allocs)
 	}
 	_ = sink
 }

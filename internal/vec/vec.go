@@ -74,19 +74,6 @@ func SquaredL2Below(a, b []float64, bound float64) (float64, bool) {
 	return (s0 + s1) + (s2 + s3), true
 }
 
-// SquaredL2NormDot evaluates the fused-distance identity
-// ‖a−b‖² = ‖a‖² + ‖b‖² − 2·a·b from precomputed squared norms and an inner
-// product, clamping the cancellation-prone result at zero. Paired with
-// Dot it halves the per-element work of SquaredL2 when norms are cached
-// (matrix.Matrix caches them per row).
-func SquaredL2NormDot(normASq, normBSq, dot float64) float64 {
-	s := normASq + normBSq - 2*dot
-	if s < 0 {
-		return 0
-	}
-	return s
-}
-
 // L1 returns the Manhattan distance between a and b.
 func L1(a, b []float64) float64 {
 	checkLen(a, b)
@@ -169,15 +156,6 @@ func Norm2(a []float64) float64 {
 	return math.Sqrt(s)
 }
 
-// Norm1 returns the L1 norm of a.
-func Norm1(a []float64) float64 {
-	var s float64
-	for _, av := range a {
-		s += math.Abs(av)
-	}
-	return s
-}
-
 // Scale multiplies every element of a by c in place.
 func Scale(a []float64, c float64) {
 	for i := range a {
@@ -191,26 +169,6 @@ func Axpy(y []float64, c float64, x []float64) {
 	for i := range y {
 		y[i] += c * x[i]
 	}
-}
-
-// Add returns a new vector a + b.
-func Add(a, b []float64) []float64 {
-	checkLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a new vector a − b.
-func Sub(a, b []float64) []float64 {
-	checkLen(a, b)
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
 }
 
 // Clone returns a copy of a.
@@ -234,65 +192,6 @@ func NormalizeL2(a []float64) {
 	if n > 0 {
 		Scale(a, 1/n)
 	}
-}
-
-// NormalizeL1 scales a in place so its absolute values sum to 1. Zero vectors
-// are left unchanged.
-func NormalizeL1(a []float64) {
-	n := Norm1(a)
-	if n > 0 {
-		Scale(a, 1/n)
-	}
-}
-
-// Mean returns the arithmetic mean of the selected points.
-func Mean(pts [][]float64, idx []int) []float64 {
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]float64, len(pts[idx[0]]))
-	for _, id := range idx {
-		Axpy(out, 1, pts[id])
-	}
-	Scale(out, 1/float64(len(idx)))
-	return out
-}
-
-// ArgMax returns the index of the largest element of a, or -1 for empty input.
-func ArgMax(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range a {
-		if v > a[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest element of a, or -1 for empty input.
-func ArgMin(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range a {
-		if v < a[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// Sum returns the sum of the elements of a.
-func Sum(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s
 }
 
 func checkLen(a, b []float64) {

@@ -66,9 +66,6 @@ func TestDotAndNorms(t *testing.T) {
 	if got := Norm2([]float64{3, 4}); !almostEqual(got, 5, eps) {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := Norm1([]float64{3, -4}); !almostEqual(got, 7, eps) {
-		t.Errorf("Norm1 = %v, want 7", got)
-	}
 }
 
 func TestScaleAxpy(t *testing.T) {
@@ -84,15 +81,8 @@ func TestScaleAxpy(t *testing.T) {
 	}
 }
 
-func TestAddSubClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	a := []float64{1, 2}
-	b := []float64{3, 5}
-	if s := Add(a, b); s[0] != 4 || s[1] != 7 {
-		t.Errorf("Add gave %v", s)
-	}
-	if d := Sub(b, a); d[0] != 2 || d[1] != 3 {
-		t.Errorf("Sub gave %v", d)
-	}
 	c := Clone(a)
 	c[0] = 99
 	if a[0] == 99 {
@@ -106,39 +96,10 @@ func TestNormalize(t *testing.T) {
 	if !almostEqual(Norm2(a), 1, eps) {
 		t.Errorf("NormalizeL2 norm = %v", Norm2(a))
 	}
-	b := []float64{2, 6}
-	NormalizeL1(b)
-	if !almostEqual(Norm1(b), 1, eps) {
-		t.Errorf("NormalizeL1 norm = %v", Norm1(b))
-	}
 	z := []float64{0, 0}
 	NormalizeL2(z) // must not panic or produce NaN
 	if z[0] != 0 || z[1] != 0 {
 		t.Errorf("NormalizeL2 of zero vector changed it: %v", z)
-	}
-}
-
-func TestMean(t *testing.T) {
-	pts := [][]float64{{0, 0}, {2, 4}}
-	got := Mean(pts, []int{0, 1})
-	if !almostEqual(got[0], 1, eps) || !almostEqual(got[1], 2, eps) {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestArgMaxMinSum(t *testing.T) {
-	a := []float64{1, 5, 3, -2}
-	if ArgMax(a) != 1 {
-		t.Errorf("ArgMax = %d", ArgMax(a))
-	}
-	if ArgMin(a) != 3 {
-		t.Errorf("ArgMin = %d", ArgMin(a))
-	}
-	if ArgMax(nil) != -1 || ArgMin(nil) != -1 {
-		t.Error("empty ArgMax/ArgMin should be -1")
-	}
-	if !almostEqual(Sum(a), 7, eps) {
-		t.Errorf("Sum = %v", Sum(a))
 	}
 }
 

@@ -55,12 +55,12 @@ func DetectParallel(ctx context.Context, points [][]float64, cfg Config, opts Pa
 }
 
 // DetectParallelFlat is DetectParallel for data already in flat row-major
-// form (see NewDetectorFlat). The slice is captured by reference.
+// form (see NewDetectorFlat). The data is copied once.
 func DetectParallelFlat(ctx context.Context, data []float64, n, d int, cfg Config, opts ParallelOptions) (*ParallelResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m, err := matrix.FromFlat(data, n, d)
+	m, err := matrix.FromFlat(data, n, d, nil)
 	if err != nil {
 		return nil, fmt.Errorf("alid: %w", err)
 	}

@@ -35,7 +35,10 @@ func TestQualityAcrossSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := eval.MustScore(ds.Labels, Labels(ds.N(), clusters))
+		res, err := eval.Score(ds.Labels, Labels(ds.N(), clusters))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.AVGF < 0.75 {
 			t.Errorf("seed %d: AVG-F = %.3f, want ≥ 0.75", seed, res.AVGF)
 		}
@@ -79,7 +82,10 @@ func TestQualityOnRealWorldStandIns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := eval.MustScore(ds.Labels, Labels(ds.N(), clusters))
+		res, err := eval.Score(ds.Labels, Labels(ds.N(), clusters))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if res.AVGF < 0.55 {
 			t.Errorf("%s: AVG-F = %.3f, want ≥ 0.55", ds.Name, res.AVGF)
 		}

@@ -7,9 +7,11 @@
 #   - the component peel: DetectAll peeling LSH components concurrently,
 #     bit-identical to the serial peel (clusters, order, weights, densities,
 #     kernel-evaluation count, peak submatrix) on many-component,
-#     one-giant-component and minhash fixtures, a cancelled peel returning
-#     only after every worker stopped, and the index conformance check that
-#     CIVS candidates never leave their seed's component;
+#     one-giant-component and minhash fixtures, a peel over a matrix and
+#     index that evicted the same ids seeding and reporting only live ids,
+#     a cancelled peel returning only after every worker stopped, and the
+#     index conformance check that CIVS candidates never leave their seed's
+#     component;
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
@@ -38,7 +40,8 @@
 #   - PR 10: the generation crosschecks — after id renumbering, every
 #     answer (clusters, assigns, snapshot bytes) bit-identical to a fresh
 #     engine built from only the survivors (dense and minhash backends,
-#     auto-compaction, Sharded at N ∈ {1,4});
+#     Sharded at N ∈ {1,4}); compaction runs where production runs it, in
+#     the writer after an Evict or commit crosses CompactEvictedShare;
 #   - persistence: at N ∈ {1,4}, a restore of per-shard delta chains
 #     byte-identical, shard by shard, to a restore of an equivalent full
 #     save, with the damaged-tail prefix fallback, the broken-middle/base
@@ -81,7 +84,7 @@ crosscheck() {
 
 crosscheck 'TestGOMAXPROCSCrosscheck' .
 
-crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
 crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
