@@ -134,9 +134,11 @@ func (d *Detector) DetectFrom(ctx context.Context, seed int) (Cluster, error) {
 // Stats reports detection-cost counters for scalability analysis.
 type Stats struct {
 	// AffinityComputed is the number of kernel evaluations performed — the
-	// measured counterpart of the O(C(a*+δ)n) bound. It is the same at any
-	// Parallelism: a parallel immunity scan does not count the evaluations
-	// its chunks past the first infective candidate spend.
+	// measured counterpart of the O(C(a*+δ)n) bound. An a_ij read back from
+	// a cached column (a_ji, bit-identical) is not evaluated again, so it
+	// counts once. It is the same at any Parallelism: a parallel immunity
+	// scan does not count the evaluations its chunks past the first
+	// infective candidate spend.
 	AffinityComputed int64
 	// PeakSubmatrixEntries is the largest local affinity submatrix held at
 	// once — the measured counterpart of the O(a*(a*+δ)) space bound.

@@ -104,6 +104,13 @@ func (k Kernel) Affinity(a, b []float64) float64 {
 // Oracle provides on-demand affinity computation over a fixed dataset and
 // counts how many kernel evaluations were performed. It is safe for
 // concurrent use; the counter is atomic and the dataset is read-only.
+//
+// Every kernel evaluates a_ij and a_ji with the same operations on swapped
+// operands: the norm sum, the per-lane products of Dot and Dot2, the
+// CancelGuard fallback to SquaredL2, |a−b| in the Lp sums and the Jaccard
+// lane comparison all commute. So Column(i, [j]), Column(j, [i]) and
+// Pair(i, j) are equal bit for bit, and a caller holding column j may read
+// a_ji from it instead of evaluating a_ij (internal/lid does).
 type Oracle struct {
 	Mat    *matrix.Matrix
 	Kernel Kernel

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"alid/internal/matrix"
+	"alid/internal/vec"
 )
 
 // Oracle.Column is the innermost affinity operation of LID; it must stay
@@ -107,6 +110,78 @@ func TestFusedAffinityMatchesDirect(t *testing.T) {
 					t.Fatalf("offset %v: At(%d,%d) = %v, direct kernel = %v", offset, i, j, fused, direct)
 				}
 			}
+		}
+	}
+}
+
+// Every kernel evaluates a_ij and a_ji with the same operations on swapped
+// operands, so Column(i,[j]), Column(j,[i]) and Pair(i,j) agree bit for bit
+// (the LID state reads a_ji back from a cached column on that promise). For
+// p = 2 the fixture mixes centered rows with rows near each other and far
+// from the origin, where the fused identity falls back to SquaredL2; the
+// Jaccard signatures hold integral minima and blended half-integers.
+func TestKernelSymmetry(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var dense [][]float64
+	for i := 0; i < 40; i++ {
+		offset, spread := 0.0, 3.0
+		if i%2 == 1 {
+			offset, spread = 1e6, 1e-3
+		}
+		p := make([]float64, 9)
+		for j := range p {
+			p[j] = offset + rng.NormFloat64()*spread
+		}
+		dense = append(dense, p)
+	}
+	var sigs [][]float64
+	for i := 0; i < 40; i++ {
+		s := make([]float64, 32)
+		for j := range s {
+			s[j] = float64(rng.Intn(4))
+			if rng.Intn(5) == 0 {
+				s[j] += 0.5
+			}
+		}
+		sigs = append(sigs, s)
+	}
+	cases := []struct {
+		name string
+		pts  [][]float64
+		k    Kernel
+	}{
+		{"p=2", dense, Kernel{K: 1.3, P: 2}},
+		{"p=1", dense, Kernel{K: 0.8, P: 1}},
+		{"p=3", dense, Kernel{K: 1, P: 3}},
+		{"jaccard", sigs, Kernel{K: 2, Jaccard: true}},
+	}
+	for _, c := range cases {
+		o := mustOracle(t, c.pts, c.k)
+		fallbacks := 0
+		var ij, ji [1]float64
+		for i := range c.pts {
+			for j := range c.pts {
+				if i == j {
+					continue
+				}
+				if c.k.P == 2 {
+					ni, nj := o.Mat.NormSq(i), o.Mat.NormSq(j)
+					if ni+nj-2*vec.Dot(o.Mat.Row(i), o.Mat.Row(j)) < matrix.CancelGuard*(ni+nj) {
+						fallbacks++
+					}
+				}
+				o.Column(j, []int{i}, ij[:])
+				o.Column(i, []int{j}, ji[:])
+				pair := o.Pair(i, j)
+				if math.Float64bits(ij[0]) != math.Float64bits(ji[0]) || math.Float64bits(ij[0]) != math.Float64bits(pair) {
+					t.Fatalf("%s: a(%d,%d): Column(%d,[%d]) = %v, Column(%d,[%d]) = %v, Pair = %v",
+						c.name, i, j, j, i, ij[0], i, j, ji[0], pair)
+				}
+			}
+		}
+		if c.k.P == 2 && (fallbacks == 0 || fallbacks == len(c.pts)*(len(c.pts)-1)) {
+			t.Fatalf("%s: %d of %d ordered pairs take the SquaredL2 fallback, want some but not all",
+				c.name, fallbacks, len(c.pts)*(len(c.pts)-1))
 		}
 	}
 }

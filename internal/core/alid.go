@@ -165,6 +165,7 @@ type Detector struct {
 type civsScratch struct {
 	mark  []uint32
 	gen   uint32
+	seen  index.BucketSet // the (table, bucket) pairs a read has walked
 	raw   []int32
 	cand  []civsCand
 	parts [][]civsCand // per-chunk buffers of the parallel CIVS filter
@@ -373,6 +374,7 @@ func (d *Detector) civs(sc *civsScratch, st *lid.State, support []int, roi ROI, 
 	sc.gen++
 	if sc.gen == 0 { // uint32 wrap: reset scratch
 		clear(sc.mark)
+		sc.seen.Reset()
 		sc.gen = 1
 	}
 	queries := support
@@ -387,10 +389,10 @@ func (d *Detector) civs(sc *civsScratch, st *lid.State, support []int, roi ROI, 
 		}
 		queries = []int{best}
 	}
-	raw := sc.raw[:0]
-	for _, id := range queries {
-		raw = d.index.CandidatesByIDInto(id, raw, sc.mark, sc.gen)
-	}
+	// One read for the whole support. It leaves out the support itself,
+	// which the filter below would drop anyway (the support lies in β), and
+	// keeps every other id in the order a per-query loop finds it.
+	raw := d.index.CandidatesByIDsInto(queries, sc.raw[:0], sc.mark, sc.gen, &sc.seen)
 	sc.raw = raw
 
 	m := d.oracle.Mat
@@ -525,10 +527,14 @@ func selectNearest(c []civsCand, k int) {
 // A detection reads and consumes only vertices of its seed's component, so
 // peeling each component in ascending seed order reproduces the serial peel
 // exactly: clusters, their order, weights, densities, PeakEntries and the
-// oracle's evaluation count are bit-identical to a nil Pool. Evicted rows
-// of the matrix are never seeds; the index must have evicted the same ids
-// (the stream evicts both together), so no candidate is dead either. On
-// error DetectAll returns the clusters accepted so far, unsorted, after
+// oracle's evaluation count are bit-identical to a nil Pool. A one-point
+// component is consumed without a detection: from a seed that shares no
+// bucket, Algorithm 2 ends at β = {seed} with density 0 after no LID
+// iteration and no kernel evaluation, holding one cached entry, and that
+// subgraph is never accepted. Evicted rows of the matrix are never seeds;
+// the index must have evicted the same ids (the stream evicts both
+// together), so no candidate is dead either. On error, a cancelled context
+// included, DetectAll returns the clusters accepted so far, unsorted, after
 // every worker has stopped.
 func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
 	active := make([]bool, d.oracle.N())
@@ -544,7 +550,9 @@ func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
 // peelComponents is DetectAll's parallel peel: the components, largest
 // first, on the pool's workers, each in ascending seed order on its
 // worker's CIVS scratch. Every write lands on the component's own entries
-// of active and accepted, or on the worker's own slots.
+// of active and accepted, or on the worker's own slots. One-point
+// components poll no context, so a cancellation that arrives while only
+// they remain is caught by one poll after the peel.
 func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluster, error) {
 	n := len(active)
 	comps := index.Components(d.index)
@@ -557,6 +565,13 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 	var failed atomic.Bool
 	accepted := make([]*Cluster, n) // by seed
 	d.cfg.Pool.Each(len(comps), func(w, c int) {
+		if len(comps[c]) == 1 {
+			if id := comps[c][0]; active[id] {
+				active[id] = false
+				peaks[w] = max(peaks[w], 1)
+			}
+			return
+		}
 		if scratch[w] == nil {
 			scratch[w] = &civsScratch{mark: make([]uint32, n)}
 		}
@@ -593,6 +608,9 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 		if err != nil {
 			return clusters, err
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return clusters, err
 	}
 	sortByDensity(clusters)
 	return clusters, nil

@@ -265,6 +265,9 @@ func (c *countdownCtx) Err() error {
 
 // Cancelling mid-peel returns the context's error only after every peel
 // worker has stopped: no worker polls the context once DetectAll returned.
+// A cancellation that lands once every detection has made its last poll,
+// while only one-point components (consumed without a detection, hence
+// without a poll) remain, still fails DetectAll.
 func TestDetectAllCancelMidPeel(t *testing.T) {
 	f := peelFixtures(t)[1]
 	// detect runs DetectAll under a context that cancels after budget polls
@@ -281,20 +284,65 @@ func TestDetectAllCancelMidPeel(t *testing.T) {
 		_, err = det.DetectAll(ctx)
 		return ctx, ctx.polls.Load(), err
 	}
-	_, full, err := detect(1, 1<<62)
+	// The budgets come from the pool path's own poll count: it skips the
+	// one-point components the serial loop detects, so half the serial
+	// count may exceed all of its polls. The count does not depend on the
+	// worker count, since each detection polls as often as it would alone.
+	_, serial, err := detect(1, 1<<62)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 4, 8} {
-		ctx, polls, err := detect(workers, full/2)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: DetectAll error %v, want context.Canceled", workers, err)
+	_, full, err := detect(2, 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full >= serial {
+		t.Fatalf("component peel polls %d times, the serial loop %d: no one-point component was skipped", full, serial)
+	}
+	// inDetections counts the polls of the detections alone: every
+	// multi-point component peeled in ascending seed order, as
+	// peelComponents peels it. Under that budget the cancel lands after
+	// every detection's last poll.
+	inDetections := func() int64 {
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(1 << 62)
+		det, err := NewDetector(f.pts, f.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// A worker left running would poll again within its next
-		// detection, microseconds away; 20 ms is ample time to show it.
-		time.Sleep(20 * time.Millisecond)
-		if after := ctx.polls.Load(); after != polls {
-			t.Fatalf("workers=%d: %d context polls after DetectAll returned", workers, after-polls)
+		active := make([]bool, len(f.pts))
+		for i := range active {
+			active[i] = true
+		}
+		for _, comp := range index.Components(det.Index()) {
+			for _, id := range comp {
+				if len(comp) == 1 || !active[id] {
+					continue
+				}
+				cl, err := det.DetectFrom(ctx, int(id), active)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peel(cl, active)
+			}
+		}
+		return ctx.polls.Load()
+	}()
+	for _, workers := range []int{2, 4, 8} {
+		if _, polls, err := detect(workers, full); err != nil || polls != full {
+			t.Fatalf("workers=%d: %d polls and error %v under a budget of exactly %d", workers, polls, err, full)
+		}
+		for _, budget := range []int64{full / 2, inDetections} {
+			ctx, polls, err := detect(workers, budget)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("workers=%d budget=%d of %d: DetectAll error %v, want context.Canceled", workers, budget, full, err)
+			}
+			// A worker left running would poll again within its next
+			// detection, microseconds away; 20 ms is ample time to show it.
+			time.Sleep(20 * time.Millisecond)
+			if after := ctx.polls.Load(); after != polls {
+				t.Fatalf("workers=%d budget=%d: %d context polls after DetectAll returned", workers, budget, after-polls)
+			}
 		}
 	}
 }

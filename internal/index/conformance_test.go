@@ -5,8 +5,9 @@ package index_test
 // backends() and nothing else. The suite checks the four contract pillars
 // the pipeline's bit-identical invariants rest on:
 //
-//   - reference-model queries: Query / QueryInto / CandidatesByID answer
-//     exactly what a brute-force co-bucketing model over BucketKeys predicts;
+//   - reference-model queries: QueryInto and CandidatesByIDsInto answer
+//     exactly what a brute-force co-bucketing model over BucketKeys predicts,
+//     the multi-id read in the order of a per-id loop over that model;
 //   - share-and-seal publishing: a published snapshot is immune to later
 //     Append / Evict on the live index;
 //   - tombstones: after Evict, every read path answers as if only the
@@ -241,8 +242,8 @@ func TestConformanceQueryPathsMatchReference(t *testing.T) {
 			var dst []int32
 			for id := 0; id < len(pts); id += 7 {
 				gen++
-				dst = ix.CandidatesByIDInto(id, dst[:0], mark, gen)
-				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(dst), "CandidatesByIDInto")
+				dst = ix.CandidatesByIDsInto([]int{id}, dst[:0], mark, gen, nil)
+				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(dst), "CandidatesByIDsInto")
 			}
 
 			// VisitLiveBuckets enumerates exactly the oracle's buckets with
@@ -340,8 +341,8 @@ func TestConformanceTombstones(t *testing.T) {
 				if id%3 == 0 {
 					continue
 				}
-				got := ix.CandidatesByIDInto(id, nil, mark, uint32(id))
-				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(got), "evicted CandidatesByIDInto")
+				got := ix.CandidatesByIDsInto([]int{id}, nil, mark, uint32(id), nil)
+				wantSameIDs(t, ref.candidates(ix, pts[id], id), sortedCopy(got), "evicted CandidatesByIDsInto")
 			}
 			ix.VisitLiveBuckets(func(table int, key uint64, ids []int32) {
 				for _, id := range ids {
@@ -434,11 +435,11 @@ func TestConformanceDeterminismAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // Components partitions the ids into the connected components of the
-// co-bucketing graph, before and after Evict. CandidatesByIDInto of a live
-// id never leaves its component: the property DetectAll's concurrent peel
-// rests on. A walk over CandidatesByIDInto from a component's first id
-// reaches the whole component, so the partition is no coarser than the
-// graph.
+// co-bucketing graph, before and after Evict. The candidates of a live id
+// never leave its component, the property DetectAll's concurrent peel rests
+// on, so a read of a whole component returns nothing. A walk that reads the
+// candidates of each new frontier from a component's first id reaches the
+// whole component, so the partition is no coarser than the graph.
 func TestConformanceComponents(t *testing.T) {
 	for _, b := range backends() {
 		t.Run(b.name, func(t *testing.T) {
@@ -510,6 +511,7 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 	}
 	mark := make([]uint32, ix.N())
 	gen := uint32(ix.N())
+	var buckets index.BucketSet
 	for i := range comp {
 		if !live(i) {
 			if len(comps[comp[i]]) != 1 {
@@ -517,7 +519,7 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 			}
 			continue
 		}
-		for _, j := range ix.CandidatesByIDInto(i, nil, mark, uint32(i+1)) {
+		for _, j := range ix.CandidatesByIDsInto([]int{i}, nil, mark, uint32(i+1), nil) {
 			if comp[j] != comp[i] {
 				t.Fatalf("candidate %d of id %d lies in component %d, not %d", j, i, comp[j], comp[i])
 			}
@@ -527,19 +529,178 @@ func checkComponents(t *testing.T, ix index.Index, live func(int) bool) {
 		if !live(int(ids[0])) {
 			continue
 		}
-		seen := map[int32]bool{ids[0]: true}
-		for queue := []int32{ids[0]}; len(queue) > 0; queue = queue[1:] {
+		whole := make([]int, len(ids))
+		for k, id := range ids {
+			whole[k] = int(id)
+		}
+		gen++
+		if got := ix.CandidatesByIDsInto(whole, nil, mark, gen, &buckets); len(got) != 0 {
+			t.Fatalf("component of %d: a read of all its ids returns %v", ids[0], got)
+		}
+		reached := map[int]bool{whole[0]: true}
+		for frontier := whole[:1]; len(frontier) > 0; {
 			gen++
-			for _, j := range ix.CandidatesByIDInto(int(queue[0]), nil, mark, gen) {
-				if !seen[j] {
-					seen[j] = true
-					queue = append(queue, j)
+			var next []int
+			for _, j := range ix.CandidatesByIDsInto(frontier, nil, mark, gen, &buckets) {
+				if !reached[int(j)] {
+					reached[int(j)] = true
+					next = append(next, int(j))
+				}
+			}
+			frontier = next
+		}
+		if len(reached) != len(ids) {
+			t.Fatalf("component of %d has %d ids, its walk reaches %d", ids[0], len(ids), len(reached))
+		}
+	}
+}
+
+// perIDLoop is the candidate read CIVS made before the multi-id read, over
+// the brute-force model: each query id in turn, its tables in order, each
+// bucket's live members ascending, every id at its first sighting and never
+// the query itself. The query ids are dropped from the result afterwards.
+func (m *refModel) perIDLoop(queries []int) []int32 {
+	seen := map[int]bool{}
+	var out []int32
+	for _, q := range queries {
+		for t, k := range m.keys[q] {
+			for _, id := range m.byTK[t][k] {
+				if m.live[id] && id != q && !seen[id] {
+					seen[id] = true
+					out = append(out, int32(id))
 				}
 			}
 		}
-		if len(seen) != len(ids) {
-			t.Fatalf("component of %d has %d ids, its walk reaches %d", ids[0], len(ids), len(seen))
+	}
+	isQuery := map[int32]bool{}
+	for _, q := range queries {
+		isQuery[int32(q)] = true
+	}
+	kept := out[:0]
+	for _, id := range out {
+		if !isQuery[id] {
+			kept = append(kept, id)
 		}
+	}
+	return kept
+}
+
+// The multi-id read, before and after Evict, on query sets of every shape:
+// one id, random live ids, and whole or partial components (whose queries
+// share buckets, so most (table, bucket) pairs repeat). Against the
+// brute-force model it returns the union of the queries' candidates, no
+// query id, each id once, in the per-id loop's order. Every read reuses one
+// mark array and one bucket set under a fresh marker value, so a stale
+// entry of an earlier read would show as a missing bucket.
+func TestConformanceCandidatesByIDs(t *testing.T) {
+	for _, b := range backends() {
+		t.Run(b.name, func(t *testing.T) {
+			var pts [][]float64
+			for i, p := range b.gen(13, 360) {
+				pts = append(pts, p)
+				if i%4 == 0 {
+					pts = append(pts, p)
+				}
+			}
+			ix, err := b.build(pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := buildRef(ix, pts)
+			mark := make([]uint32, ix.N())
+			var gen uint32
+			var buckets index.BucketSet
+			var dst []int32
+			rng := rand.New(rand.NewSource(5))
+			check := func(stage string) {
+				t.Helper()
+				var sets [][]int
+				var liveIDs []int
+				for id, ok := range ref.live {
+					if ok {
+						liveIDs = append(liveIDs, id)
+					}
+				}
+				for i := 0; i < 20; i++ {
+					sets = append(sets, []int{liveIDs[rng.Intn(len(liveIDs))]})
+					k := 2 + rng.Intn(40)
+					set := make([]int, 0, k)
+					for _, j := range rng.Perm(len(liveIDs))[:k] {
+						set = append(set, liveIDs[j])
+					}
+					sets = append(sets, set)
+				}
+				// A live id with part of its candidates, shuffled, as a CIVS
+				// support is; and whole components, whose duplicate points
+				// share every bucket.
+				shared := 0
+				for i := 0; i < 40; i++ {
+					q := liveIDs[rng.Intn(len(liveIDs))]
+					set := []int{q}
+					for _, id := range ref.candidates(ix, pts[q], q) {
+						if rng.Intn(3) > 0 {
+							set = append(set, int(id))
+						}
+					}
+					rng.Shuffle(len(set), func(i, j int) { set[i], set[j] = set[j], set[i] })
+					if len(set) > 1 {
+						sets = append(sets, set)
+						shared++
+					}
+				}
+				for _, comp := range index.Components(ix) {
+					if len(comp) > 1 && ref.live[comp[0]] {
+						set := make([]int, len(comp))
+						for k, id := range comp {
+							set[k] = int(id)
+						}
+						sets = append(sets, set)
+						shared++
+					}
+				}
+				if shared < 10 {
+					t.Fatalf("%s: %d query sets sharing buckets, want many", stage, shared)
+				}
+				for _, set := range sets {
+					gen++
+					dst = ix.CandidatesByIDsInto(set, dst[:0], mark, gen, &buckets)
+					label := fmt.Sprintf("%s read of %d ids", stage, len(set))
+					wantSameIDs(t, ref.perIDLoop(set), dst, label)
+					isQuery := map[int32]bool{}
+					for _, q := range set {
+						isQuery[int32(q)] = true
+					}
+					union := map[int32]bool{}
+					for _, q := range set {
+						for _, id := range ref.candidates(ix, pts[q], q) {
+							if !isQuery[id] {
+								union[id] = true
+							}
+						}
+					}
+					once := map[int32]bool{}
+					for _, id := range dst {
+						if isQuery[id] {
+							t.Fatalf("%s: returns query id %d", label, id)
+						}
+						if once[id] {
+							t.Fatalf("%s: returns id %d twice", label, id)
+						}
+						once[id] = true
+					}
+					if len(once) != len(union) {
+						t.Fatalf("%s: %d ids, the model has %d", label, len(once), len(union))
+					}
+				}
+			}
+			check("built")
+			dead := evictEveryThird(len(pts))
+			if got := ix.Evict(dead); got == 0 {
+				t.Fatal("Evict evicted nothing")
+			}
+			ref.evict(dead)
+			check("evicted")
+		})
 	}
 }
 

@@ -17,15 +17,18 @@
 // bit-identical invariants rest on; the backend conformance suite in
 // conformance_test.go makes them executable):
 //
-//   - Deterministic candidate order: QueryInto and CandidatesByIDInto
-//     enumerate tables in order and bucket members in ascending id order,
-//     identical to a flat single-segment build, at any GOMAXPROCS.
+//   - Deterministic candidate order: QueryInto enumerates tables in order
+//     and bucket members in ascending id order; CandidatesByIDsInto walks
+//     its query ids in order, each query's tables in order and each
+//     bucket's members in ascending id order, visiting a (table, bucket)
+//     only for the first query that hashes into it. Both are identical to a
+//     flat single-segment build at any GOMAXPROCS.
 //   - Share-and-seal publishing: PublishIndex returns an immutable snapshot
 //     sharing sealed state with the live index; later Append/Evict on the
 //     live side never disturb it.
 //   - Tombstone semantics: after Evict, every read path answers exactly as
 //     an index built over only the survivors.
-//   - Reads (QueryInto, CandidatesByIDInto, Buckets, Stats) are safe for
+//   - Reads (QueryInto, CandidatesByIDsInto, Buckets, Stats) are safe for
 //     unlimited concurrency; Append, PublishIndex and Evict are writer-side
 //     and must be serialized by the caller (the streaming layer's single
 //     writer).
@@ -76,10 +79,16 @@ type Index interface {
 	// bucket's live member ids in ascending id order. The ids slice may
 	// alias index storage and is valid only for the duration of the call.
 	VisitLiveBuckets(f func(table int, key uint64, ids []int32))
-	// CandidatesByIDInto appends the live ids co-bucketed with the (live)
-	// point id in any table, excluding id itself, using the stored inverted
-	// list; mark/gen dedup as in QueryInto. CIVS retrieves through it.
-	CandidatesByIDInto(id int, dst []int32, mark []uint32, gen uint32) []int32
+	// CandidatesByIDsInto appends the live ids co-bucketed in any table with
+	// any of the (live) query ids, excluding the query ids themselves, using
+	// the stored inverted list; mark/gen dedup as in QueryInto, and every
+	// query id is marked up front. A (table, bucket) pair is walked once,
+	// for the first query that hashes into it: seen records the walked
+	// pairs under gen (nil is allowed for a single id, which cannot repeat
+	// a pair). The order equals walking each query id in turn and dropping
+	// the query ids from the result. CIVS reads a whole support with one
+	// call; the stream's dirtiness check passes one id.
+	CandidatesByIDsInto(ids []int, dst []int32, mark []uint32, gen uint32, seen *BucketSet) []int32
 	// Buckets returns every bucket with more than minSize live members in a
 	// deterministic order (by table, then bucket key) — PALID's seed pool.
 	Buckets(minSize int) [][]int32
@@ -118,3 +127,54 @@ func Normalize(backend string) string {
 	}
 	return backend
 }
+
+// BucketSet is the caller-owned set of (table, bucket key) pairs one
+// CandidatesByIDsInto call has walked. Entries are stamped with the call's
+// marker value, so a new value starts an empty set without clearing it; a
+// caller that wraps its marker value back to a used one must Reset the set
+// along with its mark array. The zero value is ready to use, and once the
+// set has grown to the largest read it allocates nothing.
+type BucketSet struct {
+	slots []bucketSlot
+	mask  uint64
+}
+
+type bucketSlot struct {
+	key   uint64
+	table int32
+	gen   uint32
+}
+
+// Prepare sizes the set for up to n pairs under a new marker value. An
+// existing table is reused when it keeps the load at or below one half.
+func (s *BucketSet) Prepare(n int) {
+	if 2*n <= len(s.slots) {
+		return
+	}
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	s.slots = make([]bucketSlot, size)
+	s.mask = uint64(size - 1)
+}
+
+// Visit records (table, key) under gen and reports whether it is new, i.e.
+// not yet recorded under gen. The set must have been prepared for every
+// pair recorded under gen.
+func (s *BucketSet) Visit(table int, key uint64, gen uint32) bool {
+	h := (key ^ uint64(table)*0x9e3779b97f4a7c15) * 0xff51afd7ed558ccd
+	for i := (h ^ h>>32) & s.mask; ; i = (i + 1) & s.mask {
+		e := &s.slots[i]
+		if e.gen != gen {
+			*e = bucketSlot{key, int32(table), gen}
+			return true
+		}
+		if e.key == key && e.table == int32(table) {
+			return false
+		}
+	}
+}
+
+// Reset empties the set for every marker value.
+func (s *BucketSet) Reset() { clear(s.slots) }

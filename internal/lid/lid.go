@@ -8,16 +8,25 @@
 //
 // where α = supp(x). Each iteration selects the vertex with the strongest
 // payoff deviation (Eq. 6/8), computes the optimal invasion share (Eq. 9) and
-// updates both x (Eq. 13) and g (Eq. 14) in O(|β|) time. Only the columns
-// A_{βi} that are actually touched are ever computed (the green parts of
-// Fig. 3), which is what removes the O(n²) affinity-matrix cost.
+// updates both x (Eq. 13) and g (Eq. 14) in O(|β|) time: one selection
+// scan, one pass that moves x and g together and clamps weight dust, and one
+// that renormalizes x and accumulates π(x) for the next iteration. Only the
+// columns A_{βi} that are actually touched are ever computed (the green
+// parts of Fig. 3), which is what removes the O(n²) affinity-matrix cost.
+//
+// A is symmetric, and every kernel evaluates a_ij and a_ji bit-identically
+// (see affinity.Oracle), so a new column reads a_ji back from the cached
+// column of j wherever there is one and evaluates only the other rows. The
+// reuse changes neither the values nor what is cached: every cached column
+// still holds all |β| rows, so the cached-entry count, and with it the
+// a*(a*+δ) space bound of Section 4.5, is the same as without it.
 package lid
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math"
-	"sort"
+	"slices"
 
 	"alid/internal/affinity"
 	"alid/internal/par"
@@ -37,22 +46,30 @@ type State struct {
 	beta []int       // global indices of the local range, order fixed
 	pos  map[int]int // global index -> position in beta
 
-	x []float64 // vertex weights over beta positions (a point of Δ^|β|)
-	g []float64 // g[r] = Σ_{i∈α} a_{beta[r],beta[i]}·x[i]
+	x  []float64 // vertex weights over beta positions (a point of Δ^|β|)
+	g  []float64 // g[r] = Σ_{i∈α} a_{beta[r],beta[i]}·x[i]
+	pi float64   // π(x), accumulated by the last Step's renormalization pass
 
-	cols map[int][]float64 // global column index -> column over beta rows
+	// colAt[p] is the cached column A_{β,beta[p]} over all beta rows, nil
+	// when there is none.
+	colAt [][]float64
 
 	// per-chunk scratch of the parallel paths (argmax partials, Extend tail
-	// slab, Immune chunk flags and evaluation counts), reused across
-	// iterations
-	argBest []int
-	argAbs  []float64
-	argR    []float64
-	tails   []float64
-	infect  []bool
-	evals   []int
+	// slab, Immune chunk flags and evaluation counts) and of column fills
+	// and Extend (rows to evaluate, their positions and values, retained
+	// column positions), reused across iterations
+	argBest  []int
+	argAbs   []float64
+	argR     []float64
+	tails    []float64
+	infect   []bool
+	evals    []int
+	fillRows []int
+	fillAt   []int
+	fillVals []float64
+	colPos   []int
 
-	cached      int // cached submatrix entries: Σ len(cols[i])
+	cached      int // cached submatrix entries: Σ len(colAt[p])
 	peakEntries int // high-water mark of cached
 	iterations  int // total LID iterations performed
 }
@@ -75,7 +92,7 @@ func NewState(o *affinity.Oracle, seed int) (*State, error) {
 		pos:    map[int]int{seed: 0},
 		x:      []float64{1},
 		g:      []float64{0},
-		cols:   map[int][]float64{seed: {0}},
+		colAt:  [][]float64{{0}},
 		cached: 1,
 	}
 	s.trackPeak()
@@ -101,16 +118,10 @@ func (s *State) Weight(global int) float64 {
 // quantity bounded by a*(a*+δ) in Section 4.5.
 func (s *State) PeakEntries() int { return s.peakEntries }
 
-// Density returns π(x) = Σ_{i∈α} x_i·g_i (Eq. 2 restricted to β).
-func (s *State) Density() float64 {
-	var pi float64
-	for i, xi := range s.x {
-		if xi > 0 {
-			pi += xi * s.g[i]
-		}
-	}
-	return pi
-}
+// Density returns π(x) = Σ_{i∈α} x_i·g_i (Eq. 2 restricted to β), summed
+// in ascending position order. Step accumulates it while it renormalizes x;
+// Extend adds only zero-weight rows, so it stays valid across Extend.
+func (s *State) Density() float64 { return s.pi }
 
 // SupportWeights returns parallel slices of global indices and their weights,
 // the (members, memberships) pair that defines the detected subgraph.
@@ -129,16 +140,32 @@ func (s *State) SupportWeights() ([]int, []float64) {
 // Payoff returns π(s_j − x, x) = g_j − π(x) for the local position p.
 func (s *State) payoff(p int, pi float64) float64 { return s.g[p] - pi }
 
-// column returns the affinity column A_{β,global}, computing and caching it
-// on first use (the dashed green column of Fig. 3). The fill fans out over
-// the pool in fixed row chunks for large β.
-func (s *State) column(global int) []float64 {
-	if c, ok := s.cols[global]; ok {
+// column returns the affinity column A_{β,beta[p]}, computing and caching
+// it on first use (the dashed green column of Fig. 3). Row r is read back
+// from the cached column of beta[r] when there is one (a_ij = a_ji bit for
+// bit); the other rows are evaluated, fanned out over the pool in fixed row
+// chunks when there are many.
+func (s *State) column(p int) []float64 {
+	if c := s.colAt[p]; c != nil {
 		return c
 	}
 	c := make([]float64, len(s.beta))
-	s.oracle.ColumnPar(s.pool, global, s.beta, c)
-	s.cols[global] = c
+	rows, at := s.fillRows[:0], s.fillAt[:0]
+	for r, cr := range s.colAt {
+		if cr != nil {
+			c[r] = cr[p]
+		} else {
+			rows = append(rows, s.beta[r])
+			at = append(at, r)
+		}
+	}
+	vals := slices.Grow(s.fillVals[:0], len(rows))[:len(rows)]
+	s.oracle.ColumnPar(s.pool, s.beta[p], rows, vals)
+	for k, r := range at {
+		c[r] = vals[k]
+	}
+	s.fillRows, s.fillAt, s.fillVals = rows, at, vals
+	s.colAt[p] = c
 	s.cached += len(c)
 	s.trackPeak()
 	return c
@@ -191,7 +218,7 @@ func (s *State) selectVertex(lo, hi int, pi, tol float64) (best int, bestAbs, be
 // Step performs one LID iteration (Algorithm 1). It returns false when x is
 // already immune against every vertex in β up to tol, i.e. γ_β(x) = ∅.
 func (s *State) Step(tol float64) bool {
-	pi := s.Density()
+	pi := s.pi
 
 	// Vertex selection, Eq. 6: argmax |π(s_i − x, x)| over C1 ∪ C2. For a
 	// large β the scan runs as fixed chunks with per-chunk partial winners,
@@ -225,34 +252,68 @@ func (s *State) Step(tol float64) bool {
 	}
 	s.iterations++
 
-	col := s.column(s.beta[best])
+	col := s.column(best)
 	// π(s_i − x) = a_ii − 2g_i + π(x) with a_ii = 0 (Eq. 11).
 	piDiff := -2*s.g[best] + pi
 
 	if bestR > 0 {
-		// Infection with y = s_i.
+		// Infection with y = s_i: x ← x + ε(s_i − x), and Eq. 14,
+		// g ← g + ε(A_{βi} − g).
 		eps := simplex.InvasionShare(bestR, piDiff)
-		simplex.InvadeVertex(s.x, best, eps)
-		// Eq. 14: g ← g + ε(A_{βi} − g).
-		for r := range s.g {
-			s.g[r] += eps * (col[r] - s.g[r])
-		}
+		s.invade(best, simplex.ClampShare(eps), eps, col)
 	} else {
-		// Immunization with the co-vertex y = s_i(x) (Eq. 7/12).
+		// Immunization with the co-vertex y = s_i(x) (Eq. 7/12): the same
+		// moves with the share scaled by µ.
 		mu := simplex.CoVertexFactor(s.x[best])
 		num := mu * bestR       // π(s_i(x) − x, x) > 0
 		den := mu * mu * piDiff // π(s_i(x) − x)
 		eps := simplex.InvasionShare(num, den)
-		simplex.InvadeCoVertex(s.x, best, eps)
-		f := eps * mu
-		for r := range s.g {
-			s.g[r] += f * (col[r] - s.g[r])
+		s.invade(best, simplex.ClampShare(eps)*mu, eps*mu, col)
+	}
+	return true
+}
+
+// invade moves x by x ← x + fx·(s_b − x) and g by g ← g + fg·(col − g) in
+// one pass, then renormalizes x in a second, accumulating π(x) as it goes.
+// fx is the share clamped to [0,1] (scaled by µ for a co-vertex), fg the
+// unclamped one: exactly simplex.InvadeVertex or InvadeCoVertex, the Eq. 14
+// g update and simplex.Clamp, in that order, followed by Density. Dust at or
+// below WeightEps is zeroed so the support (and hence peeling and the ROI)
+// stays exact.
+func (s *State) invade(b int, fx, fg float64, col []float64) {
+	x := s.x
+	g, col := s.g[:len(x)], col[:len(x)]
+	om := 1 - fx
+	var sum float64
+	for j, v := range x {
+		v *= om
+		if j == b {
+			v += fx
+		}
+		g[j] += fg * (col[j] - g[j])
+		if v <= simplex.WeightEps {
+			x[j] = 0
+			continue
+		}
+		x[j] = v
+		sum += v
+	}
+	inv := 1.0
+	if sum > 0 {
+		inv = 1 / sum
+	}
+	var pi float64
+	for j, v := range x {
+		if v == 0 {
+			continue
+		}
+		v *= inv
+		x[j] = v
+		if v > 0 {
+			pi += v * g[j]
 		}
 	}
-	// Keep x numerically on the simplex; dust below WeightEps is removed so
-	// the support (and hence peeling and the ROI) stays exact.
-	simplex.Clamp(s.x)
-	return true
+	s.pi = pi
 }
 
 // cancelCheckEvery is the amortized cadence of context checks inside Solve:
@@ -311,47 +372,50 @@ func (s *State) Extend(newGlobal []int) int {
 		s.beta = append(s.beta, gidx)
 		s.x = append(s.x, 0)
 		s.g = append(s.g, 0)
+		s.colAt = append(s.colAt, nil)
 	}
 	s.dropNonSupportColumns()
 	// Extend the retained (support) columns with the new rows and accumulate
 	// the new g entries: g_j = Σ_{i∈α} a_{j,i}·x_i for j ∈ ψ. Columns are
-	// processed in sorted order: map-order iteration would make the
-	// floating-point accumulation order (and hence tie-breaking in later
-	// vertex selections) run-dependent.
-	colIdxs := make([]int, 0, len(s.cols))
-	for colIdx := range s.cols {
-		colIdxs = append(colIdxs, colIdx)
+	// processed in ascending global index, the fixed floating-point
+	// accumulation order that later vertex selections break ties on.
+	colPos := s.colPos[:0]
+	for p, c := range s.colAt[:oldLen] {
+		if c != nil {
+			colPos = append(colPos, p)
+		}
 	}
-	sort.Ints(colIdxs)
+	slices.SortFunc(colPos, func(a, b int) int { return cmp.Compare(s.beta[a], s.beta[b]) })
+	s.colPos = colPos
 	// Phase 1 — fill: the A_{ψα} tail rows of every retained column land in a
 	// per-column slab slot (chunk-owned writes, one column per chunk), so the
 	// submatrix materialization fans out over the pool. Each slot's entries
 	// depend only on its own (column, row) pairs — the slab content is
 	// bit-identical however the chunks are scheduled.
 	nf := len(fresh)
-	if need := len(colIdxs) * nf; cap(s.tails) < need {
+	if need := len(colPos) * nf; cap(s.tails) < need {
 		s.tails = make([]float64, need)
 	}
-	tails := s.tails[:len(colIdxs)*nf]
+	tails := s.tails[:len(colPos)*nf]
 	newRows := s.beta[oldLen:]
 	fill := func(lo, hi int) {
 		for ci := lo; ci < hi; ci++ {
-			s.oracle.Column(colIdxs[ci], newRows, tails[ci*nf:(ci+1)*nf])
+			s.oracle.Column(s.beta[colPos[ci]], newRows, tails[ci*nf:(ci+1)*nf])
 		}
 	}
-	if s.pool.Parallel() && len(colIdxs) > 1 && len(colIdxs)*nf >= extendParMin {
-		s.pool.ForChunks(len(colIdxs), 1, func(_, lo, hi int) { fill(lo, hi) })
+	if s.pool.Parallel() && len(colPos) > 1 && len(colPos)*nf >= extendParMin {
+		s.pool.ForChunks(len(colPos), 1, func(_, lo, hi int) { fill(lo, hi) })
 	} else {
-		fill(0, len(colIdxs))
+		fill(0, len(colPos))
 	}
-	// Phase 2 — merge, serial: append each tail to its cached column and
-	// accumulate g in ascending column order, the exact floating-point order
-	// of the pre-parallel implementation.
-	for ci, colIdx := range colIdxs {
+	// Phase 2 — merge, serial: append each tail to its cached column (the
+	// append may move it, so colAt takes the result) and accumulate g in
+	// ascending column order, the exact floating-point order of the
+	// pre-parallel implementation.
+	for ci, p := range colPos {
 		tail := tails[ci*nf : (ci+1)*nf]
-		s.cols[colIdx] = append(s.cols[colIdx], tail...)
-		xi := s.x[s.pos[colIdx]]
-		if xi > 0 {
+		s.colAt[p] = append(s.colAt[p], tail...)
+		if xi := s.x[p]; xi > 0 {
 			for r := range tail {
 				s.g[oldLen+r] += xi * tail[r]
 			}
@@ -369,9 +433,9 @@ var extendParMin = 2048
 // dropNonSupportColumns releases cached columns for vertices outside the
 // current support. Support columns must be kept: they are exactly A_{βα}.
 func (s *State) dropNonSupportColumns() {
-	for colIdx, c := range s.cols {
-		if s.x[s.pos[colIdx]] <= simplex.WeightEps {
-			delete(s.cols, colIdx)
+	for p, c := range s.colAt {
+		if c != nil && s.x[p] <= simplex.WeightEps {
+			s.colAt[p] = nil
 			s.cached -= len(c)
 		}
 	}
@@ -449,49 +513,4 @@ func (s *State) Immune(candidates []int, tol float64) bool {
 	found, n := scan(candidates)
 	s.oracle.AddComputed(int64(n))
 	return !found
-}
-
-// Sanity verifies internal invariants (x on simplex, g consistent with the
-// cached columns). It is O(|β|·|α|) and intended for tests and debugging.
-func (s *State) Sanity() error {
-	for p, xi := range s.x {
-		if xi < -1e-6 {
-			return fmt.Errorf("lid: x off simplex (x[%d]=%v)", p, xi)
-		}
-	}
-	if total := sum(s.x); !(math.Abs(total-1) <= 1e-6) {
-		return fmt.Errorf("lid: x off simplex (sum=%v)", total)
-	}
-	for p, gidx := range s.beta {
-		if s.pos[gidx] != p {
-			return fmt.Errorf("lid: pos map inconsistent at %d", p)
-		}
-	}
-	// Recompute g from scratch and compare.
-	want := make([]float64, len(s.beta))
-	for p, xi := range s.x {
-		if xi <= 0 {
-			continue
-		}
-		for r, rg := range s.beta {
-			if r == p {
-				continue
-			}
-			want[r] += xi * s.oracle.Kernel.Affinity(s.oracle.Mat.Row(rg), s.oracle.Mat.Row(s.beta[p]))
-		}
-	}
-	for r := range want {
-		if math.Abs(want[r]-s.g[r]) > 1e-6 {
-			return fmt.Errorf("lid: g[%d] = %v, want %v", r, s.g[r], want[r])
-		}
-	}
-	return nil
-}
-
-func sum(a []float64) float64 {
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s
 }

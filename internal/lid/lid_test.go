@@ -241,7 +241,7 @@ func TestColumnsBoundedBySupport(t *testing.T) {
 	s.Solve(context.Background(), 2000, 1e-9)
 	s.Extend(nil) // triggers non-support column cleanup
 	sup, _ := s.SupportWeights()
-	if got := len(s.cols); got > len(sup) {
+	if got := s.cachedColumns(); got > len(sup) {
 		t.Fatalf("cached columns %d > support size %d", got, len(sup))
 	}
 	if s.PeakEntries() <= 0 {

@@ -110,17 +110,17 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 				t.Fatalf("workers=%d: g[%d] = %v, serial %v", workers, p, got.g[p], serial.g[p])
 			}
 		}
-		if len(got.cols) != len(serial.cols) {
-			t.Fatalf("workers=%d: %d cached columns, serial %d", workers, len(got.cols), len(serial.cols))
+		if got.cachedColumns() != serial.cachedColumns() {
+			t.Fatalf("workers=%d: %d cached columns, serial %d", workers, got.cachedColumns(), serial.cachedColumns())
 		}
-		for idx, sc := range serial.cols {
-			gc, ok := got.cols[idx]
-			if !ok || len(gc) != len(sc) {
-				t.Fatalf("workers=%d: column %d missing or mis-sized", workers, idx)
+		for p, sc := range serial.colAt {
+			gc := got.colAt[p]
+			if (gc == nil) != (sc == nil) || len(gc) != len(sc) {
+				t.Fatalf("workers=%d: column at %d missing or mis-sized", workers, p)
 			}
 			for r := range sc {
 				if gc[r] != sc[r] {
-					t.Fatalf("workers=%d: column %d row %d = %v, serial %v", workers, idx, r, gc[r], sc[r])
+					t.Fatalf("workers=%d: column at %d row %d = %v, serial %v", workers, p, r, gc[r], sc[r])
 				}
 			}
 		}
@@ -134,13 +134,6 @@ func TestLIDCrosscheckSerialVsPool(t *testing.T) {
 		}
 		if err := got.Sanity(); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		entries := 0
-		for _, c := range got.cols {
-			entries += len(c)
-		}
-		if entries != got.cached {
-			t.Fatalf("workers=%d: cached entries %d, columns hold %d", workers, got.cached, entries)
 		}
 	}
 }

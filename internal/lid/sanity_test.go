@@ -1,0 +1,102 @@
+package lid
+
+import (
+	"fmt"
+	"math"
+)
+
+// Sanity verifies the state's invariants: x on the simplex, pos the inverse
+// of beta, every cached column at its β position with len(β) rows and the
+// oracle's values bit for bit, the cached-entry count their total, g
+// consistent with a recomputation from scratch, and the carried π equal bit
+// for bit to the density summed afresh. It is O(|β|·|α|) and meant for
+// tests.
+func (s *State) Sanity() error {
+	for p, xi := range s.x {
+		if xi < -1e-6 {
+			return fmt.Errorf("lid: x off simplex (x[%d]=%v)", p, xi)
+		}
+	}
+	if total := sum(s.x); !(math.Abs(total-1) <= 1e-6) {
+		return fmt.Errorf("lid: x off simplex (sum=%v)", total)
+	}
+	for p, gidx := range s.beta {
+		if s.pos[gidx] != p {
+			return fmt.Errorf("lid: pos map inconsistent at %d", p)
+		}
+	}
+	if len(s.colAt) != len(s.beta) {
+		return fmt.Errorf("lid: %d column slots for %d positions", len(s.colAt), len(s.beta))
+	}
+	entries := 0
+	for p, c := range s.colAt {
+		if c == nil {
+			continue
+		}
+		if len(c) != len(s.beta) {
+			return fmt.Errorf("lid: column at %d has %d rows, β has %d", p, len(c), len(s.beta))
+		}
+		for r, v := range c {
+			if want := s.oracle.Pair(s.beta[r], s.beta[p]); v != want {
+				return fmt.Errorf("lid: column at %d row %d = %v, oracle %v", p, r, v, want)
+			}
+		}
+		entries += len(c)
+	}
+	if entries != s.cached {
+		return fmt.Errorf("lid: %d cached entries counted, columns hold %d", s.cached, entries)
+	}
+	// Recompute g from scratch and compare.
+	want := make([]float64, len(s.beta))
+	for p, xi := range s.x {
+		if xi <= 0 {
+			continue
+		}
+		for r, rg := range s.beta {
+			if r == p {
+				continue
+			}
+			want[r] += xi * s.oracle.Kernel.Affinity(s.oracle.Mat.Row(rg), s.oracle.Mat.Row(s.beta[p]))
+		}
+	}
+	for r := range want {
+		if math.Abs(want[r]-s.g[r]) > 1e-6 {
+			return fmt.Errorf("lid: g[%d] = %v, want %v", r, s.g[r], want[r])
+		}
+	}
+	if fresh := freshDensity(s.x, s.g); math.Float64bits(fresh) != math.Float64bits(s.pi) {
+		return fmt.Errorf("lid: carried π = %v, summed afresh %v", s.pi, fresh)
+	}
+	return nil
+}
+
+// freshDensity is π(x) = Σ_{x_i>0} x_i·g_i summed in ascending position
+// order: the sum Step carries, and the reference's Density.
+func freshDensity(x, g []float64) float64 {
+	var pi float64
+	for i, xi := range x {
+		if xi > 0 {
+			pi += xi * g[i]
+		}
+	}
+	return pi
+}
+
+func sum(a []float64) float64 {
+	var s float64
+	for _, v := range a {
+		s += v
+	}
+	return s
+}
+
+// cachedColumns counts the positions holding a cached column.
+func (s *State) cachedColumns() int {
+	n := 0
+	for _, c := range s.colAt {
+		if c != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -628,7 +628,7 @@ func (i *Index) fullCompactTable(tb *table) {
 // QueryInto is the allocation-free read path behind Query: it appends the
 // ids of all points sharing a bucket with v in any table to dst, using the
 // caller's scratch — sig (length Projections) for the hash signature and
-// mark/gen (length N, marker-value deduplication as in CandidatesByIDInto).
+// mark/gen (length N, marker-value deduplication as in CandidatesByIDsInto).
 // It never mutates the index, so any number of goroutines may query one
 // index concurrently as long as each brings its own scratch; this is the
 // serving engine's per-request candidate-retrieval hook. Candidate order is
@@ -1020,33 +1020,53 @@ func (i *Index) CandidatesByID(id int) []int32 {
 	return out
 }
 
-// CandidatesByIDInto appends live candidates for id to dst, using mark (a
-// caller scratch slice of length N, zeroed) with marker value gen for
-// deduplication. It is the allocation-light variant CIVS uses in its inner
-// loop: once dst has grown to capacity, the steady path allocates nothing.
-// id itself must be live.
-func (i *Index) CandidatesByIDInto(id int, dst []int32, mark []uint32, gen uint32) []int32 {
-	for t := range i.tables {
-		tb := &i.tables[t]
-		key := tb.keys.at(id)
-		for _, seg := range tb.segs {
-			for _, j := range seg.buckets[key] {
-				if int(j) == id || mark[j] == gen || !i.alive(j) {
-					continue
-				}
-				mark[j] = gen
-				dst = append(dst, j)
+// CandidatesByIDsInto appends the live ids co-bucketed with any of the
+// query ids to dst, excluding the query ids, using mark (a caller scratch
+// slice of length N) with marker value gen for deduplication and seen for
+// the (table, bucket) pairs already walked; see index.Index. It is the
+// allocation-free read CIVS makes once per outer iteration over the whole
+// support: once dst and seen have grown to the largest read, it allocates
+// nothing. The query ids must be live, and gen nonzero.
+func (i *Index) CandidatesByIDsInto(ids []int, dst []int32, mark []uint32, gen uint32, seen *index.BucketSet) []int32 {
+	if gen == 0 {
+		panic("lsh: marker value 0 is reserved")
+	}
+	for _, id := range ids {
+		mark[id] = gen
+	}
+	// One query hashes to one bucket per table, so only several can repeat
+	// a (table, bucket) pair.
+	multi := len(ids) > 1
+	if multi {
+		seen.Prepare(len(ids) * len(i.tables))
+	}
+	for _, id := range ids {
+		for t := range i.tables {
+			tb := &i.tables[t]
+			key := tb.keys.at(id)
+			if multi && !seen.Visit(t, key, gen) {
+				continue
+			}
+			for _, seg := range tb.segs {
+				dst = i.appendUnmarked(dst, seg.buckets[key], mark, gen)
+			}
+			if tb.tail != nil {
+				dst = i.appendUnmarked(dst, tb.tail.buckets[key], mark, gen)
 			}
 		}
-		if tb.tail != nil {
-			for _, j := range tb.tail.buckets[key] {
-				if int(j) == id || mark[j] == gen || !i.alive(j) {
-					continue
-				}
-				mark[j] = gen
-				dst = append(dst, j)
-			}
+	}
+	return dst
+}
+
+// appendUnmarked appends the live, unmarked ids of one bucket to dst and
+// marks them.
+func (i *Index) appendUnmarked(dst, bucket []int32, mark []uint32, gen uint32) []int32 {
+	for _, j := range bucket {
+		if mark[j] == gen || !i.alive(j) {
+			continue
 		}
+		mark[j] = gen
+		dst = append(dst, j)
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"alid/internal/vec"
@@ -137,10 +138,9 @@ func TestCandidatesByIDInto(t *testing.T) {
 	mark := make([]uint32, len(pts))
 	for gen := uint32(1); gen <= 5; gen++ {
 		id := int(gen) * 3
-		got := idx.CandidatesByIDInto(id, nil, mark, gen)
-		want := idx.CandidatesByID(id)
-		if len(got) != len(want) {
-			t.Fatalf("gen %d: Into=%d ByID=%d", gen, len(got), len(want))
+		got := idx.CandidatesByIDsInto([]int{id}, nil, mark, gen, nil)
+		if want := idx.CandidatesByID(id); !slices.Equal(got, want) {
+			t.Fatalf("gen %d: one-id read %v, CandidatesByID %v", gen, got, want)
 		}
 	}
 }

@@ -128,9 +128,9 @@ func (ix *Index) VisitLiveBuckets(f func(table int, key uint64, ids []int32)) {
 	ix.inner.VisitLiveBuckets(f)
 }
 
-// CandidatesByIDInto is the allocation-light form CIVS uses.
-func (ix *Index) CandidatesByIDInto(id int, dst []int32, mark []uint32, gen uint32) []int32 {
-	return ix.inner.CandidatesByIDInto(id, dst, mark, gen)
+// CandidatesByIDsInto is the multi-id read CIVS makes; see index.Index.
+func (ix *Index) CandidatesByIDsInto(ids []int, dst []int32, mark []uint32, gen uint32, seen *index.BucketSet) []int32 {
+	return ix.inner.CandidatesByIDsInto(ids, dst, mark, gen, seen)
 }
 
 // Buckets returns every bucket with more than minSize live members in

@@ -142,10 +142,10 @@ func TestIndexBucketsFollowSimilarity(t *testing.T) {
 		t.Fatal(err)
 	}
 	mark := make([]uint32, ix.N())
-	if got := ix.CandidatesByIDInto(0, nil, mark, 1); !slices.Equal(got, []int32{1}) {
+	if got := ix.CandidatesByIDsInto([]int{0}, nil, mark, 1, nil); !slices.Equal(got, []int32{1}) {
 		t.Fatalf("duplicate set candidates = %v, want [1]", got)
 	}
-	if got := ix.CandidatesByIDInto(2, nil, mark, 2); len(got) != 0 {
+	if got := ix.CandidatesByIDsInto([]int{2}, nil, mark, 2, nil); len(got) != 0 {
 		t.Fatalf("disjoint set candidates = %v, want none", got)
 	}
 }

@@ -35,7 +35,7 @@ func Invade(x, y []float64, eps float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("simplex: invade length mismatch %d vs %d", len(x), len(y)))
 	}
-	eps = clamp01(eps)
+	eps = ClampShare(eps)
 	om := 1 - eps
 	for i := range x {
 		x[i] = om*x[i] + eps*y[i]

@@ -42,7 +42,7 @@ func Clamp(x []float64) int {
 // InvadeVertex applies Eq. 5 with y = s_i without materializing s_i:
 // x ← (1−ε)x, then x_i += ε.
 func InvadeVertex(x []float64, i int, eps float64) {
-	eps = clamp01(eps)
+	eps = ClampShare(eps)
 	om := 1 - eps
 	for j := range x {
 		x[j] *= om
@@ -56,7 +56,7 @@ func InvadeVertex(x []float64, i int, eps float64) {
 // x_j ← x_j(1−εµ) for j≠i and x_i ← x_i(1−εµ) + εµ. ε = 1 removes vertex i
 // entirely.
 func InvadeCoVertex(x []float64, i int, eps float64) {
-	eps = clamp01(eps)
+	eps = ClampShare(eps)
 	mu := CoVertexFactor(x[i])
 	f := eps * mu
 	om := 1 - f
@@ -83,7 +83,9 @@ func InvasionShare(num, den float64) float64 {
 	return 1
 }
 
-func clamp01(v float64) float64 {
+// ClampShare clamps an invasion share to [0,1], as InvadeVertex and
+// InvadeCoVertex do before they move x.
+func ClampShare(v float64) float64 {
 	if v < 0 {
 		return 0
 	}

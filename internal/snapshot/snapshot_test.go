@@ -354,7 +354,7 @@ func sameChunks(a, b [][]float64) bool { return slices.EqualFunc(a, b, slices.Eq
 // candidates returns the live ids co-bucketed with id, in the index's
 // deterministic order.
 func candidates(ix index.Index, id int) []int32 {
-	return ix.CandidatesByIDInto(id, nil, make([]uint32, ix.N()), 1)
+	return ix.CandidatesByIDsInto([]int{id}, nil, make([]uint32, ix.N()), 1, nil)
 }
 
 // liveCount counts the ids the index still returns: every live id sits in

@@ -487,6 +487,7 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 		if len(c.cmark) < len(c.clusters) {
 			c.cmark = append(c.cmark, make([]uint32, len(c.clusters)-len(c.cmark))...)
 		}
+		query := []int{0}
 		for j := firstNew; j < c.mat.N; j++ {
 			c.markGen++
 			if c.markGen == 0 { // uint32 wrap: reset markers
@@ -494,7 +495,8 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 				clear(c.cmark)
 				c.markGen = 1
 			}
-			c.cand = c.index.CandidatesByIDInto(j, c.cand[:0], c.mark, c.markGen)
+			query[0] = j
+			c.cand = c.index.CandidatesByIDsInto(query, c.cand[:0], c.mark, c.markGen, nil)
 			for _, id := range c.cand {
 				ci := c.assigned.At(int(id))
 				// A clean cluster is tested against j at most once, however

@@ -260,5 +260,5 @@ func TestRestoreValidation(t *testing.T) {
 // candidates returns the live ids co-bucketed with id, in the index's
 // deterministic order.
 func candidates(ix index.Index, id int) []int32 {
-	return ix.CandidatesByIDInto(id, nil, make([]uint32, ix.N()), 1)
+	return ix.CandidatesByIDsInto([]int{id}, nil, make([]uint32, ix.N()), 1, nil)
 }

@@ -9,9 +9,20 @@
 #     kernel-evaluation count, peak submatrix) on many-component,
 #     one-giant-component and minhash fixtures, a peel over a matrix and
 #     index that evicted the same ids seeding and reporting only live ids,
-#     a cancelled peel returning only after every worker stopped, and the
-#     index conformance check that CIVS candidates never leave their seed's
-#     component;
+#     a cancelled peel returning only after every worker stopped (also when
+#     the cancel lands while only one-point components, consumed without a
+#     detection, remain), and the index conformance check that CIVS
+#     candidates never leave their seed's component;
+#   - the work a detection no longer repeats: DetectAll's cluster digest,
+#     cluster count, peak submatrix and kernel-evaluation count pinned per
+#     mixture by a golden file at Parallelism 0 and -1; the LID state
+#     (columns read back by symmetry, the three-pass Step carrying π)
+#     bit-identical to a reference copy of the six-pass, map-keyed state
+#     under serial and forced-parallel pools; every kernel bit-symmetric
+#     (Column(i,[j]) = Column(j,[i]) = Pair(i,j), the SquaredL2 fallback
+#     included); and the multi-id candidate read against the brute-force
+#     co-bucketing oracle in the order of a per-id loop, before and after
+#     Evict (in the backend group's conformance suite);
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
@@ -82,9 +93,9 @@ crosscheck() {
 	go test -race -count=1 -run "$run" "$@" 2>&1
 }
 
-crosscheck 'TestGOMAXPROCSCrosscheck' .
+crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 
-crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestColumnParMatchesColumn|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
 crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
