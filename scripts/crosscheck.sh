@@ -22,7 +22,7 @@
 #     (Column(i,[j]) = Column(j,[i]) = Pair(i,j), the SquaredL2 fallback
 #     included); and the multi-id candidate read against the brute-force
 #     co-bucketing oracle in the order of a per-id loop, before and after
-#     Evict (in the backend group's conformance suite);
+#     Evict (named in the backend group beside its conformance suite);
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
@@ -107,7 +107,7 @@ crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAss
 crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
 	./internal/engine/ ./internal/snapshot/ ./internal/mapreduce/
 
-crosscheck 'TestConformance|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
+crosscheck 'TestConformance|TestConformanceCandidatesByIDs|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
 	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
 crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestChainWriterConcurrentSaves|TestSaveFailureKeepsPreviousSave|TestLegacyLayoutsRestore|TestLegacyManifestResumesCursor|TestSaveReplacesLegacyLayout|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
