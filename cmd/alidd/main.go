@@ -17,7 +17,7 @@
 //	curl -s localhost:8080/metrics
 //
 // Observability: GET /metrics serves Prometheus text exposition for the
-// whole serving pipeline (assign latency and prune tiers, ingest queue,
+// whole serving pipeline (assign latency and cluster scans, ingest queue,
 // commit phases, eviction, snapshots, HTTP). -pprof-addr starts a separate
 // net/http/pprof listener (separate so profiling is never exposed on the
 // serving port). Logs are structured (log/slog): text to stderr by default,

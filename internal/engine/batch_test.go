@@ -7,9 +7,19 @@ import (
 	"testing"
 
 	"alid/internal/affinity"
+	"alid/internal/core"
+	"alid/internal/lsh"
+	"alid/internal/matrix"
 	"alid/internal/testutil"
 	"alid/internal/vec"
 )
+
+// assignFixture is one engine with the queries a crosscheck sends it.
+type assignFixture struct {
+	name string
+	e    *Engine
+	qs   [][]float64
+}
 
 // mixedQueries builds the standard crosscheck query mix: jittered dataset
 // points, near-origin noise, and uniform sweep points (many of which miss
@@ -44,6 +54,58 @@ func nearTieQueries(n int, seed int64) [][]float64 {
 	return qs
 }
 
+// exactTieFixture restores two mirrored clusters whose scores tie bit for
+// bit at every point of the diagonal: cluster 0 holds (a_i, b_i), cluster 1
+// holds (b_i, a_i), in the same member order with the same weights, and a
+// 2-D distance sums the same two terms for either. Point 0 belongs to
+// cluster 1 and a segment length of 1000 co-buckets all four points, so
+// cluster 1, not index 0, is every query's first-seen candidate. It checks
+// both facts and that the full-scan reference answers cluster 1 for each
+// diagonal query it returns.
+func exactTieFixture(t *testing.T) assignFixture {
+	t.Helper()
+	m, err := matrix.FromRows([][]float64{{3, 1}, {5, 2}, {1, 3}, {2, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := engineConfig()
+	cfg.Core.LSH = lsh.Config{Projections: 4, Tables: 2, R: 1000, Seed: 1}
+	idx, err := lsh.BuildMatrix(m, cfg.Core.LSH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0.6, 0.4}
+	clusters := []*core.Cluster{
+		{Members: []int{2, 3}, Weights: w, Density: 0.7, Seed: 2},
+		{Members: []int{0, 1}, Weights: w, Density: 0.7, Seed: 0},
+	}
+	e, err := RestoreGeneration(cfg, m, idx, clusters, []int{1, 1, 0, 0}, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := affinity.NewOracleMatrix(m, cfg.Core.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := fullScanOracle(t, e)
+	var qs [][]float64
+	for x := -1.0; x <= 7; x += 0.25 {
+		q := []float64{x, x}
+		cands := idx.QueryInto(q, make([]int64, idx.SigLen()), nil, make([]uint32, idx.N()), 1)
+		if len(cands) != 4 || cands[0] != 0 {
+			t.Fatalf("query %v: candidates %v, want all four points, point 0 first", q, cands)
+		}
+		if s0, s1 := refScore(o, q, clusters[0]), refScore(o, q, clusters[1]); s0 != s1 {
+			t.Fatalf("query %v: mirrored scores %v and %v do not tie", q, s0, s1)
+		}
+		if c, _ := full(q); c != 1 {
+			t.Fatalf("query %v: full scan answers cluster %d, want the first-seen 1", q, c)
+		}
+		qs = append(qs, q)
+	}
+	return assignFixture{"exact-tie", e, qs}
+}
+
 // requireLargeCluster fails the test unless some published cluster has more
 // than 64 members, so the crosschecks cover large supports.
 func requireLargeCluster(t *testing.T, e *Engine) {
@@ -68,7 +130,6 @@ func fullScanOracle(t *testing.T, e *Engine) func(q []float64) (int, float64) {
 		t.Fatal(err)
 	}
 	return func(q []float64) (int, float64) {
-		qn := vec.Dot(q, q)
 		seen := make(map[int]bool)
 		best, bestScore := -1, math.Inf(-1)
 		cands := v.Index.QueryInto(q, make([]int64, v.Index.SigLen()), nil, make([]uint32, v.Index.N()), 1)
@@ -78,19 +139,24 @@ func fullScanOracle(t *testing.T, e *Engine) func(q []float64) (int, float64) {
 				continue
 			}
 			seen[ci] = true
-			cl := v.Clusters[ci]
-			col := make([]float64, len(cl.Members))
-			o.ColumnPoint(q, qn, cl.Members, col)
-			var s float64
-			for t, w := range cl.Weights {
-				s += w * col[t]
-			}
-			if s > bestScore {
+			if s := refScore(o, q, v.Clusters[ci]); s > bestScore {
 				best, bestScore = ci, s
 			}
 		}
 		return best, bestScore
 	}
+}
+
+// refScore is g(q, x) for cluster cl: ColumnPoint over its full support,
+// then a member-order weighted sum.
+func refScore(o *affinity.Oracle, q []float64, cl *core.Cluster) float64 {
+	col := make([]float64, len(cl.Members))
+	o.ColumnPoint(q, vec.Dot(q, q), cl.Members, col)
+	var s float64
+	for t, w := range cl.Weights {
+		s += w * col[t]
+	}
+	return s
 }
 
 // sameAnswer reports whether a batch assignment matches a sequential one on
@@ -156,11 +222,10 @@ func TestAssignBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// AssignBatch must answer exactly the full-scan reference: the anchor
-// bound may skip a candidate only when it sits strictly below an exact
-// competitor, so winners and scores are bit-identical — including
+// AssignBatch must answer exactly the full-scan reference, winners and
+// score bits, as one batch and one query at a time: on random queries, on
 // adversarial near-tie queries on the symmetry axis between two mirrored
-// blobs, where both clusters' scores collide.
+// blobs, and on exact ties, which go to the first-seen candidate.
 func TestAssignBatchMatchesExact(t *testing.T) {
 	pts, _ := testutil.Blobs(57, [][]float64{{0, 0}, {12, 12}}, 220, 0.05, 30, -15, 22)
 	e, err := New(engineConfig(), pts)
@@ -169,25 +234,86 @@ func TestAssignBatchMatchesExact(t *testing.T) {
 	}
 	defer e.Close()
 	requireLargeCluster(t, e)
-	fullAssign := fullScanOracle(t, e)
+	tie := exactTieFixture(t)
+	defer tie.e.Close()
 
-	queries := append(mixedQueries(pts, 120, 58), nearTieQueries(60, 59)...)
-	got, err := e.AssignBatch(queries)
+	for _, fx := range []assignFixture{
+		{"blobs", e, append(mixedQueries(pts, 120, 58), nearTieQueries(60, 59)...)},
+		tie,
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			fullAssign := fullScanOracle(t, fx.e)
+			got, err := fx.e.AssignBatch(fx.qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assigned := 0
+			for i, q := range fx.qs {
+				one, err := fx.e.AssignBatch(fx.qs[i : i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantC, wantS := fullAssign(q)
+				for _, a := range []Assignment{got[i], one[0]} {
+					if a.Cluster != wantC {
+						t.Fatalf("query %d: batch winner %d, full-scan winner %d", i, a.Cluster, wantC)
+					}
+					if wantC >= 0 && a.Score != wantS {
+						t.Fatalf("query %d: batch score %v, full-scan score %v", i, a.Score, wantS)
+					}
+				}
+				if wantC >= 0 {
+					assigned++
+				}
+			}
+			if assigned == 0 {
+				t.Fatal("no query was assigned — crosscheck is vacuous")
+			}
+		})
+	}
+}
+
+// Both assign forms run on one pooled scratch, so a marker-generation wrap
+// inside a batch must clear the single form's point markers too: a stale
+// marker equal to a reused generation makes Assign skip a live candidate.
+// Per query, one scratch runs a single assign, then a batch across the
+// uint32 wrap, then the same single assign at the same generation as the
+// first; every answer must equal the full-scan reference.
+func TestAssignMarkerWrap(t *testing.T) {
+	pts, _ := testutil.Blobs(53, [][]float64{{0, 0}, {12, 12}}, 250, 0.05, 40, -20, 25)
+	e, err := New(engineConfig(), pts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e.Close()
+	fullAssign := fullScanOracle(t, e)
+	qs := mixedQueries(pts, 60, 63)
 	assigned := 0
-	for i, q := range queries {
-		wantC, wantS := fullAssign(q)
-		if got[i].Cluster != wantC {
-			t.Fatalf("query %d: batch winner %d, full-scan winner %d", i, got[i].Cluster, wantC)
+	check := func(stage string, i int, a Assignment) {
+		t.Helper()
+		wantC, wantS := fullAssign(qs[i])
+		if a.Cluster != wantC || (wantC >= 0 && a.Score != wantS) {
+			t.Fatalf("%s, query %d: %+v, full scan (%d, %v)", stage, i, a, wantC, wantS)
 		}
 		if wantC >= 0 {
 			assigned++
-			if got[i].Score != wantS {
-				t.Fatalf("query %d: batch score %v, full-scan score %v", i, got[i].Score, wantS)
-			}
 		}
+	}
+
+	const batch = 8
+	st := e.state.Load()
+	for i, q := range qs {
+		sc := st.pool.New().(*scratch) // zeroed markers
+		sc.gen = batch
+		check("before the wrap", i, e.assignOne(st, sc, q))
+		sc.gen = math.MaxUint32 - batch/2
+		for k, a := range e.assignBatch(st, sc, qs[:batch], nil) {
+			check("batch across the wrap", k, a)
+		}
+		if sc.gen != batch {
+			t.Fatalf("generation %d after the wrapping batch, want %d", sc.gen, batch)
+		}
+		check("after the wrap", i, e.assignOne(st, sc, q))
 	}
 	if assigned == 0 {
 		t.Fatal("no query was assigned — crosscheck is vacuous")

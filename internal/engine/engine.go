@@ -184,30 +184,41 @@ type state struct {
 	view   stream.View
 	oracle *affinity.Oracle // nil until the first commit
 	dim    int
-	pool   sync.Pool // *scratch sized for this generation
-	bpool  sync.Pool // *batchScratch sized for this generation
-	// bidx is the batch pipeline's candidate-retrieval structure
-	// (bucket→cluster summaries and anchor bounds), built lazily by the
-	// first batch against this generation — never at publish time, so
-	// commit latency stays O(batch). Access via batchIdx().
+	pool   sync.Pool // *scratch sized for this generation, for both assign forms
+	// bidx is the batch form's candidate-retrieval structure (bucket→cluster
+	// summaries and packed member rows), built lazily by the first batch
+	// against this generation — never at publish time, so commit latency
+	// stays O(batch). Access via batchIdx().
 	bidxOnce sync.Once
 	bidx     *batchIndex
 }
 
 // scratch is per-goroutine read-path workspace, pooled per state so steady
-// Assign traffic allocates nothing.
+// Assign and AssignBatch traffic allocates nothing.
 type scratch struct {
-	sig   []int64
-	mark  []uint32 // per-point dedup marker, len N
+	sig   []int64  // LSH signature
+	keys  []uint64 // per-table bucket keys (batch form)
+	mark  []uint32 // per-point dedup marker, len N (single form)
 	cmark []uint32 // per-cluster dedup marker
 	gen   uint32
-	cand  []int32
-	cids  []int
+	cand  []int32 // deduplicated candidate points (single form)
+	cids  []int32 // candidate clusters, first-seen order
 	col   []float64
 }
 
-func (s *state) getScratch() *scratch {
-	return s.pool.Get().(*scratch)
+// reserve returns the first of k fresh marker generations. Before the
+// counter would wrap it clears BOTH marker arrays: either form may run next
+// on this scratch, and a stale point marker equal to a reused generation
+// would make the single form skip a live candidate.
+func (sc *scratch) reserve(k int) uint32 {
+	if sc.gen > math.MaxUint32-uint32(k) {
+		clear(sc.mark)
+		clear(sc.cmark)
+		sc.gen = 0
+	}
+	first := sc.gen + 1
+	sc.gen += uint32(k)
+	return first
 }
 
 // colFor returns the column scratch resized to n entries (allocation-free
@@ -385,27 +396,16 @@ func (e *Engine) publish() {
 			panic(fmt.Sprintf("engine: publish: %v", err))
 		}
 		st.oracle = o
-		n := v.Mat.N
-		mu := 0
+		n, nClusters := v.Mat.N, len(v.Clusters)
+		mu, tables := 0, 0
 		if v.Index != nil {
-			mu = v.Index.SigLen()
+			mu, tables = v.Index.SigLen(), v.Index.Tables()
 		}
-		nClusters := len(v.Clusters)
 		st.pool.New = func() any {
 			return &scratch{
 				sig:   make([]int64, mu),
-				mark:  make([]uint32, n),
-				cmark: make([]uint32, nClusters),
-			}
-		}
-		tables := 0
-		if v.Index != nil {
-			tables = v.Index.Tables()
-		}
-		st.bpool.New = func() any {
-			return &batchScratch{
-				sig:   make([]int64, mu),
 				keys:  make([]uint64, tables),
+				mark:  make([]uint32, n),
 				cmark: make([]uint32, nClusters),
 			}
 		}
@@ -621,33 +621,29 @@ func (e *Engine) assignPinned(q []float64) (Assignment, int, error) {
 	}
 	e.assigns.Add(1)
 	start := obs.Now()
-	sc := st.getScratch()
-	defer st.pool.Put(sc)
-	sc.gen++
-	if sc.gen == 0 { // uint32 wrap: reset markers
-		clear(sc.mark)
-		clear(sc.cmark)
-		sc.gen = 1
-	}
+	sc := st.pool.Get().(*scratch)
+	a := e.assignOne(st, sc, q)
+	st.pool.Put(sc)
+	e.met.assignSingle.ObserveSince(start)
+	return a, nClusters, nil
+}
 
-	sc.cand = st.view.Index.QueryInto(q, sc.sig, sc.cand[:0], sc.mark, sc.gen)
-	// Candidate clusters, first-seen order (deterministic: QueryInto's
-	// candidate order is table-by-table, bucket members ascending).
+// assignOne is the single form's walk over a pre-validated query: candidate
+// points from QueryInto (table by table, bucket members ascending), their
+// clusters in first-seen order, each scored over its full support.
+func (e *Engine) assignOne(st *state, sc *scratch, q []float64) Assignment {
+	gen := sc.reserve(1)
+	sc.cand = st.view.Index.QueryInto(q, sc.sig, sc.cand[:0], sc.mark, gen)
 	sc.cids = sc.cids[:0]
 	for _, id := range sc.cand {
 		ci := st.view.Labels.At(int(id))
-		if ci < 0 || sc.cmark[ci] == sc.gen {
+		if ci < 0 || sc.cmark[ci] == gen {
 			continue
 		}
-		sc.cmark[ci] = sc.gen
-		sc.cids = append(sc.cids, ci)
+		sc.cmark[ci] = gen
+		sc.cids = append(sc.cids, int32(ci))
 	}
-	if len(sc.cids) == 0 {
-		e.met.candPoints.Observe(int64(len(sc.cand)))
-		e.met.noise.Inc()
-		e.met.assignSingle.ObserveSince(start)
-		return Assignment{Cluster: -1, Candidates: len(sc.cand)}, nClusters, nil
-	}
+	e.met.candPoints.Observe(int64(len(sc.cand)))
 
 	qNormSq := vec.Dot(q, q)
 	best, bestScore := -1, math.Inf(-1)
@@ -660,25 +656,30 @@ func (e *Engine) assignPinned(q []float64) (Assignment, int, error) {
 			score += w * col[t]
 		}
 		if score > bestScore {
-			best, bestScore = ci, score
+			best, bestScore = int(ci), score
 		}
 	}
-	e.met.candPoints.Observe(int64(len(sc.cand)))
 	e.met.scanExact.Add(int64(len(sc.cids)))
-	if best < 0 { // defensive: unreachable with finite inputs
+	if best < 0 {
 		e.met.noise.Inc()
-		e.met.assignSingle.ObserveSince(start)
-		return Assignment{Cluster: -1, Candidates: len(sc.cand)}, nClusters, nil
+	}
+	return e.answer(st, best, bestScore, len(sc.cand))
+}
+
+// answer is the Assignment for winning cluster best of the given score, or
+// noise when best < 0.
+func (e *Engine) answer(st *state, best int, score float64, candidates int) Assignment {
+	if best < 0 {
+		return Assignment{Cluster: -1, Candidates: candidates}
 	}
 	cl := st.view.Clusters[best]
-	e.met.assignSingle.ObserveSince(start)
 	return Assignment{
 		Cluster:    best,
-		Score:      bestScore,
+		Score:      score,
 		Density:    cl.Density,
-		Infective:  bestScore-cl.Density > e.tol,
-		Candidates: len(sc.cand),
-	}, nClusters, nil
+		Infective:  score-cl.Density > e.tol,
+		Candidates: candidates,
+	}
 }
 
 // Ingest enqueues points for the writer. It blocks only when the queue is

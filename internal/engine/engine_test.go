@@ -276,8 +276,8 @@ func TestCloseFlushesBufferedPoints(t *testing.T) {
 // Single-point Assign must answer exactly the reference algorithm:
 // candidate clusters from the published LSH index in first-seen order, each
 // scored over its entire support, first strict maximum wins — bit-identical
-// winner and score, on clusters larger than 64 members and on near-tie
-// queries between two mirrored blobs.
+// winner and score, on clusters larger than 64 members, on near-tie
+// queries between two mirrored blobs, and on exact ties.
 func TestAssignMatchesFullScan(t *testing.T) {
 	pts, _ := testutil.Blobs(53, [][]float64{{0, 0}, {12, 12}}, 250, 0.05, 40, -20, 25)
 	e, err := New(engineConfig(), pts)
@@ -286,28 +286,36 @@ func TestAssignMatchesFullScan(t *testing.T) {
 	}
 	defer e.Close()
 	requireLargeCluster(t, e)
-	fullAssign := fullScanOracle(t, e)
+	tie := exactTieFixture(t)
+	defer tie.e.Close()
 
-	queries := append(mixedQueries(pts, 150, 54), nearTieQueries(60, 55)...)
-	assigned := 0
-	for qi, q := range queries {
-		a, err := e.Assign(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantC, wantS := fullAssign(q)
-		if a.Cluster != wantC {
-			t.Fatalf("query %d: winner %d, full-scan winner %d", qi, a.Cluster, wantC)
-		}
-		if wantC >= 0 {
-			assigned++
-			if a.Score != wantS {
-				t.Fatalf("query %d: score %v, full-scan score %v", qi, a.Score, wantS)
+	for _, fx := range []assignFixture{
+		{"blobs", e, append(mixedQueries(pts, 150, 54), nearTieQueries(60, 55)...)},
+		tie,
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			fullAssign := fullScanOracle(t, fx.e)
+			assigned := 0
+			for qi, q := range fx.qs {
+				a, err := fx.e.Assign(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantC, wantS := fullAssign(q)
+				if a.Cluster != wantC {
+					t.Fatalf("query %d: winner %d, full-scan winner %d", qi, a.Cluster, wantC)
+				}
+				if wantC >= 0 {
+					assigned++
+					if a.Score != wantS {
+						t.Fatalf("query %d: score %v, full-scan score %v", qi, a.Score, wantS)
+					}
+				}
 			}
-		}
-	}
-	if assigned == 0 {
-		t.Fatal("no query was assigned — crosscheck is vacuous")
+			if assigned == 0 {
+				t.Fatal("no query was assigned — crosscheck is vacuous")
+			}
+		})
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 )
 
 // engineMetrics is the serve-path instrumentation: assign latency and batch
-// shape, prune-tier effectiveness (the live analogue of the paper's
-// kernel-evaluation accounting — how many candidate clusters each tier of
-// the cascade disposed of), LSH retrieval width, ingest wait, and snapshot
-// persistence cost. Observations happen on the lock-free read path, so
-// every primitive is one atomic add — no locks, no allocations — and under
-// the noobs build tag the whole layer compiles to nothing.
+// shape, exact cluster scans (the live analogue of the paper's
+// kernel-evaluation accounting), LSH retrieval width, ingest wait, and
+// snapshot persistence cost. Observations happen on the lock-free read
+// path, so every primitive is one atomic add — no locks, no allocations —
+// and under the noobs build tag the whole layer compiles to nothing.
 //
 // Metrics are diagnostics under the same carve-out as the kernel-eval
 // counters: no assign, commit or eviction decision ever reads one, so all
@@ -26,12 +25,9 @@ type engineMetrics struct {
 	candPoints   *obs.Histogram
 	candClusters *obs.Histogram
 
-	// Cluster-scan outcomes per query, one counter per cascade tier:
-	//   anchor_pruned — batch path: anchor kernel bound below an exact
-	//                   competitor, member rows never touched;
-	//   exact         — scored exactly over the full member set (either path).
-	scanAnchor *obs.Counter
-	scanExact  *obs.Counter
+	// Candidate clusters scored exactly over their full member set (either
+	// form). Every candidate is, so the tier="exact" label has no sibling.
+	scanExact *obs.Counter
 
 	noise *obs.Counter // assigns answered Cluster = -1
 
@@ -58,8 +54,7 @@ func newEngineMetrics(reg *obs.Registry, extra string) *engineMetrics {
 		candPoints:   obs.NewHistogram("alid_assign_candidates", "LSH candidates retrieved per query (points on the single path, clusters on the batch path).", l(`kind="points"`), 1),
 		candClusters: obs.NewHistogram("alid_assign_candidates", "LSH candidates retrieved per query (points on the single path, clusters on the batch path).", l(`kind="clusters"`), 1),
 
-		scanAnchor: obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="anchor_pruned"`)),
-		scanExact:  obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scan outcomes by cascade tier.", l(`tier="exact"`)),
+		scanExact: obs.NewCounter("alid_assign_cluster_scans_total", "Candidate-cluster scans by tier (every candidate is scored exactly).", l(`tier="exact"`)),
 
 		noise: obs.NewCounter("alid_assign_noise_total", "Assigns answered as noise (no maintained cluster shares a bucket).", l("")),
 
@@ -75,7 +70,7 @@ func newEngineMetrics(reg *obs.Registry, extra string) *engineMetrics {
 		reg.MustRegister(
 			m.assignSingle, m.assignBatch, m.batchPoints,
 			m.candPoints, m.candClusters,
-			m.scanAnchor, m.scanExact,
+			m.scanExact,
 			m.noise, m.ingestWait,
 			m.snapSave, m.snapLoad, m.saveBytes, m.loadBytes, m.deltaBytes,
 		)

@@ -12,6 +12,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"alid/internal/core"
@@ -203,21 +204,28 @@ func checkShardedStage(t *testing.T, stage string, s *Sharded, baselines []*Engi
 	}
 }
 
-// shardWaves is the shared traffic script: initial detection, three ingest
-// waves (flushed per call so commit boundaries are deterministic on both
-// sides — an unflushed queue lets the writer merge calls timing-dependently),
-// then a batch of global-id evictions spanning every shard.
-func runShardCrosscheck(t *testing.T, n, gather int) {
+// runShardCrosscheck runs the shared traffic script: initial detection,
+// three ingest waves (flushed per call so commit boundaries are
+// deterministic on both sides — an unflushed queue lets the writer merge
+// calls timing-dependently), then a batch of global-id evictions spanning
+// every shard. procs > 0 builds the router under GOMAXPROCS = procs, which
+// fixes its gather width, and restores GOMAXPROCS right after.
+func runShardCrosscheck(t *testing.T, n, procs int) {
 	ctx := context.Background()
 	// Big enough that every shard of a 7-way split still detects clusters
 	// (≈ 38 points per shard, ≈ 17 per blob per shard).
 	initial, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 120, 0.3, 30, 0, 15)
 
-	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n, Gather: gather}, initial)
+	prev := runtime.GOMAXPROCS(procs)
+	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n}, initial)
+	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	if procs > 0 && s.width != procs {
+		t.Fatalf("gather width %d, want GOMAXPROCS %d", s.width, procs)
+	}
 	baselines := shardBaselines(t, n, initial)
 	for _, sh := range baselines {
 		defer sh.Close()
@@ -299,8 +307,9 @@ func TestShardedCrosscheckVsRoutedBaselines(t *testing.T) {
 	}
 }
 
-// Gather width is a pure scheduling knob: width 1 (inline) and width 4 must
-// produce the same bit-identical answers the default width does.
+// The gather width (GOMAXPROCS at construction) only schedules: width 1
+// (inline) and width 4 must produce the same bit-identical answers the
+// default width does.
 func TestShardedCrosscheckGatherWidths(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		t.Run(fmt.Sprintf("gather=%d", w), func(t *testing.T) {

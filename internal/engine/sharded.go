@@ -30,7 +30,7 @@
 // the prefix sum of per-shard cluster counts (shard 0's clusters first), the
 // same order Clusters() concatenates in. The merge iterates shards in index
 // order over slot-indexed scatter results, so answers are bit-identical at
-// any gather width — and a 1-shard router answers bit-identically to its
+// any GOMAXPROCS — and a 1-shard router answers bit-identically to its
 // inner Engine. Per-shard answers are exact (PR 6), so the merged winner is
 // the best-scoring cluster across ALL shards over the union of the shards'
 // candidates: exactly the DALID partition argument (paper §5) — partitions
@@ -86,10 +86,6 @@ type ShardedConfig struct {
 	// part of the persisted layout: ids embed it, so a saved manifest can
 	// only be restored at the same count (snapshot.ErrShardCountMismatch).
 	Shards int
-	// Gather bounds the concurrent per-shard tasks of one scatter-gathered
-	// call (0 = GOMAXPROCS, 1 = inline). Purely a scheduling knob: answers
-	// are bit-identical at any width.
-	Gather int
 }
 
 // shardBatch is one shard's slot in a scattered Assign or AssignBatch: the
@@ -159,7 +155,7 @@ type Sharded struct {
 	cfg    ShardedConfig // template config; Engine.Retention holds the TOTAL policy
 	shards []*Engine
 	n      int
-	width  int
+	width  int // concurrent per-shard tasks of one scatter: GOMAXPROCS at construction
 
 	// mu orders ingests: the round-robin cursor, the locked-in dimension and
 	// the per-shard delivery order together define which global id every
@@ -199,10 +195,6 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	width := cfg.Gather
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 	subs := make([][][]float64, n)
 	for k, p := range initial {
 		subs[k%n] = append(subs[k%n], p)
@@ -210,7 +202,7 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 	s := &Sharded{
 		cfg:    cfg,
 		n:      n,
-		width:  width,
+		width:  runtime.GOMAXPROCS(0),
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}
@@ -422,7 +414,7 @@ func (s *Sharded) Evict(ctx context.Context, ids []int) (int, error) {
 // per shard, and merges by best affinity score (ties → lowest shard index).
 // The winning cluster id is GLOBAL: the shard's local id offset by the
 // cluster counts of all lower shards, matching Clusters() order. Candidates
-// sums the per-shard diagnostics. Bit-identical at any Gather width; a
+// sums the per-shard diagnostics. Bit-identical at any GOMAXPROCS; a
 // 1-shard router answers bit-identically to a plain Engine.
 func (s *Sharded) Assign(q []float64) (Assignment, error) {
 	gs := s.gpool.Get().(*gatherScratch)

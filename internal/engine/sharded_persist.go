@@ -48,8 +48,6 @@ type ShardedLoadOptions struct {
 	// Logger receives writer-side logs; each shard logs with a shard attr
 	// when there is more than one.
 	Logger *slog.Logger
-	// Gather bounds scatter-gather concurrency (see ShardedConfig.Gather).
-	Gather int
 	// Backend, when non-empty, is the index backend the caller expects of
 	// every shard ("lsh" or "minhash"); a shard carrying the other backend
 	// fails the restore with snapshot.ErrBackendMismatch instead of
@@ -147,15 +145,11 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		shards[i] = eng
 	}
 
-	width := o.Gather
-	if width <= 0 {
-		width = runtime.GOMAXPROCS(0)
-	}
 	s := &Sharded{
-		cfg:    ShardedConfig{Engine: total, Shards: n, Gather: o.Gather},
+		cfg:    ShardedConfig{Engine: total, Shards: n},
 		shards: shards,
 		n:      n,
-		width:  width,
+		width:  runtime.GOMAXPROCS(0),
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}

@@ -79,7 +79,7 @@ type Counter struct {
 }
 
 // NewCounter builds a standalone counter; labels is a pre-rendered constant
-// label list (`tier="anchor_pruned"`) or empty.
+// label list (`op="save"`) or empty.
 func NewCounter(name, help, labels string) *Counter {
 	return &Counter{d: desc{name: name, help: help, typ: "counter", labels: labels}}
 }
@@ -228,8 +228,8 @@ func sampleLine(b *strings.Builder, name, suffix, labels, extra string, v float6
 }
 
 // family groups every metric registered under one name: same help, same
-// type, distinct constant label sets (the prune-tier counters are one
-// family with a `tier` label per member).
+// type, distinct constant label sets (the snapshot byte counters are one
+// family with an `op` label per member).
 type family struct {
 	d       desc
 	metrics []Metric

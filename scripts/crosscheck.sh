@@ -31,12 +31,15 @@
 #     order bit-identical to N sequential Assigns (including a
 #     generation-stable crosscheck inside the concurrent ingest/evict race
 #     test), both Assign and AssignBatch bit-identical to an independent
-#     full-scan reference on random and adversarial near-tie fixtures, and
-#     the packed affinity primitives matching their gathered counterparts
-#     bitwise;
+#     full-scan reference on random, adversarial near-tie and exact-tie
+#     fixtures (an exact tie goes to the first-seen candidate), single
+#     assigns after a batch that wrapped the shared scratch's marker
+#     counter, and the packed affinity primitives matching their gathered
+#     counterparts bitwise;
 #   - PR 8: the sharded serving crosschecks — a Sharded(N) engine
 #     bit-identical to the deterministic merge of N standalone engines fed
-#     the routed subsets at N ∈ {1,2,4,7} and at gather widths {1,4},
+#     the routed subsets at N ∈ {1,2,4,7} and at gather widths {1,4}
+#     (GOMAXPROCS at construction),
 #     Sharded(1) field-for-field identical to a plain Engine, the sharded
 #     manifest save/load a byte-identical fixed point with every failure
 #     sentinel (count mismatch, missing file, corrupt file) distinguished,
@@ -101,7 +104,7 @@ crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIn
 crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
+crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
 crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
