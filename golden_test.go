@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"alid/internal/dataset"
+	"alid/internal/testutil"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/detectall_golden.json from this tree's DetectAll")
@@ -39,7 +40,7 @@ const goldenPath = "testdata/detectall_golden.json"
 // AutoConfig's configuration at Parallelism 0 and -1. A change that moves
 // any of them must rewrite the golden file (-update-golden) and say why.
 func TestDetectAllGolden(t *testing.T) {
-	if fusesMultiplyAdd() {
+	if testutil.FusesMultiplyAdd() {
 		t.Skip("the golden bits hold where x*y+z rounds twice; this build fuses multiply-adds, so detection rounds differently")
 	}
 	regimes := []dataset.Regime{dataset.RegimeEta, dataset.RegimeOmega, dataset.RegimeCap}
@@ -115,16 +116,6 @@ func TestDetectAllGolden(t *testing.T) {
 		}
 	}
 }
-
-// fmaX, fmaY and fmaZ are variables, so fusesMultiplyAdd's expression is
-// compiled as the library's arithmetic is, not folded as a constant.
-var fmaX, fmaY, fmaZ = 1 + 0x1p-30, 1 - 0x1p-30, -1.0
-
-// fusesMultiplyAdd reports whether this build evaluates x*y+z with one
-// rounding (arm64 builds do; amd64 builds, where the golden file was
-// recorded, do not): x·y = 1−2⁻⁶⁰ rounds to 1 on its own, so only a fused
-// evaluation leaves −2⁻⁶⁰.
-func fusesMultiplyAdd() bool { return fmaX*fmaY+fmaZ != 0 }
 
 // clusterDigest is FNV-64a over every cluster's size, members, weight bits
 // and density bits, in order: perfbench's detect-batch cluster_digest.

@@ -101,3 +101,14 @@ func ServeWorkload(n, d, blobs int) ([][]float64, [][]float64) {
 	}
 	return pts, centers
 }
+
+// fmaX, fmaY and fmaZ are variables, so FusesMultiplyAdd's expression is
+// compiled as the library's arithmetic is, not folded as a constant.
+var fmaX, fmaY, fmaZ = 1 + 0x1p-30, 1 - 0x1p-30, -1.0
+
+// FusesMultiplyAdd reports whether this build evaluates x*y+z with one
+// rounding (arm64 builds do; amd64 builds, where the golden values were
+// recorded, do not): x·y = 1−2⁻⁶⁰ rounds to 1 on its own, so only a fused
+// evaluation leaves −2⁻⁶⁰. Golden tests that pin float bits skip when it
+// reports true.
+func FusesMultiplyAdd() bool { return fmaX*fmaY+fmaZ != 0 }
