@@ -180,7 +180,7 @@ func TestStreamGolden(t *testing.T) {
 		Clusters:    len(v.Clusters),
 		KernelEvals: v.KernelEvals,
 	}
-	want := streamGolden{Digest: "0bc6ede825e47751", Clusters: 50, KernelEvals: 1722029}
+	want := streamGolden{Digest: "0bc6ede825e47751", Clusters: 50, KernelEvals: 953562}
 	if got != want {
 		t.Errorf("serving fixture: got %+v, golden %+v", got, want)
 	}

@@ -600,21 +600,22 @@ func (c *Clusterer) ensureDetector() error {
 }
 
 // evictReconvergeShare is the simplex weight mass a cluster may lose to
-// eviction before in-place repair (drop dead members, renormalize,
-// recompute density) is no longer trusted and the cluster is re-converged
-// from its heaviest surviving member instead.
+// eviction before in-place repair (drop dead members, renormalize, update
+// the density from the dead members' rows) is no longer trusted and the
+// cluster is re-converged from its heaviest surviving member instead.
 const evictReconvergeShare = 0.25
 
 // Evict tombstones the given committed points. Evicted points keep their
 // ids but disappear from every answer — Labels reports them as noise,
 // clusters shed them, LSH queries skip them — exactly as if the stream had
 // been rebuilt from the survivors. Affected clusters are repaired: dead
-// members are removed and the remaining weights renormalized on the
-// simplex; a cluster that lost more than evictReconvergeShare of its weight
-// mass (or fell below the minimum size) is re-converged from its heaviest
-// surviving member, and clusters left below the density threshold or
-// minimum size are dropped. Sealed storage is never rewritten: tombstones
-// live in bitmaps, and fully dead chunks release their storage.
+// members are removed, the remaining weights renormalized on the simplex
+// and the density updated in O(|K|·m) kernel evaluations for K dead of m
+// members (see repair); a cluster that lost more than evictReconvergeShare
+// of its weight mass (or fell below the minimum size) is re-converged from
+// its heaviest surviving member, and clusters left below the density
+// threshold or minimum size are dropped. Sealed storage is never rewritten:
+// tombstones live in bitmaps, and fully dead chunks release their storage.
 //
 // Ids out of range [0, N()) are rejected before anything is touched;
 // already-evicted ids are skipped (idempotent retries). It returns the
@@ -651,9 +652,12 @@ func (c *Clusterer) Evict(ctx context.Context, ids []int) (int, error) {
 // evictIDs applies an eviction. ids must be ascending, unique, in range and
 // currently live.
 func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
-	// Phase 1 (never fails): tombstone everywhere and unlabel the dead.
-	// Affected clusters are collected in ascending ordinal order so repair
-	// and re-convergence are deterministic.
+	// Phase 1 (may fail, changes no maintained state): collect the affected
+	// clusters in ascending ordinal order, so repair and re-convergence are
+	// deterministic, and build their repaired forms. Repair reads the
+	// evicted members' rows, so it runs before tombstoning releases the
+	// storage of fully dead chunks. Published cluster values are immutable;
+	// repairs build fresh ones.
 	var affected []int
 	seen := make(map[int]bool)
 	for _, id := range ids {
@@ -661,10 +665,33 @@ func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
 			seen[ci] = true
 			affected = append(affected, ci)
 		}
+	}
+	slices.Sort(affected)
+	repaired := make([]*core.Cluster, len(affected))
+	var reconverge []int
+	if len(affected) > 0 {
+		if err := c.ensureDetector(); err != nil {
+			return err
+		}
+		for i, ci := range affected {
+			var again bool
+			repaired[i], again = c.repair(c.clusters[ci], ids)
+			if again {
+				reconverge = append(reconverge, ci)
+			}
+		}
+	}
+
+	// Phase 2 (never fails): tombstone everywhere, unlabel the dead and
+	// install the repairs — whatever happens later, no cluster ever holds an
+	// evicted member.
+	for _, id := range ids {
 		c.assigned.set(id, -1)
 		c.avail[id] = false
 	}
-	slices.Sort(affected)
+	for i, ci := range affected {
+		c.clusters[ci] = repaired[i]
+	}
 	evicted, released := c.mat.Evict(ids)
 	c.evicted += evicted
 	c.met.evictedPoints.Add(int64(evicted))
@@ -680,50 +707,6 @@ func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
 	}
 	if len(affected) == 0 {
 		return nil
-	}
-
-	// Phase 2 (never fails): membership surgery. Every affected cluster
-	// immediately sheds its dead members and renormalizes on the simplex —
-	// whatever happens later, no cluster ever holds an evicted member.
-	// Published cluster values are immutable; repairs build fresh ones.
-	if err := c.ensureDetector(); err != nil {
-		return err
-	}
-	cfg := c.det.Config()
-	var reconverge []int
-	for _, ci := range affected {
-		cl := c.clusters[ci]
-		members := make([]int, 0, len(cl.Members))
-		weights := make([]float64, 0, len(cl.Members))
-		var kept float64
-		for t, m := range cl.Members {
-			if c.mat.Live(m) {
-				members = append(members, m)
-				weights = append(weights, cl.Weights[t])
-				kept += cl.Weights[t]
-			}
-		}
-		if len(members) == 0 || kept <= 0 {
-			// Nothing survives: an empty husk the final compact drops.
-			c.clusters[ci] = &core.Cluster{Seed: cl.Seed}
-			continue
-		}
-		for t := range weights {
-			weights[t] /= kept
-		}
-		repaired := &core.Cluster{
-			Members:         members,
-			Weights:         weights,
-			Density:         c.clusterDensity(cfg.Kernel, members, weights),
-			Seed:            cl.Seed,
-			OuterIterations: cl.OuterIterations,
-			LIDIterations:   cl.LIDIterations,
-			PeakEntries:     cl.PeakEntries,
-		}
-		c.clusters[ci] = repaired
-		if 1-kept > evictReconvergeShare || len(members) < cfg.MinClusterSize {
-			reconverge = append(reconverge, ci)
-		}
 	}
 
 	// Phase 3 (cancellable): re-converge clusters that lost real support,
@@ -752,9 +735,77 @@ func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
 		c.claim(ci)
 		c.met.evictReconverged.Inc()
 	}
+	cfg := c.det.Config()
 	c.compact(cfg.DensityThreshold, cfg.MinClusterSize)
 	c.kernelEvals += c.det.Oracle().ResetComputed()
 	return nil
+}
+
+// repair returns cl without its members in dead (ascending ids), the
+// surviving weights renormalized on the simplex, and whether the cluster
+// lost enough support to be re-converged. A cluster with no surviving
+// weight becomes an empty husk, which the final compact drops.
+//
+// The density is updated, not recomputed. With survivors S, evicted
+// members K and stored weights x,
+//
+//	π(x) = Σ_{i,j∈S} x_i·x_j·a_ij + 2·Σ_{k∈K} x_k·g_k,
+//	g_k  = Σ_{j∈S} x_j·a_kj + Σ_{l∈K before k} x_l·a_kl,
+//
+// so the survivors' density, renormalized by kept = Σ_{j∈S} x_j, is
+// (π − 2·Σ_k x_k·g_k)/kept²: |K|·|S| + |K|(|K|−1)/2 kernel evaluations,
+// where the direct sum takes |S|(|S|−1)/2. It reads the rows of K, so it
+// must run before they are tombstoned.
+func (c *Clusterer) repair(cl *core.Cluster, dead []int) (*core.Cluster, bool) {
+	members := make([]int, 0, len(cl.Members))
+	weights := make([]float64, 0, len(cl.Members))
+	var gone []int // positions of the evicted members in cl.Members
+	var kept float64
+	for t, m := range cl.Members {
+		if _, found := slices.BinarySearch(dead, m); found {
+			gone = append(gone, t)
+			continue
+		}
+		members = append(members, m)
+		weights = append(weights, cl.Weights[t])
+		kept += cl.Weights[t]
+	}
+	if len(members) == 0 || kept <= 0 {
+		return &core.Cluster{Seed: cl.Seed}, false
+	}
+	// rows and x hold the survivors, then each evicted member once its own
+	// g_k has been summed.
+	rows := append(make([]int, 0, len(cl.Members)), members...)
+	x := append(make([]float64, 0, len(cl.Members)), weights...)
+	col := make([]float64, len(cl.Members))
+	var lost float64
+	for _, t := range gone {
+		k := cl.Members[t]
+		c.det.Oracle().Column(k, rows, col[:len(rows)])
+		var g float64
+		for r, a := range col[:len(rows)] {
+			g += x[r] * a
+		}
+		lost += cl.Weights[t] * g
+		rows = append(rows, k)
+		x = append(x, cl.Weights[t])
+	}
+	density := 0.0 // one survivor: π = 0, as the direct sum gives
+	if len(members) > 1 {
+		density = max(0, (cl.Density-2*lost)/(kept*kept))
+	}
+	for t := range weights {
+		weights[t] /= kept
+	}
+	return &core.Cluster{
+		Members:         members,
+		Weights:         weights,
+		Density:         density,
+		Seed:            cl.Seed,
+		OuterIterations: cl.OuterIterations,
+		LIDIterations:   cl.LIDIterations,
+		PeakEntries:     cl.PeakEntries,
+	}, 1-kept > evictReconvergeShare || len(members) < c.det.Config().MinClusterSize
 }
 
 // CompactGeneration renumbers the live points into a fresh dense generation
@@ -877,21 +928,6 @@ func (c *Clusterer) CompactGeneration() (int, error) {
 	c.met.compactionReleased.Add(int64(released))
 	c.met.compactionDur.ObserveSince(start)
 	return released, nil
-}
-
-// clusterDensity recomputes π(x) = Σ_i Σ_j w_i·w_j·a_ij over the given
-// support (a_ii = 0), charging the kernel evaluations to the commit
-// counter. Used by in-place eviction repair, where the converged weights
-// survive renormalization but the cached density does not.
-func (c *Clusterer) clusterDensity(kern affinity.Kernel, members []int, weights []float64) float64 {
-	var pi float64
-	for i := 1; i < len(members); i++ {
-		for j := 0; j < i; j++ {
-			pi += 2 * weights[i] * weights[j] * c.affinity(kern, members[i], members[j])
-		}
-	}
-	c.kernelEvals += int64(len(members) * (len(members) - 1) / 2)
-	return pi
 }
 
 // enforceRetention evicts whatever the retention policy has expired: first

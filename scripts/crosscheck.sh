@@ -26,7 +26,10 @@
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
 #     query and engine Assign must be bit-identical to an index/engine
 #     rebuilt from only the survivors, snapshot v3 must round-trip
-#     byte-identically with tombstones, and retention must pin the live set;
+#     byte-identically with tombstones, retention must pin the live set,
+#     and every repaired cluster's density, updated from the evicted
+#     members' rows, must match the direct sum over its support, through
+#     an eviction that releases a whole matrix chunk;
 #   - the batched Assign crosschecks — AssignBatch winners, scores and
 #     order bit-identical to N sequential Assigns (including a
 #     generation-stable crosscheck inside the concurrent ingest/evict race
@@ -101,7 +104,7 @@ crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
-crosscheck 'Evict|Retention|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
+crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
 crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
