@@ -154,10 +154,12 @@ type Stats struct {
 	Assigns, Ingested int64
 	// AffinityComputed counts kernel evaluations: assign-path scoring across
 	// all published states plus the stream's commit-side work (dirtiness
-	// checks and detection). Racy-read: it sums three sources (retired
-	// states, the published view, the live oracle) that advance while Stats
-	// runs, so consecutive calls can regress slightly. Restored engines
-	// restart the commit-side count at zero.
+	// checks, detection and eviction repair); alid_kernel_evals_total
+	// exports the two parts as its path="assign" and path="commit" series.
+	// Racy-read: it sums three sources (retired states, the published view,
+	// the live oracle) that advance while Stats runs, so consecutive calls
+	// can regress slightly. Restored engines restart the commit-side count
+	// at zero.
 	AffinityComputed int64
 	// WriterErrors counts commit/ingest failures inside the writer; the
 	// most recent one is returned by the next Flush.
@@ -169,8 +171,8 @@ type Stats struct {
 	AssignP50, AssignP95, AssignP99 float64
 	// Generation is the published id-renumbering epoch: a generation
 	// compaction (CompactEvictedShare) bumps it and reassigns every id
-	// densely over the survivors (a sharded engine reports the max across
-	// shards).
+	// densely over the survivors. A sharded engine reports the sum of its
+	// shard generations, which moves whenever any shard renumbers.
 	Generation int
 	// EverSeenIDs counts ids ever minted across all generations — the
 	// quantity resident bookkeeping NO LONGER scales with once compaction

@@ -78,6 +78,8 @@ func newEngineMetrics(reg *obs.Registry, extra string) *engineMetrics {
 	return m
 }
 
+const kernelEvalsHelp = "Kernel (affinity) evaluations by path: commit is the stream's work (the initial detection, dirtiness checks, re-convergence, new-seed probes and eviction repair), assign is assign-path scoring."
+
 // registerEngineFuncs exposes the engine's existing atomic counters and the
 // published generation's sizes as scrape-time callbacks. Every closure
 // reads only atomics or fields of an immutable published state, so scrapes
@@ -147,14 +149,14 @@ func (e *Engine) registerEngineFuncs(reg *obs.Registry, extra string) {
 				}
 				return int64(st.view.Index.Stats().MaxBucketSize)
 			})),
-		obs.NewCounterFunc("alid_kernel_evals_total", "Kernel (affinity) evaluations: assign-path scoring plus commit-side detection and dirtiness checks.", l(""),
+		// Stats.AffinityComputed is the sum of the two series.
+		obs.NewCounterFunc("alid_kernel_evals_total", kernelEvalsHelp, l(`path="commit"`),
+			view(func(st *state) int64 { return st.view.KernelEvals })),
+		obs.NewCounterFunc("alid_kernel_evals_total", kernelEvalsHelp, l(`path="assign"`),
 			func() int64 {
 				n := e.pastComputed.Load()
-				if st := e.state.Load(); st != nil {
-					n += st.view.KernelEvals
-					if st.oracle != nil {
-						n += st.oracle.Computed()
-					}
+				if st := e.state.Load(); st != nil && st.oracle != nil {
+					n += st.oracle.Computed()
 				}
 				return n
 			}),

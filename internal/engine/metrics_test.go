@@ -4,6 +4,7 @@ package engine
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -25,6 +26,45 @@ func TestEngineMetricsFamilies(t *testing.T) {
 	}
 	defer e.Close()
 
+	// The kernel-evaluation family has one series per path: commit work
+	// (here the initial detection, then the ingest's commit) moves only the
+	// commit series, assign scoring only the assign series, and together
+	// they are Stats.AffinityComputed.
+	render := func() string {
+		var b strings.Builder
+		if err := reg.WriteText(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	evals := func() (commit, assign int64) {
+		text := render()
+		for _, p := range []struct {
+			path string
+			n    *int64
+		}{{"commit", &commit}, {"assign", &assign}} {
+			prefix := `alid_kernel_evals_total{path="` + p.path + `"} `
+			i := strings.Index(text, "\n"+prefix)
+			if i < 0 {
+				t.Fatalf("exposition lacks %q", prefix)
+			}
+			line, _, _ := strings.Cut(text[i+1+len(prefix):], "\n")
+			v, err := strconv.ParseInt(line, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			*p.n = v
+		}
+		if total := e.Stats().AffinityComputed; total != commit+assign {
+			t.Errorf("Stats.AffinityComputed = %d, want commit %d + assign %d", total, commit, assign)
+		}
+		return commit, assign
+	}
+	commit0, assign0 := evals()
+	if commit0 == 0 || assign0 != 0 {
+		t.Errorf("after the initial detection: commit %d, assign %d; want commit > 0, assign 0", commit0, assign0)
+	}
+
 	ctx := context.Background()
 	queries := [][]float64{{0.1, -0.2}, {11.8, 12.3}, {6, 6}}
 	for _, q := range queries {
@@ -32,24 +72,29 @@ func TestEngineMetricsFamilies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	commit1, assign1 := evals()
+	if commit1 != commit0 || assign1 <= assign0 {
+		t.Errorf("assigns moved commit %d → %d and assign %d → %d; want only assign to move", commit0, commit1, assign0, assign1)
+	}
 	if _, err := e.AssignBatch(queries); err != nil {
 		t.Fatal(err)
 	}
+	commit2, assign2 := evals()
 	if err := e.Ingest(ctx, [][]float64{{0.2, 0.1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
+	commit3, assign3 := evals()
+	if commit3 <= commit2 || assign3 != assign2 {
+		t.Errorf("ingest + Flush moved commit %d → %d and assign %d → %d; want only commit to move", commit2, commit3, assign2, assign3)
+	}
 	if _, err := e.Evict(ctx, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 
-	var b strings.Builder
-	if err := reg.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
+	text := render()
 	for _, family := range []string{
 		"alid_assign_duration_seconds",
 		"alid_assign_batch_points",

@@ -518,8 +518,8 @@ func (s *Sharded) ClustersWithMeta() (clusters []*core.Cluster, n, commits int) 
 // Stats sums the per-shard summaries. Assigns counts LOGICAL queries (the
 // router's own counter — each fans out to all N shards, so summing shard
 // counters would multiply by N); the latency quantiles are the router's
-// whole-gather distribution; Dim/N/LiveN/Clusters/Commits and the exact
-// counters are per-shard sums.
+// whole-gather distribution; Dim is the largest shard's; N/LiveN/Clusters/
+// Commits/Generation and the exact counters are per-shard sums.
 func (s *Sharded) Stats() Stats {
 	var t Stats
 	for _, sh := range s.shards {
@@ -537,11 +537,10 @@ func (s *Sharded) Stats() Stats {
 		if st.Dim > t.Dim {
 			t.Dim = st.Dim
 		}
-		// Shards compact independently; report the most-advanced generation
-		// (the number operators watch for "is renumbering happening at all").
-		if st.Generation > t.Generation {
-			t.Generation = st.Generation
-		}
+		// Shards compact independently. The sum moves whenever any shard
+		// renumbers, the signal clients re-read ids on; the largest shard
+		// generation would miss a compaction on a shard behind it.
+		t.Generation += st.Generation
 	}
 	t.Assigns = s.assigns.Load()
 	t.AssignP50 = s.met.gatherSingle.Quantile(0.50)
