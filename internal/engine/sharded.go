@@ -537,9 +537,8 @@ func (s *Sharded) Stats() Stats {
 		if st.Dim > t.Dim {
 			t.Dim = st.Dim
 		}
-		// Shards compact independently. The sum moves whenever any shard
-		// renumbers, the signal clients re-read ids on; the largest shard
-		// generation would miss a compaction on a shard behind it.
+		// Shards compact independently; the sum moves whenever any of them
+		// renumbers, which is the signal clients re-read ids on.
 		t.Generation += st.Generation
 	}
 	t.Assigns = s.assigns.Load()

@@ -129,7 +129,8 @@ type StatsResponse struct {
 	WriterErrors     int64 `json:"writer_errors"`
 	UptimeSeconds    int64 `json:"uptime_seconds"`
 	// Generation is the id generation of the published state (bumped by
-	// every generation compaction; the max across shards when sharded).
+	// every generation compaction; the sum of the shard generations when
+	// sharded, so it moves whenever any shard renumbers its ids).
 	Generation int `json:"generation"`
 	// EverSeenIDs counts ids ever minted across all generations — committed
 	// ids plus those retired by past compactions. The gap to N is the
