@@ -118,7 +118,8 @@ func TestDetectAllGolden(t *testing.T) {
 }
 
 // clusterDigest is FNV-64a over every cluster's size, members, weight bits
-// and density bits, in order: perfbench's detect-batch cluster_digest.
+// and density bits, in order: perfbench's detect-batch cluster_digest. A
+// cluster without weights hashes its members and density only.
 func clusterDigest(cls []Cluster) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -130,9 +131,62 @@ func clusterDigest(cls []Cluster) uint64 {
 		put(uint64(len(c.Members)))
 		for i, m := range c.Members {
 			put(uint64(m))
-			put(math.Float64bits(c.Weights[i]))
+			if c.Weights != nil { // PALID's clusters carry no weights
+				put(math.Float64bits(c.Weights[i]))
+			}
 		}
 		put(math.Float64bits(c.Density))
+	}
+	return h.Sum64()
+}
+
+// DetectParallel's answer is pinned on the parcross fixture at Parallelism
+// 0 and -1 and at 1 and 4 executors: a digest of the clusters (members and
+// density bits, in order) and of Assign, plus the cluster and seed counts.
+// A change that moves any of them changes PALID's answer.
+func TestDetectParallelGolden(t *testing.T) {
+	if testutil.FusesMultiplyAdd() {
+		t.Skip("the golden bits hold where x*y+z rounds twice; this build fuses multiply-adds, so detection rounds differently")
+	}
+	type palidGolden struct {
+		Digest          string
+		Clusters, Seeds int
+	}
+	want := palidGolden{Digest: "05e0919ac34d7a77", Clusters: 68, Seeds: 423}
+	pts := parcrossPoints()
+	cfg, err := AutoConfig(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallelism := range []int{0, -1} {
+		for _, executors := range []int{1, 4} {
+			cfg.Parallelism = parallelism
+			res, err := DetectParallel(context.Background(), pts, cfg, ParallelOptions{Executors: executors})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := palidGolden{
+				Digest:   fmt.Sprintf("%016x", parallelDigest(res)),
+				Clusters: len(res.Clusters),
+				Seeds:    res.Seeds,
+			}
+			if got != want {
+				t.Errorf("Parallelism %d, Executors %d: got %+v, golden %+v", parallelism, executors, got, want)
+			}
+		}
+	}
+}
+
+// parallelDigest is FNV-64a over clusterDigest of the clusters, then every
+// point's entry of Assign.
+func parallelDigest(res *ParallelResult) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], clusterDigest(res.Clusters))
+	h.Write(b[:])
+	for _, a := range res.Assign {
+		binary.LittleEndian.PutUint64(b[:], uint64(int64(a)))
+		h.Write(b[:])
 	}
 	return h.Sum64()
 }
