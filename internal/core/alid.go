@@ -147,7 +147,8 @@ type Cluster struct {
 func (c *Cluster) Size() int { return len(c.Members) }
 
 // Detector runs ALID over a fixed dataset. It is NOT safe for concurrent use;
-// PALID creates one Detector per executor.
+// PALID keeps one Detector per executor, all on one index, and each
+// executor (a par.Pool worker) calls only its own.
 type Detector struct {
 	cfg    Config
 	oracle *affinity.Oracle

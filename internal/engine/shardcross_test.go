@@ -223,8 +223,8 @@ func runShardCrosscheck(t *testing.T, n, procs int) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if procs > 0 && s.width != procs {
-		t.Fatalf("gather width %d, want GOMAXPROCS %d", s.width, procs)
+	if procs > 0 && s.pool.Workers() != procs {
+		t.Fatalf("gather width %d, want GOMAXPROCS %d", s.pool.Workers(), procs)
 	}
 	baselines := shardBaselines(t, n, initial)
 	for _, sh := range baselines {

@@ -7,8 +7,8 @@
 //   - Write throughput: every ingested point belongs to exactly one shard,
 //     so N writer goroutines commit concurrently instead of one. Commit
 //     cost per shard also shrinks (each index holds ~1/N of the points).
-//   - Assign latency on multicore: one query fans out to all shards via
-//     mapreduce.Scatter and the per-shard scans run in parallel over
+//   - Assign latency on multicore: one query fans out to all shards through
+//     par.Pool.Each and the per-shard scans run in parallel over
 //     N-times-smaller indexes.
 //
 // Routing and id stability. The router mints globally-unique point ids:
@@ -56,14 +56,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"alid/internal/core"
-	"alid/internal/mapreduce"
 	"alid/internal/obs"
+	"alid/internal/par"
 	"alid/internal/stream"
 )
 
@@ -155,7 +154,7 @@ type Sharded struct {
 	cfg    ShardedConfig // template config; Engine.Retention holds the TOTAL policy
 	shards []*Engine
 	n      int
-	width  int // concurrent per-shard tasks of one scatter: GOMAXPROCS at construction
+	pool   *par.Pool // fans one call out to the shards: GOMAXPROCS at construction
 
 	// mu orders ingests: the round-robin cursor, the locked-in dimension and
 	// the per-shard delivery order together define which global id every
@@ -202,7 +201,7 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 	s := &Sharded{
 		cfg:    cfg,
 		n:      n,
-		width:  runtime.GOMAXPROCS(0),
+		pool:   par.New(-1),
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}
@@ -363,8 +362,8 @@ func (s *Sharded) Ingest(ctx context.Context, pts [][]float64) error {
 // published on every shard; shard errors resolve by lowest shard index.
 func (s *Sharded) Flush(ctx context.Context) error {
 	errs := make([]error, s.n)
-	mapreduce.Scatter(s.n, s.width, errs, func(i int) error {
-		return s.shards[i].Flush(ctx)
+	s.pool.Each(s.n, func(_, i int) {
+		errs[i] = s.shards[i].Flush(ctx)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -391,12 +390,10 @@ func (s *Sharded) Evict(ctx context.Context, ids []int) (int, error) {
 		err error
 	}
 	res := make([]evictSlot, s.n)
-	mapreduce.Scatter(s.n, s.width, res, func(i int) evictSlot {
-		if len(per[i]) == 0 {
-			return evictSlot{}
+	s.pool.Each(s.n, func(_, i int) {
+		if len(per[i]) > 0 {
+			res[i].n, res[i].err = s.shards[i].Evict(ctx, per[i])
 		}
-		n, err := s.shards[i].Evict(ctx, per[i])
-		return evictSlot{n: n, err: err}
 	})
 	total := 0
 	for _, r := range res {
@@ -420,13 +417,13 @@ func (s *Sharded) Assign(q []float64) (Assignment, error) {
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	res := mapreduce.Scatter(s.n, s.width, gs.slots, func(i int) shardBatch {
+	s.pool.Each(s.n, func(_, i int) {
 		a, nc, err := s.shards[i].assignPinned(q)
 		gs.bouts[i] = append(gs.bouts[i][:0], a)
-		return shardBatch{out: gs.bouts[i], clusters: nc, err: err}
+		gs.slots[i] = shardBatch{out: gs.bouts[i], clusters: nc, err: err}
 	})
 	var one [1]Assignment
-	merged, err := gs.merge(res, 1, one[:0])
+	merged, err := gs.merge(gs.slots, 1, one[:0])
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -452,14 +449,14 @@ func (s *Sharded) AssignBatchInto(qs [][]float64, out []Assignment) ([]Assignmen
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	res := mapreduce.Scatter(s.n, s.width, gs.slots, func(i int) shardBatch {
+	s.pool.Each(s.n, func(_, i int) {
 		o, nc, err := s.shards[i].assignBatchPinned(qs, gs.bouts[i])
 		if o != nil {
 			gs.bouts[i] = o // keep the grown arena for the next batch
 		}
-		return shardBatch{out: o, clusters: nc, err: err}
+		gs.slots[i] = shardBatch{out: o, clusters: nc, err: err}
 	})
-	out, err := gs.merge(res, len(qs), out)
+	out, err := gs.merge(gs.slots, len(qs), out)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"runtime"
 
 	"alid/internal/obs"
 	"alid/internal/par"
@@ -149,7 +148,7 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		cfg:    ShardedConfig{Engine: total, Shards: n},
 		shards: shards,
 		n:      n,
-		width:  runtime.GOMAXPROCS(0),
+		pool:   par.New(-1),
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}

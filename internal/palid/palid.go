@@ -1,16 +1,19 @@
 // Package palid implements PALID, the parallel ALID of Section 4.6
-// (Algorithm 3), on top of the in-process MapReduce engine:
+// (Algorithm 3). The paper runs it as a Spark job; here a par.Pool of
+// Executors workers stands in for the executors:
 //
-//   - the task list holds initial vertex indices sampled uniformly (20%) from
-//     every LSH bucket with more than 5 members — large buckets betray the
-//     dominant clusters;
-//   - each map task runs Algorithm 2 independently (no peeling) and emits
-//     (data item h, [cluster label L, density D]) for every member;
-//   - the reducer assigns each data item to its maximum-density cluster,
-//     resolving overlaps exactly as Fig. 5 illustrates.
+//   - the seeds are initial vertices sampled uniformly (20%) from the
+//     points of LSH buckets with more than 5 members — large buckets betray
+//     the dominant clusters;
+//   - the map runs Algorithm 2 independently (no peeling) from every seed,
+//     each seed writing its own slot;
+//   - the reduce is one serial walk that gives each data item to its
+//     densest covering cluster, resolving overlaps exactly as Fig. 5
+//     illustrates.
 //
-// One core.Detector is kept per executor; the dataset, kernel oracle and LSH
-// index are shared read-only, standing in for the paper's MongoDB store.
+// One core.Detector is kept per executor, picked by the pool's worker
+// index; the dataset, kernel oracle and LSH index are shared read-only,
+// standing in for the paper's MongoDB store.
 //
 // Task-level fan-out (executors) composes with the intra-detection layer:
 // when cfg.Pool is set, every executor's detector additionally parallelizes
@@ -25,12 +28,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+	"sync/atomic"
+	"time"
 
 	"alid/internal/core"
 	"alid/internal/index"
-	"alid/internal/mapreduce"
 	"alid/internal/matrix"
+	"alid/internal/par"
 )
 
 // Options controls the parallel run.
@@ -54,19 +58,14 @@ func DefaultOptions(executors int) Options {
 // Result is a completed PALID run.
 type Result struct {
 	// Clusters passing the density threshold, densest first. Members are the
-	// points the reducer assigned to the cluster.
+	// points the reduce gave to the cluster.
 	Clusters []*core.Cluster
 	// Assign maps each point to an index into Clusters, or -1.
 	Assign []int
 	// Seeds is the number of map tasks (sampled initial vertices).
 	Seeds int
-	// Stats carries engine-level accounting.
-	Stats mapreduce.Stats
-}
-
-type labelDensity struct {
-	label   int // cluster label = seed vertex of the detecting map task
-	density float64
+	// MapTime and ReduceTime time the two phases (Table 2's accounting).
+	MapTime, ReduceTime time.Duration
 }
 
 // Detect flattens the dataset once and runs PALID over it.
@@ -78,7 +77,9 @@ func Detect(ctx context.Context, pts [][]float64, cfg core.Config, opts Options)
 	return DetectMatrix(ctx, m, cfg, opts)
 }
 
-// DetectMatrix runs PALID over a flat dataset.
+// DetectMatrix runs PALID over a flat dataset. The first error stops the
+// seeds not yet started, and DetectMatrix returns it, with no result, once
+// every executor has stopped.
 func DetectMatrix(ctx context.Context, m *matrix.Matrix, cfg core.Config, opts Options) (*Result, error) {
 	if opts.Executors <= 0 {
 		return nil, fmt.Errorf("palid: Executors must be positive, got %d", opts.Executors)
@@ -105,158 +106,116 @@ func DetectMatrix(ctx context.Context, m *matrix.Matrix, cfg core.Config, opts O
 		}
 		detectors[w] = d
 	}
-
 	seeds := sampleSeeds(index, opts)
-	// Cluster metadata collected on the mapper side (label -> cluster).
-	var mu sync.Mutex
-	bySeed := make(map[int]*core.Cluster, len(seeds))
 
-	mapFn := func(ctx context.Context, executor int, seed int, emit func(int, labelDensity)) error {
-		cl, err := detectors[executor].DetectFrom(ctx, seed, nil)
+	// Map: Algorithm 2 from every seed on its worker's detector. found[i]
+	// holds seed i's detection if it is a dominant cluster, else nil.
+	mapStart := time.Now()
+	found := make([]*core.Cluster, len(seeds))
+	errs := make([]error, opts.Executors)
+	var failed atomic.Bool
+	par.New(opts.Executors).Each(len(seeds), func(w, i int) {
+		if failed.Load() {
+			return
+		}
+		cl, err := detectors[w].DetectFrom(ctx, seeds[i], nil)
 		if err != nil {
-			return err
+			errs[w] = err
+			failed.Store(true)
+			return
 		}
-		if cl.Density < cfg.DensityThreshold || cl.Size() < cfg.MinClusterSize {
-			return nil // not a dominant cluster; emit nothing
+		if cl.Density >= cfg.DensityThreshold && cl.Size() >= cfg.MinClusterSize {
+			found[i] = cl
 		}
-		mu.Lock()
-		bySeed[seed] = cl
-		mu.Unlock()
-		for _, h := range cl.Members {
-			emit(h, labelDensity{label: seed, density: cl.Density})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		return nil
 	}
-	reduceFn := func(_ context.Context, _ int, values []labelDensity) (labelDensity, error) {
-		best := values[0]
-		for _, v := range values[1:] {
-			if v.density > best.density || (v.density == best.density && v.label < best.label) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	assignments, stats, err := mapreduce.Run(ctx, mapreduce.Config{Executors: opts.Executors}, seeds, mapFn, reduceFn)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	res := &Result{Assign: make([]int, m.N), Seeds: len(seeds), MapTime: time.Since(mapStart)}
 
-	// Suppress duplicate detections: many seeds of one dominant cluster
-	// converge to near-identical supports, and letting each compete in the
-	// reducer would shatter the cluster into per-label fragments. Greedily
-	// keep the densest representative and drop any later detection whose
-	// support is mostly (>50%) already claimed; partially overlapping
-	// clusters (the Fig. 5 v4 case) stay separate and are still resolved
-	// point-wise by the reducer's max-density rule.
-	kept := dedupeDetections(bySeed)
-	keptCover := make(map[int][]labelDensity)
-	for seed, cl := range bySeed {
-		if !kept[seed] {
-			continue
-		}
-		for _, h := range cl.Members {
-			keptCover[h] = append(keptCover[h], labelDensity{label: seed, density: cl.Density})
-		}
-	}
-	for h, ld := range assignments {
-		if kept[ld.label] {
-			continue
-		}
-		best := labelDensity{label: -1}
-		for _, cand := range keptCover[h] {
-			if best.label == -1 || cand.density > best.density ||
-				(cand.density == best.density && cand.label < best.label) {
-				best = cand
-			}
-		}
-		if best.label == -1 {
-			delete(assignments, h)
-		} else {
-			assignments[h] = best
-		}
-	}
-
-	// Assemble final clusters from the reducer's point→label decisions.
-	members := make(map[int][]int)
-	for h, ld := range assignments {
-		members[ld.label] = append(members[ld.label], h)
-	}
-	labels := make([]int, 0, len(members))
-	for l := range members {
-		labels = append(labels, l)
-	}
-	sort.Ints(labels)
-	res := &Result{Assign: make([]int, m.N), Seeds: len(seeds), Stats: stats}
+	reduceStart := time.Now()
+	res.Clusters = reduce(found, seeds, m.N, cfg.MinClusterSize)
+	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i].Density > res.Clusters[j].Density })
 	for i := range res.Assign {
 		res.Assign[i] = -1
 	}
-	for _, l := range labels {
-		ms := members[l]
-		if len(ms) < cfg.MinClusterSize {
-			continue
-		}
-		sort.Ints(ms)
-		src := bySeed[l]
-		cl := &core.Cluster{
-			Members:         ms,
-			Density:         src.Density,
-			Seed:            l,
-			OuterIterations: src.OuterIterations,
-			LIDIterations:   src.LIDIterations,
-			PeakEntries:     src.PeakEntries,
-		}
-		res.Clusters = append(res.Clusters, cl)
-	}
-	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i].Density > res.Clusters[j].Density })
 	for ci, cl := range res.Clusters {
 		for _, m := range cl.Members {
 			res.Assign[m] = ci
 		}
 	}
+	res.ReduceTime = time.Since(reduceStart)
 	return res, nil
 }
 
-// dedupeDetections keeps, densest first, every detection whose support is
-// not already mostly claimed by a kept detection. Returns the kept seeds.
-func dedupeDetections(bySeed map[int]*core.Cluster) map[int]bool {
-	order := make([]int, 0, len(bySeed))
-	for s := range bySeed {
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := bySeed[order[i]], bySeed[order[j]]
-		if a.Density != b.Density {
-			return a.Density > b.Density
+// reduce walks the detections densest first, ties to the lower seed. A
+// detection whose members are mostly (>50%) claimed already is skipped;
+// any other claims each of its unclaimed members, so every point goes to
+// the densest kept detection that holds it. Many seeds of one dominant
+// cluster converge to near-identical supports, and letting each keep a
+// share would shatter the cluster into per-seed fragments; partially
+// overlapping clusters (the Fig. 5 v4 case) stay separate. found is
+// indexed like seeds, which ascend; the clusters of at least minSize
+// claimed members come back in ascending seed order, their members
+// ascending.
+func reduce(found []*core.Cluster, seeds []int, n, minSize int) []*core.Cluster {
+	var order []int
+	for i, cl := range found {
+		if cl != nil {
+			order = append(order, i)
 		}
-		return order[i] < order[j]
-	})
-	claimed := make(map[int]bool)
-	kept := make(map[int]bool, len(order))
-	for _, s := range order {
-		cl := bySeed[s]
+	}
+	sort.SliceStable(order, func(a, b int) bool { return found[order[a]].Density > found[order[b]].Density })
+	claimed := make([]bool, n)
+	owned := make([][]int, len(found))
+	for _, i := range order {
+		members := found[i].Members
 		overlap := 0
-		for _, m := range cl.Members {
+		for _, m := range members {
 			if claimed[m] {
 				overlap++
 			}
 		}
-		if float64(overlap) > 0.5*float64(len(cl.Members)) {
+		if 2*overlap > len(members) {
 			continue
 		}
-		kept[s] = true
-		for _, m := range cl.Members {
-			claimed[m] = true
+		for _, m := range members {
+			if !claimed[m] {
+				claimed[m] = true
+				owned[i] = append(owned[i], m)
+			}
 		}
 	}
-	return kept
+	var clusters []*core.Cluster
+	for i, members := range owned {
+		if len(members) < minSize {
+			continue
+		}
+		src := found[i]
+		clusters = append(clusters, &core.Cluster{
+			Members:         members,
+			Density:         src.Density,
+			Seed:            seeds[i],
+			OuterIterations: src.OuterIterations,
+			LIDIterations:   src.LIDIterations,
+			PeakEntries:     src.PeakEntries,
+		})
+	}
+	return clusters
 }
 
-// sampleSeeds draws the PALID task list: SampleRate of the points appearing
-// in LSH buckets larger than MinBucketSize (Section 4.6: large buckets betray
-// the dominant clusters). Sampling the union rather than every bucket
-// independently keeps the task list at ~SampleRate·|candidates| even with
-// many tables — per-bucket sampling would re-draw the same cluster from
-// every one of its l buckets and blow the task list up to nearly all of it.
+// sampleSeeds draws PALID's seeds, ascending: SampleRate of the points
+// appearing in LSH buckets larger than MinBucketSize (Section 4.6: large
+// buckets betray the dominant clusters). Sampling the union rather than
+// every bucket independently keeps the seed list at ~SampleRate·|candidates|
+// even with many tables — per-bucket sampling would re-draw the same
+// cluster from every one of its l buckets and blow the seed list up to
+// nearly all of it.
 func sampleSeeds(index index.Index, opts Options) []int {
 	candSet := make(map[int32]bool)
 	var cands []int32

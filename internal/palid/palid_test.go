@@ -2,6 +2,10 @@ package palid
 
 import (
 	"context"
+	"errors"
+	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"alid/internal/affinity"
@@ -44,30 +48,39 @@ func TestDetectBlobs(t *testing.T) {
 	}
 }
 
-// The reducer must assign overlap points to the densest cluster and the
-// assignment must be a partition of the clustered points.
+// The reduce must assign overlap points to the densest cluster and the
+// assignment must be a partition of the clustered points. Four points fill
+// no bucket beyond MinBucketSize, so that input samples no seed and must
+// come back with no cluster, every point -1 and no error.
 func TestAssignmentConsistent(t *testing.T) {
-	pts, _ := testutil.Blobs(13, [][]float64{{0, 0}, {12, 12}}, 30, 0.3, 20, 0, 12)
-	res, err := Detect(context.Background(), pts, testConfig(), DefaultOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int]int)
-	for ci, cl := range res.Clusters {
-		for _, m := range cl.Members {
-			if prev, dup := seen[m]; dup {
-				t.Fatalf("point %d in clusters %d and %d", m, prev, ci)
-			}
-			seen[m] = ci
-			if res.Assign[m] != ci {
-				t.Fatalf("Assign[%d] = %d, want %d", m, res.Assign[m], ci)
+	blobs, _ := testutil.Blobs(13, [][]float64{{0, 0}, {12, 12}}, 30, 0.3, 20, 0, 12)
+	few, _ := testutil.Blobs(13, [][]float64{{0, 0}}, 4, 0.3, 0, 0, 1)
+	for _, pts := range [][][]float64{blobs, few} {
+		res, err := Detect(context.Background(), pts, testConfig(), DefaultOptions(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pts) == len(few) && (res.Seeds != 0 || len(res.Clusters) != 0) {
+			t.Fatalf("%d points: %d seeds, %d clusters; want none", len(pts), res.Seeds, len(res.Clusters))
+		}
+		seen := make(map[int]int)
+		for ci, cl := range res.Clusters {
+			for _, m := range cl.Members {
+				if prev, dup := seen[m]; dup {
+					t.Fatalf("point %d in clusters %d and %d", m, prev, ci)
+				}
+				seen[m] = ci
+				if res.Assign[m] != ci {
+					t.Fatalf("Assign[%d] = %d, want %d", m, res.Assign[m], ci)
+				}
 			}
 		}
-	}
-	for i, a := range res.Assign {
-		if a == -1 {
-			if _, ok := seen[i]; ok {
-				t.Fatalf("point %d assigned and unassigned", i)
+		if len(res.Assign) != len(pts) {
+			t.Fatalf("Assign has %d entries for %d points", len(res.Assign), len(pts))
+		}
+		for i, a := range res.Assign {
+			if _, ok := seen[i]; !ok && a != -1 {
+				t.Fatalf("point %d is in no cluster but Assign[%d] = %d", i, i, a)
 			}
 		}
 	}
@@ -81,20 +94,26 @@ func TestExecutorCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := Detect(context.Background(), pts, testConfig(), DefaultOptions(4))
-	if err != nil {
-		t.Fatal(err)
+	if len(r1.Clusters) == 0 {
+		t.Fatal("no clusters detected — the invariance check is vacuous")
 	}
-	if r1.Seeds != r4.Seeds {
-		t.Fatalf("seed lists differ: %d vs %d", r1.Seeds, r4.Seeds)
-	}
-	if len(r1.Clusters) != len(r4.Clusters) {
-		t.Fatalf("cluster counts differ: %d vs %d", len(r1.Clusters), len(r4.Clusters))
-	}
-	for i := range r1.Assign {
-		a, b := r1.Assign[i], r4.Assign[i]
-		if (a == -1) != (b == -1) {
-			t.Fatalf("point %d: assigned=%v vs %v", i, a != -1, b != -1)
+	for _, executors := range []int{2, 4, 8} {
+		r, err := Detect(context.Background(), pts, testConfig(), DefaultOptions(executors))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Seeds != r1.Seeds || len(r.Clusters) != len(r1.Clusters) {
+			t.Fatalf("Executors %d: %d seeds, %d clusters; Executors 1: %d, %d",
+				executors, r.Seeds, len(r.Clusters), r1.Seeds, len(r1.Clusters))
+		}
+		for ci, cl := range r.Clusters {
+			if cl.Density != r1.Clusters[ci].Density || cl.Seed != r1.Clusters[ci].Seed ||
+				!slices.Equal(cl.Members, r1.Clusters[ci].Members) {
+				t.Fatalf("Executors %d: cluster %d differs from Executors 1", executors, ci)
+			}
+		}
+		if !slices.Equal(r.Assign, r1.Assign) {
+			t.Fatalf("Executors %d: Assign differs from Executors 1", executors)
 		}
 	}
 }
@@ -124,16 +143,57 @@ func TestSeedsComeFromLargeBuckets(t *testing.T) {
 
 func TestInvalidOptions(t *testing.T) {
 	pts, _ := testutil.Blobs(23, [][]float64{{0, 0}}, 10, 0.3, 0, 0, 1)
-	if _, err := Detect(context.Background(), pts, testConfig(), Options{Executors: 0}); err == nil {
-		t.Fatal("zero executors accepted")
+	for _, executors := range []int{0, -2} {
+		if _, err := Detect(context.Background(), pts, testConfig(), Options{Executors: executors}); err == nil {
+			t.Fatalf("Executors %d accepted", executors)
+		}
 	}
 }
 
+// countdownCtx reports cancellation once its Err has been consulted more
+// than allow times, from any goroutine: it cancels a run at a chosen poll.
+type countdownCtx struct {
+	context.Context
+	calls *atomic.Int64
+	allow int64
+}
+
+func (c countdownCtx) Err() error {
+	if c.calls.Add(1) > c.allow {
+		return context.Canceled
+	}
+	return nil
+}
+
+// A context cancelled before the map, or in the middle of it at 4
+// executors, fails the run with the context's error and no result. A
+// cancellation stops the seeds not yet started: past the cancelling poll,
+// each executor polls at most once more, and the map's end once.
 func TestContextCancel(t *testing.T) {
 	pts, _ := testutil.Blobs(29, [][]float64{{0, 0}, {9, 9}}, 30, 0.3, 10, 0, 9)
-	ctx, cancel := context.WithCancel(context.Background())
+	var polls atomic.Int64
+	full := countdownCtx{Context: context.Background(), calls: &polls, allow: math.MaxInt64}
+	if _, err := Detect(full, pts, testConfig(), DefaultOptions(4)); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Detect(ctx, pts, testConfig(), DefaultOptions(2)); err == nil {
-		t.Fatal("cancelled context should abort")
+	var midPolls atomic.Int64
+	mid := countdownCtx{Context: context.Background(), calls: &midPolls, allow: polls.Load() / 4}
+	for _, tc := range []struct {
+		name      string
+		ctx       context.Context
+		executors int
+	}{
+		{"cancelled before the map", cancelled, 2},
+		{"cancelled mid-map", mid, 4},
+	} {
+		res, err := Detect(tc.ctx, pts, testConfig(), DefaultOptions(tc.executors))
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%s: result %v, err %v; want no result and context.Canceled", tc.name, res, err)
+		}
+	}
+	if got, bound := midPolls.Load(), mid.allow+4+1; got > bound {
+		t.Fatalf("mid-map cancel: %d polls, want at most %d of a full run's %d", got, bound, polls.Load())
 	}
 }

@@ -1,7 +1,9 @@
-// Package par is the deterministic parallel layer of detection: a small
+// Package par is the repository's one fan-out layer: a small
 // chunked-for-range fan-out used by the hot loops inside one DetectFrom
 // (CIVS candidate scoring, A_{βα} submatrix fills, LID payoff and immunity
-// scans), and by DetectAll to peel independent LSH components concurrently.
+// scans), by DetectAll to peel independent LSH components concurrently, by
+// PALID to run its seeds on its executors, and by the sharded serving
+// router to send one call to every shard.
 //
 // Determinism contract. Detection output must be bit-identical to the serial
 // path at any GOMAXPROCS and any worker count, so the layer never lets

@@ -21,6 +21,23 @@ func TestNilPoolIsSerial(t *testing.T) {
 		// GOMAXPROCS(0) == 1 yields the nil pool, whose width is 1.
 		t.Fatalf("New(-1).Workers() = %d, want GOMAXPROCS", w)
 	}
+	// A serial pool, or one item on any pool, runs inline: the items in
+	// ascending order, as worker 0.
+	for _, tc := range []struct {
+		pool *Pool
+		n    int
+	}{{nil, 5}, {New(8), 1}} {
+		next := 0
+		tc.pool.Each(tc.n, func(w, i int) {
+			if w != 0 || i != next {
+				t.Fatalf("workers=%d n=%d: item %d ran as worker %d; want item %d as worker 0", tc.pool.Workers(), tc.n, i, w, next)
+			}
+			next++
+		})
+		if next != tc.n {
+			t.Fatalf("workers=%d n=%d: %d items ran", tc.pool.Workers(), tc.n, next)
+		}
+	}
 }
 
 // Chunk boundaries must be a pure function of (n, grain): every index covered

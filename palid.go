@@ -83,8 +83,8 @@ func detectParallelMatrix(ctx context.Context, m *matrix.Matrix, cfg Config, opt
 	out := &ParallelResult{
 		Assign:       res.Assign,
 		Seeds:        res.Seeds,
-		MapMillis:    res.Stats.MapTime.Milliseconds(),
-		ReduceMillis: res.Stats.ReduceTime.Milliseconds(),
+		MapMillis:    res.MapTime.Milliseconds(),
+		ReduceMillis: res.ReduceTime.Milliseconds(),
 	}
 	for _, c := range res.Clusters {
 		out.Clusters = append(out.Clusters, Cluster{Members: c.Members, Weights: c.Weights, Density: c.Density})

@@ -45,8 +45,11 @@
 #     (GOMAXPROCS at construction),
 #     Sharded(1) field-for-field identical to a plain Engine, the sharded
 #     manifest save/load a byte-identical fixed point with every failure
-#     sentinel (count mismatch, missing file, corrupt file) distinguished,
-#     and Scatter slot-indexing identical at every width;
+#     sentinel (count mismatch, missing file, corrupt file) distinguished;
+#   - PALID's concurrent map: DetectParallel's clusters, Assign and seed
+#     count equal at every executor count and pinned by a golden digest at
+#     Parallelism 0 and -1, and a run cancelled before or in the middle of
+#     the map returning the context's error once every executor stopped;
 #   - PR 9: the backend crosschecks — the index conformance suite (both
 #     backends against a brute-force co-bucketing oracle, publish isolation,
 #     tombstones, dump/restore, GOMAXPROCS determinism), the v4 snapshot
@@ -110,8 +113,11 @@ crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|
 crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
-crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest|TestScatter' \
-	./internal/engine/ ./internal/snapshot/ ./internal/mapreduce/
+crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest' \
+	./internal/engine/ ./internal/snapshot/
+
+crosscheck 'TestDetectParallelExecutorInvariance|TestDetectParallelGolden|TestExecutorCountInvariance|TestContextCancel' \
+	. ./internal/palid/
 
 crosscheck 'TestConformance|TestConformanceCandidatesByIDs|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
 	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
