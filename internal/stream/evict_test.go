@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -278,6 +279,63 @@ func TestEvictCancelledReconvergeStaysConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkLabelClusterConsistency(t, c)
+}
+
+// A cancellation that lands inside a commit's re-convergence of a dirty
+// cluster, or inside its probes of new points, must leave a valid
+// maintained state: the interrupted cluster is reclaimed, labels agree with
+// cluster membership, and every cluster meets the density threshold and
+// the minimum size. The countdown cancels at each of the first six polls.
+func TestCommitCancelledReconvergeStaysConsistent(t *testing.T) {
+	pts, _ := testutil.Blobs(19, [][]float64{{0, 0}, {15, 15}}, 40, 0.3, 0, 0, 15)
+	for allow := 1; allow <= 6; allow++ {
+		c, err := New(pts, streamConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Commit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// Ten arrivals in blob 0 make its cluster dirty.
+		rng := rand.New(rand.NewSource(23))
+		for i := 0; i < 10; i++ {
+			if err := c.Add(context.Background(), []float64{rng.NormFloat64() * 0.3, rng.NormFloat64() * 0.3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		calls := 0
+		err = c.Commit(countdownCtx{Context: context.Background(), calls: &calls, allow: allow})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("allow %d: commit err = %v, want context.Canceled", allow, err)
+		}
+		checkLabelClusterConsistency(t, c)
+		checkClustersMeetThreshold(t, c)
+
+		// The stream stays fully operational: a later commit carries on.
+		for i := 0; i < 10; i++ {
+			if err := c.Add(context.Background(), []float64{15 + rng.NormFloat64()*0.3, 15 + rng.NormFloat64()*0.3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Commit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		checkLabelClusterConsistency(t, c)
+		checkClustersMeetThreshold(t, c)
+	}
+}
+
+// checkClustersMeetThreshold asserts that every maintained cluster meets
+// the density threshold and the minimum size, as compact leaves them.
+func checkClustersMeetThreshold(t *testing.T, c *Clusterer) {
+	t.Helper()
+	cfg := c.det.Config()
+	for ci, cl := range c.clusters {
+		if cl.Density < cfg.DensityThreshold || cl.Size() < cfg.MinClusterSize {
+			t.Fatalf("cluster %d: %d members, density %v; threshold %v, minimum size %d",
+				ci, cl.Size(), cl.Density, cfg.DensityThreshold, cfg.MinClusterSize)
+		}
+	}
 }
 
 // MaxPoints retention: a long ingest run keeps the live set pinned at the

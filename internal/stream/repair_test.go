@@ -71,6 +71,7 @@ func TestEvictRepairMatchesDirectDensity(t *testing.T) {
 			}
 		}
 		checkLabelClusterConsistency(t, c)
+		checkClustersMeetThreshold(t, c)
 	}
 	if err := c.Commit(ctx); err != nil {
 		t.Fatal(err)
@@ -124,9 +125,10 @@ func TestEvictRepairMatchesDirectDensity(t *testing.T) {
 			lostOne, lostSeveral, chunkRepairs)
 	}
 
-	// All but one member of the largest cluster, under a cancelled context:
-	// the repair stands without re-convergence, and its lone survivor has
-	// density 0, as the direct sum gives.
+	// All but one member of the largest cluster, under a cancelled context.
+	// The repair's lone survivor has density 0, as the direct sum gives;
+	// the evict stands without re-convergence, and its compact drops the
+	// cluster, which now falls below the minimum size.
 	bySize := c.Clusters()
 	slices.SortStableFunc(bySize, func(a, b *core.Cluster) int { return len(b.Members) - len(a.Members) })
 	if len(bySize) < 2 || len(bySize[1].Members) < 4 {
@@ -139,14 +141,16 @@ func TestEvictRepairMatchesDirectDensity(t *testing.T) {
 			ids = append(ids, m)
 		}
 	}
+	if alone, _ := c.repair(bySize[0], ids); len(alone.Members) != 1 || alone.Density != 0 {
+		t.Fatalf("lone survivor: %d members, density %v; want 1 member, density 0", len(alone.Members), alone.Density)
+	}
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	if _, err := c.Evict(cancelled, ids); !errors.Is(err, context.Canceled) {
 		t.Fatalf("evict under a cancelled context: err = %v, want context.Canceled", err)
 	}
-	alone := c.clusters[c.assigned.At(keep)]
-	if len(alone.Members) != 1 || alone.Density != 0 {
-		t.Fatalf("lone survivor: %d members, density %v; want 1 member, density 0", len(alone.Members), alone.Density)
+	if l := c.assigned.At(keep); l != -1 {
+		t.Fatalf("lone survivor %d still labeled %d after its cluster fell below the minimum size", keep, l)
 	}
 	check("evict all but one")
 

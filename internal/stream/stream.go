@@ -409,6 +409,10 @@ func (c *Clusterer) Add(ctx context.Context, p []float64) error {
 }
 
 // Commit integrates all buffered points into the maintained clustering.
+// If ctx is cancelled mid-way, the points stay committed, a cluster whose
+// re-convergence was cut short keeps its previous form, and clusters below
+// the density threshold or minimum size are dropped: labels agree with
+// cluster membership, and the next commit carries on from there.
 func (c *Clusterer) Commit(ctx context.Context) error {
 	if len(c.buffer) == 0 {
 		return nil
@@ -521,30 +525,50 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 
 	c.met.dirtyCheckDur.ObserveSince(dirtyStart)
 
-	// Step 3: re-converge dirty clusters from their densest member.
+	// Steps 3 and 4 may be cut short by ctx; the compact runs either way,
+	// so a cancelled commit still leaves a valid maintained state.
 	detectStart := obs.Now()
-	for ci, cl := range c.clusters {
-		if !dirty[ci] {
+	err := c.detectDirtyAndNew(ctx, dirty, firstNew)
+	// Drop clusters that decayed below the threshold after re-convergence.
+	c.compact(cfg.DensityThreshold, cfg.MinClusterSize)
+	// The long-lived oracle's counter is drained per commit, so the delta is
+	// exactly this commit's detection work.
+	c.kernelEvals += det.Oracle().ResetComputed()
+	if err != nil {
+		return err
+	}
+	c.met.detectDur.ObserveSince(detectStart)
+
+	// Retention: stamp this commit's arrivals, then evict whatever the
+	// policy has expired — the step that keeps a forever-running stream's
+	// live set (and therefore its memory) bounded by the window.
+	if c.cfg.Retention.MaxAge > 0 {
+		c.stamps = append(c.stamps, commitStamp{firstID: firstNew, at: c.cfg.Retention.now()})
+	}
+	err = c.enforceRetention(ctx)
+	c.met.commitBatch.Observe(int64(newCount))
+	c.met.commitDur.ObserveSince(commitStart)
+	return err
+}
+
+// detectDirtyAndNew runs Commit's steps 3 and 4: it re-converges every
+// dirty cluster from its densest member, then probes the unassigned new
+// points (ids from firstNew on) as seeds for new clusters. On an error it
+// returns with every cluster claimed; the caller compacts.
+func (c *Clusterer) detectDirtyAndNew(ctx context.Context, dirty []bool, firstNew int) error {
+	for ci, d := range dirty {
+		if !d {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		seed := heaviestMember(cl)
-		for _, m := range cl.Members {
-			c.assigned.set(m, -1)
-			c.avail[m] = true
-		}
-		fresh, err := det.DetectFrom(ctx, seed, c.avail)
-		if err != nil {
+		if err := c.reconverge(ctx, ci); err != nil {
 			return err
 		}
-		c.clusters[ci] = fresh
-		c.claim(ci)
 		c.met.dirtyReconverged.Inc()
 	}
-
-	// Step 4: probe unassigned new points as seeds for new clusters.
+	cfg := c.det.Config()
 	for j := firstNew; j < c.mat.N; j++ {
 		if c.assigned.At(j) != -1 {
 			continue
@@ -552,7 +576,7 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cl, err := det.DetectFrom(ctx, j, c.avail)
+		cl, err := c.det.DetectFrom(ctx, j, c.avail)
 		if err != nil {
 			return err
 		}
@@ -564,22 +588,24 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 		c.claim(ci)
 		c.met.newClusters.Inc()
 	}
-	// Drop clusters that decayed below the threshold after re-convergence.
-	c.compact(cfg.DensityThreshold, cfg.MinClusterSize)
-	// The long-lived oracle's counter is drained per commit, so the delta is
-	// exactly this commit's detection work.
-	c.kernelEvals += det.Oracle().ResetComputed()
-	c.met.detectDur.ObserveSince(detectStart)
+	return nil
+}
 
-	// Retention: stamp this commit's arrivals, then evict whatever the
-	// policy has expired — the step that keeps a forever-running stream's
-	// live set (and therefore its memory) bounded by the window.
-	if c.cfg.Retention.MaxAge > 0 {
-		c.stamps = append(c.stamps, commitStamp{firstID: firstNew, at: c.cfg.Retention.now()})
+// reconverge releases cluster ci's members, re-runs Algorithm 2 from its
+// heaviest member over them and the free points, and claims the result.
+// If the detection fails, a cancelled context included, the cluster is
+// reclaimed as it was, so labels never disagree with cluster membership.
+func (c *Clusterer) reconverge(ctx context.Context, ci int) error {
+	cl := c.clusters[ci]
+	for _, m := range cl.Members {
+		c.assigned.set(m, -1)
+		c.avail[m] = true
 	}
-	err := c.enforceRetention(ctx)
-	c.met.commitBatch.Observe(int64(newCount))
-	c.met.commitDur.ObserveSince(commitStart)
+	fresh, err := c.det.DetectFrom(ctx, heaviestMember(cl), c.avail)
+	if err == nil {
+		c.clusters[ci] = fresh
+	}
+	c.claim(ci)
 	return err
 }
 
@@ -623,7 +649,8 @@ const evictReconvergeShare = 0.25
 // and membership repair are already applied (no cluster ever retains a dead
 // member, and labels always agree with cluster membership); clusters whose
 // re-convergence did not run remain in their repaired — renormalized but
-// not re-converged — form, a valid maintained state.
+// not re-converged — form, and clusters left below the density threshold
+// or minimum size are dropped all the same: a valid maintained state.
 func (c *Clusterer) Evict(ctx context.Context, ids []int) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
@@ -710,35 +737,23 @@ func (c *Clusterer) evictIDs(ctx context.Context, ids []int) error {
 	}
 
 	// Phase 3 (cancellable): re-converge clusters that lost real support,
-	// reusing the dirty-cluster machinery — release the survivors, re-run
-	// Algorithm 2 from the heaviest one, reclaim.
+	// reusing the dirty-cluster machinery. The compact runs even when a
+	// cancellation cuts the phase short, so no cluster below the density
+	// threshold or the minimum size survives the evict.
+	var err error
 	for _, ci := range reconverge {
-		if err := ctx.Err(); err != nil {
-			return err
+		if err = ctx.Err(); err != nil {
+			break
 		}
-		cl := c.clusters[ci]
-		seed := heaviestMember(cl)
-		for _, m := range cl.Members {
-			c.assigned.set(m, -1)
-			c.avail[m] = true
+		if err = c.reconverge(ctx, ci); err != nil {
+			break
 		}
-		fresh, err := c.det.DetectFrom(ctx, seed, c.avail)
-		if err != nil {
-			// Reclaim the repaired cluster before bailing so labels and
-			// membership never disagree: the cluster survives in its
-			// repaired (renormalized, not re-converged) form, which is a
-			// valid maintained state.
-			c.claim(ci)
-			return err
-		}
-		c.clusters[ci] = fresh
-		c.claim(ci)
 		c.met.evictReconverged.Inc()
 	}
 	cfg := c.det.Config()
 	c.compact(cfg.DensityThreshold, cfg.MinClusterSize)
 	c.kernelEvals += c.det.Oracle().ResetComputed()
-	return nil
+	return err
 }
 
 // repair returns cl without its members in dead (ascending ids), the
