@@ -139,7 +139,7 @@ func DetectMatrix(ctx context.Context, m *matrix.Matrix, cfg core.Config, opts O
 	res := &Result{Assign: make([]int, m.N), Seeds: len(seeds), MapTime: time.Since(mapStart)}
 
 	reduceStart := time.Now()
-	res.Clusters = reduce(found, seeds, m.N, cfg.MinClusterSize)
+	res.Clusters = reduce(found, m.N, cfg.MinClusterSize)
 	sort.Slice(res.Clusters, func(i, j int) bool { return res.Clusters[i].Density > res.Clusters[j].Density })
 	for i := range res.Assign {
 		res.Assign[i] = -1
@@ -160,10 +160,10 @@ func DetectMatrix(ctx context.Context, m *matrix.Matrix, cfg core.Config, opts O
 // cluster converge to near-identical supports, and letting each keep a
 // share would shatter the cluster into per-seed fragments; partially
 // overlapping clusters (the Fig. 5 v4 case) stay separate. found is
-// indexed like seeds, which ascend; the clusters of at least minSize
-// claimed members come back in ascending seed order, their members
-// ascending.
-func reduce(found []*core.Cluster, seeds []int, n, minSize int) []*core.Cluster {
+// indexed by ascending seed; the clusters of at least minSize claimed
+// members come back in that order, their members ascending and without
+// weights.
+func reduce(found []*core.Cluster, n, minSize int) []*core.Cluster {
 	var order []int
 	for i, cl := range found {
 		if cl != nil {
@@ -196,15 +196,9 @@ func reduce(found []*core.Cluster, seeds []int, n, minSize int) []*core.Cluster 
 		if len(members) < minSize {
 			continue
 		}
-		src := found[i]
-		clusters = append(clusters, &core.Cluster{
-			Members:         members,
-			Density:         src.Density,
-			Seed:            seeds[i],
-			OuterIterations: src.OuterIterations,
-			LIDIterations:   src.LIDIterations,
-			PeakEntries:     src.PeakEntries,
-		})
+		cl := *found[i]
+		cl.Members, cl.Weights = members, nil
+		clusters = append(clusters, &cl)
 	}
 	return clusters
 }
