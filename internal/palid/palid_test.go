@@ -55,12 +55,16 @@ func TestDetectBlobs(t *testing.T) {
 func TestAssignmentConsistent(t *testing.T) {
 	blobs, _ := testutil.Blobs(13, [][]float64{{0, 0}, {12, 12}}, 30, 0.3, 20, 0, 12)
 	few, _ := testutil.Blobs(13, [][]float64{{0, 0}}, 4, 0.3, 0, 0, 1)
-	for _, pts := range [][][]float64{blobs, few} {
+	for _, tc := range []struct {
+		pts     [][]float64
+		noSeeds bool
+	}{{blobs, false}, {few, true}} {
+		pts := tc.pts
 		res, err := Detect(context.Background(), pts, testConfig(), DefaultOptions(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pts) == len(few) && (res.Seeds != 0 || len(res.Clusters) != 0) {
+		if tc.noSeeds && (res.Seeds != 0 || len(res.Clusters) != 0) {
 			t.Fatalf("%d points: %d seeds, %d clusters; want none", len(pts), res.Seeds, len(res.Clusters))
 		}
 		seen := make(map[int]int)
