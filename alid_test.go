@@ -175,6 +175,29 @@ func TestDetectParallelMatchesQuality(t *testing.T) {
 	}
 }
 
+// Both PALID entry points refuse a zero or negative executor count with an
+// error and no result.
+func TestDetectParallelInvalidExecutors(t *testing.T) {
+	pts, _ := testPoints()
+	cfg, err := AutoConfig(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := make([]float64, 0, len(pts)*len(pts[0]))
+	for _, p := range pts {
+		flat = append(flat, p...)
+	}
+	for _, executors := range []int{0, -2} {
+		opts := ParallelOptions{Executors: executors}
+		if res, err := DetectParallel(context.Background(), pts, cfg, opts); err == nil || res != nil {
+			t.Errorf("DetectParallel, Executors %d: result %v, err %v; want an error", executors, res, err)
+		}
+		if res, err := DetectParallelFlat(context.Background(), flat, len(pts), len(pts[0]), cfg, opts); err == nil || res != nil {
+			t.Errorf("DetectParallelFlat, Executors %d: result %v, err %v; want an error", executors, res, err)
+		}
+	}
+}
+
 func TestLabelsHelper(t *testing.T) {
 	clusters := []Cluster{
 		{Members: []int{0, 1}, Density: 0.9},

@@ -21,8 +21,11 @@ func TestNilPoolIsSerial(t *testing.T) {
 		// GOMAXPROCS(0) == 1 yields the nil pool, whose width is 1.
 		t.Fatalf("New(-1).Workers() = %d, want GOMAXPROCS", w)
 	}
-	// A serial pool, or one item on any pool, runs inline: the items in
-	// ascending order, as worker 0.
+}
+
+// A serial pool, or one item on any pool, runs inline: the items in
+// ascending order, as worker 0.
+func TestEachInline(t *testing.T) {
 	for _, tc := range []struct {
 		pool *Pool
 		n    int
@@ -148,6 +151,34 @@ func TestEachWorkerOwnership(t *testing.T) {
 					t.Fatalf("n=%d workers=%d: item %d visited %d times", n, pool.Workers(), i, h)
 				}
 			}
+		}
+	}
+}
+
+// Every item writes only its own slot of a shared slice, as PALID's map and
+// the sharded router do: the slice comes out the same at any width, also at
+// widths beyond the item count.
+func TestEachSlotIndexed(t *testing.T) {
+	const n = 37
+	for _, pool := range []*Pool{nil, New(2), New(4), New(8), New(64)} {
+		out := make([]int, n)
+		pool.Each(n, func(_, i int) { out[i] = i * i })
+		for i, v := range out {
+			if v != i*i {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", pool.Workers(), i, v, i*i)
+			}
+		}
+	}
+}
+
+// Zero items: Each calls nothing and returns, on a serial and a parallel
+// pool.
+func TestEachEmpty(t *testing.T) {
+	for _, pool := range []*Pool{nil, New(4)} {
+		calls := 0
+		pool.Each(0, func(_, _ int) { calls++ })
+		if calls != 0 {
+			t.Fatalf("workers=%d: fn called %d times for n=0", pool.Workers(), calls)
 		}
 	}
 }

@@ -47,9 +47,10 @@
 #     manifest save/load a byte-identical fixed point with every failure
 #     sentinel (count mismatch, missing file, corrupt file) distinguished;
 #   - PALID's concurrent map: DetectParallel's clusters, Assign and seed
-#     count equal at every executor count and pinned by a golden digest at
-#     Parallelism 0 and -1, and a run cancelled before or in the middle of
-#     the map returning the context's error once every executor stopped;
+#     count equal at every executor count (also with more executors than
+#     seeds) and pinned by a golden digest at Parallelism 0 and -1, and a
+#     run cancelled before, in the middle of or at the end of the map
+#     returning the context's error once every executor stopped;
 #   - PR 9: the backend crosschecks — the index conformance suite (both
 #     backends against a brute-force co-bucketing oracle, publish isolation,
 #     tombstones, dump/restore, GOMAXPROCS determinism), the v4 snapshot
@@ -104,7 +105,7 @@ crosscheck() {
 
 crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 
-crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership' \
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership|TestEachInline|TestEachSlotIndexed|TestEachEmpty' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
@@ -116,7 +117,7 @@ crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAss
 crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest' \
 	./internal/engine/ ./internal/snapshot/
 
-crosscheck 'TestDetectParallelExecutorInvariance|TestDetectParallelGolden|TestExecutorCountInvariance|TestContextCancel' \
+crosscheck 'TestDetectParallelExecutorInvariance|TestDetectParallelGolden|TestExecutorCountInvariance|TestExecutorsBeyondSeeds|TestContextCancel|TestMidMapCancelStopsSeeds|TestCancelAfterMap' \
 	. ./internal/palid/
 
 crosscheck 'TestConformance|TestConformanceCandidatesByIDs|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
