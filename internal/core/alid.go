@@ -160,16 +160,30 @@ type Detector struct {
 	peakEntries int
 }
 
-// civsScratch is one detection's CIVS candidate deduplication and selection
-// scratch (steady-state CIVS calls allocate only the returned ψ slice). A
+// civsScratch is one detection's id-indexed scratch: the LID state's β
+// position index and the CIVS candidate deduplication and selection
+// buffers (steady-state CIVS calls allocate only the returned ψ slice). A
 // scratch serves one detection at a time.
 type civsScratch struct {
+	pos   []int32 // β position by id (lid.NewState), -1 between detections
 	mark  []uint32
 	gen   uint32
 	seen  index.BucketSet // the (table, bucket) pairs a read has walked
 	raw   []int32
 	cand  []civsCand
 	parts [][]civsCand // per-chunk buffers of the parallel CIVS filter
+}
+
+// fit grows the id-indexed slices to n ids, new positions -1 and new marks
+// 0. Matrix and index only ever grow in place, so a detection on a grown
+// dataset needs nothing more.
+func (sc *civsScratch) fit(n int) {
+	for len(sc.pos) < n {
+		sc.pos = append(sc.pos, -1)
+	}
+	if len(sc.mark) < n {
+		sc.mark = append(sc.mark, make([]uint32, n-len(sc.mark))...)
+	}
 }
 
 // NewDetector flattens the dataset once (the [][]float64 → matrix.Matrix
@@ -213,12 +227,7 @@ func NewDetectorMatrix(m *matrix.Matrix, cfg Config) (*Detector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Detector{
-		cfg:     cfg,
-		oracle:  o,
-		index:   idx,
-		scratch: civsScratch{mark: make([]uint32, m.N)},
-	}, nil
+	return &Detector{cfg: cfg, oracle: o, index: idx}, nil
 }
 
 // NewDetectorMatrixWithIndex reuses a prebuilt index (PALID executors share
@@ -232,21 +241,11 @@ func NewDetectorMatrixWithIndex(m *matrix.Matrix, cfg Config, idx index.Index) (
 	if idx.N() != m.N {
 		return nil, fmt.Errorf("core: index over %d points, dataset has %d", idx.N(), m.N)
 	}
-	return &Detector{cfg: cfg, oracle: o, index: idx, scratch: civsScratch{mark: make([]uint32, m.N)}}, nil
+	return &Detector{cfg: cfg, oracle: o, index: idx}, nil
 }
 
 // Oracle exposes the instrumented affinity oracle (for experiments).
 func (d *Detector) Oracle() *affinity.Oracle { return d.oracle }
-
-// Grow extends the CIVS dedup scratch after the detector's matrix and index
-// grew (both are captured by reference and only ever grow in place). The
-// streaming layer reuses one detector across commits and calls this instead
-// of reconstructing, avoiding an O(n) scratch allocation per commit.
-func (d *Detector) Grow() {
-	if n := d.oracle.N(); len(d.scratch.mark) < n {
-		d.scratch.mark = append(d.scratch.mark, make([]uint32, n-len(d.scratch.mark))...)
-	}
-}
 
 // Index exposes the candidate index (PALID samples seeds from its buckets).
 func (d *Detector) Index() index.Index { return d.index }
@@ -270,17 +269,20 @@ func (d *Detector) DetectFrom(ctx context.Context, seed int, active []bool) (*Cl
 	return cl, nil
 }
 
-// detectFrom is DetectFrom on the given CIVS scratch. It reads active only
-// at ids of seed's LSH component and writes no Detector state, so calls on
-// distinct scratch may run concurrently on disjoint components.
+// detectFrom is DetectFrom on the given scratch. It reads active only at
+// ids of seed's LSH component and writes no Detector state, so calls on
+// distinct scratch may run concurrently on disjoint components. Whatever
+// way it returns, the scratch's position index is -1 everywhere again.
 func (d *Detector) detectFrom(ctx context.Context, seed int, active []bool, sc *civsScratch) (*Cluster, error) {
 	if active != nil && !active[seed] {
 		return nil, fmt.Errorf("core: seed %d is not active", seed)
 	}
-	st, err := lid.NewState(d.oracle, seed)
+	sc.fit(d.oracle.N())
+	st, err := lid.NewState(d.oracle, seed, sc.pos)
 	if err != nil {
 		return nil, err
 	}
+	defer st.Release()
 	st.SetPool(d.cfg.Pool)
 	lidIters := 0
 	outer := 0
@@ -406,7 +408,7 @@ func (d *Detector) civs(sc *civsScratch, st *lid.State, support []int, roi ROI, 
 	}
 	// filter appends the surviving candidates of one raw-id range to buf in
 	// range order. It only reads shared state (the matrix, the ROI, the LID
-	// state's membership map, the active mask), so disjoint ranges can run
+	// state's position index, the active mask), so disjoint ranges can run
 	// concurrently.
 	filter := func(ids []int32, buf []civsCand) []civsCand {
 		for _, id := range ids {
@@ -574,7 +576,7 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 			return
 		}
 		if scratch[w] == nil {
-			scratch[w] = &civsScratch{mark: make([]uint32, n)}
+			scratch[w] = &civsScratch{}
 		}
 		for _, id := range comps[c] {
 			seed := int(id)

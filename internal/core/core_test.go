@@ -129,7 +129,9 @@ func TestROIProposition1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := lid.NewState(o, 0)
+	var sc civsScratch
+	sc.fit(o.N())
+	st, err := lid.NewState(o, 0, sc.pos)
 	if err != nil {
 		t.Fatal(err)
 	}

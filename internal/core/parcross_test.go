@@ -346,3 +346,57 @@ func TestDetectAllCancelMidPeel(t *testing.T) {
 		}
 	}
 }
+
+// A DetectFrom cancelled at any of its first six context polls — before an
+// outer iteration or inside an LID solve — leaves every entry of the
+// detector's β position index at -1, and the detector's next DetectFrom
+// returns the cluster a fresh detector returns from the same seed, bit for
+// bit: members, weights, density, iteration counts, PeakEntries and the
+// oracle's kernel-evaluation count. A position left behind by the
+// cancelled detection would read as "already in β" and change that result.
+func TestDetectFromCancelResetsPositions(t *testing.T) {
+	f := peelFixtures(t)[0]
+	const seed = 0
+	detect := func(det *Detector, budget int64) (*Cluster, int64, int64, error) {
+		t.Helper()
+		ctx := &countdownCtx{Context: context.Background()}
+		ctx.left.Store(budget)
+		before := det.Oracle().Computed()
+		cl, err := det.DetectFrom(ctx, seed, nil)
+		return cl, det.Oracle().Computed() - before, ctx.polls.Load(), err
+	}
+	newDet := func() *Detector {
+		t.Helper()
+		det, err := NewDetector(f.pts, f.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return det
+	}
+	want, wantEvals, polls, err := detect(newDet(), 1<<62)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls <= 6 || want.OuterIterations < 2 || want.Size() < 2 {
+		t.Fatalf("the reference detection polls %d times over %d outer iterations for %d members: too small to cancel at six polls",
+			polls, want.OuterIterations, want.Size())
+	}
+	det := newDet()
+	for budget := int64(0); budget < 6; budget++ {
+		if _, _, _, err := detect(det, budget); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at poll %d: DetectFrom error %v, want context.Canceled", budget+1, err)
+		}
+		for id, p := range det.scratch.pos {
+			if p != -1 {
+				t.Fatalf("cancel at poll %d: position index holds %d at id %d", budget+1, p, id)
+			}
+		}
+		got, evals, _, err := detect(det, 1<<62)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePeel(t, fmt.Sprintf("after a cancel at poll %d", budget+1),
+			peelResult{[]*Cluster{want}, wantEvals, want.PeakEntries},
+			peelResult{[]*Cluster{got}, evals, got.PeakEntries})
+	}
+}

@@ -379,32 +379,31 @@ func TestAssignBatchEmptyEngine(t *testing.T) {
 	}
 }
 
-// The batch path must be allocation-free per query in steady state: the
-// pooled arenas grow to the high-water batch once and are then reused.
+// The batch path must be allocation-free per query in steady state, through
+// the one-shard router too: the pooled arenas grow to the high-water batch
+// once and are then reused.
 func TestAssignBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
 	pts, _ := testutil.Blobs(61, [][]float64{{0, 0}, {12, 12}}, 200, 0.05, 20, -15, 20)
-	e, err := New(engineConfig(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 	queries := mixedQueries(pts, 64, 62)
-	var out []Assignment
-	for i := 0; i < 30; i++ { // warm the pooled arenas to steady capacity
-		if out, err = e.AssignBatchInto(queries, out); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(100, func() {
+	for name, e := range allocFreeServers(t, pts) {
+		var out []Assignment
 		var err error
-		if out, err = e.AssignBatchInto(queries, out); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 30; i++ { // warm the pooled arenas to steady capacity
+			if out, err = e.AssignBatchInto(queries, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AssignBatchInto allocates %v per batch, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			var err error
+			if out, err = e.AssignBatchInto(queries, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: AssignBatchInto allocates %v per batch, want 0", name, allocs)
+		}
 	}
 }

@@ -319,32 +319,48 @@ func TestAssignMatchesFullScan(t *testing.T) {
 	}
 }
 
-// The assign path must stay allocation-free in steady state.
+// allocFreeServers builds the servers whose assign paths must allocate
+// nothing in steady state: a plain Engine and a one-shard Sharded router,
+// which alidd serves at -shards 1.
+func allocFreeServers(t *testing.T, pts [][]float64) map[string]Serving {
+	t.Helper()
+	e, err := New(engineConfig(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: 1}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return map[string]Serving{"Engine": e, "Sharded(1)": s}
+}
+
+// The assign path must stay allocation-free in steady state, through the
+// one-shard router too.
 func TestAssignAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
 	pts, _ := testutil.Blobs(57, [][]float64{{0, 0}, {12, 12}}, 200, 0.05, 20, -15, 20)
-	e, err := New(engineConfig(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
 	queries := [][]float64{{0.1, -0.2}, {11.8, 12.3}, {6, 6}, {-14, 19}}
-	for i := 0; i < 50; i++ { // warm the pooled scratch to steady capacity
-		if _, err := e.Assign(queries[i%len(queries)]); err != nil {
-			t.Fatal(err)
+	for name, e := range allocFreeServers(t, pts) {
+		for i := 0; i < 50; i++ { // warm the pooled scratch to steady capacity
+			if _, err := e.Assign(queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := e.Assign(queries[i%len(queries)]); err != nil {
-			t.Fatal(err)
+		i := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := e.Assign(queries[i%len(queries)]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Assign allocates %v per call, want 0", name, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("Assign allocates %v per call, want 0", allocs)
 	}
 }
 

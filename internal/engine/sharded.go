@@ -98,11 +98,39 @@ type shardBatch struct {
 
 // gatherScratch is the pooled per-call scatter workspace: slot arrays for
 // the gather plus per-shard answer arenas (grow-only), so steady
-// scatter-gather traffic allocates nothing at the router layer.
+// scatter-gather traffic allocates nothing at the router layer. The
+// per-shard bodies are method values bound once when the scratch is made:
+// a closure built per call would escape to the heap, because par.Pool.Each
+// may hand it to a helper goroutine, and cost an allocation per call even
+// at one shard. The call's query or batch rides in the scratch instead.
 type gatherScratch struct {
 	slots []shardBatch
 	bouts [][]Assignment // per-shard answer arenas, recycled across calls
 	offs  []int          // cluster-count prefix sums, len n+1
+
+	shards     []*Engine
+	q          []float64   // the query of the Assign in flight
+	qs         [][]float64 // the batch of the AssignBatchInto in flight
+	assignOne  func(worker, shard int)
+	assignMany func(worker, shard int)
+}
+
+// assignShard is Assign's per-shard body: shard i's answer to gs.q, pinned
+// to one published generation.
+func (gs *gatherScratch) assignShard(_, i int) {
+	a, nc, err := gs.shards[i].assignPinned(gs.q)
+	gs.bouts[i] = append(gs.bouts[i][:0], a)
+	gs.slots[i] = shardBatch{out: gs.bouts[i], clusters: nc, err: err}
+}
+
+// assignShardBatch is AssignBatchInto's per-shard body: shard i's answers
+// to the whole of gs.qs, pinned to one published generation.
+func (gs *gatherScratch) assignShardBatch(_, i int) {
+	o, nc, err := gs.shards[i].assignBatchPinned(gs.qs, gs.bouts[i])
+	if o != nil {
+		gs.bouts[i] = o // keep the grown arena for the next batch
+	}
+	gs.slots[i] = shardBatch{out: o, clusters: nc, err: err}
 }
 
 // merge folds the per-shard answers of nq queries into out (resliced to
@@ -256,11 +284,14 @@ func shareOf(total stream.Retention, n int) stream.Retention {
 func (s *Sharded) finish(reg *obs.Registry) {
 	n := s.n
 	s.gpool.New = func() any {
-		return &gatherScratch{
-			slots: make([]shardBatch, n),
-			bouts: make([][]Assignment, n),
-			offs:  make([]int, n+1),
+		gs := &gatherScratch{
+			slots:  make([]shardBatch, n),
+			bouts:  make([][]Assignment, n),
+			offs:   make([]int, n+1),
+			shards: s.shards,
 		}
+		gs.assignOne, gs.assignMany = gs.assignShard, gs.assignShardBatch
+		return gs
 	}
 	s.met = &shardedMetrics{
 		gatherSingle: obs.NewHistogram("alid_gather_duration_seconds", "Whole scatter-gather call latency at the sharded router, by serving mode.", `mode="single"`, 1e-9),
@@ -417,11 +448,9 @@ func (s *Sharded) Assign(q []float64) (Assignment, error) {
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	s.pool.Each(s.n, func(_, i int) {
-		a, nc, err := s.shards[i].assignPinned(q)
-		gs.bouts[i] = append(gs.bouts[i][:0], a)
-		gs.slots[i] = shardBatch{out: gs.bouts[i], clusters: nc, err: err}
-	})
+	gs.q = q
+	s.pool.Each(s.n, gs.assignOne)
+	gs.q = nil
 	var one [1]Assignment
 	merged, err := gs.merge(gs.slots, 1, one[:0])
 	if err != nil {
@@ -449,13 +478,9 @@ func (s *Sharded) AssignBatchInto(qs [][]float64, out []Assignment) ([]Assignmen
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
 	start := obs.Now()
-	s.pool.Each(s.n, func(_, i int) {
-		o, nc, err := s.shards[i].assignBatchPinned(qs, gs.bouts[i])
-		if o != nil {
-			gs.bouts[i] = o // keep the grown arena for the next batch
-		}
-		gs.slots[i] = shardBatch{out: o, clusters: nc, err: err}
-	})
+	gs.qs = qs
+	s.pool.Each(s.n, gs.assignMany)
+	gs.qs = nil
 	out, err := gs.merge(gs.slots, len(qs), out)
 	if err != nil {
 		return nil, err

@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"alid/internal/affinity"
@@ -43,8 +44,8 @@ type State struct {
 	oracle *affinity.Oracle
 	pool   *par.Pool // intra-detection fan-out; nil = serial
 
-	beta []int       // global indices of the local range, order fixed
-	pos  map[int]int // global index -> position in beta
+	beta []int   // global indices of the local range, order fixed
+	pos  []int32 // caller-owned: global index -> position in beta, -1 outside
 
 	x  []float64 // vertex weights over beta positions (a point of Δ^|β|)
 	g  []float64 // g[r] = Σ_{i∈α} a_{beta[r],beta[i]}·x[i]
@@ -81,15 +82,22 @@ type State struct {
 func (s *State) SetPool(p *par.Pool) { s.pool = p }
 
 // NewState starts Algorithm 2's initialization: β = α = {seed}, x = s_seed,
-// A_{βα}x_α = a_ss = 0.
-func NewState(o *affinity.Oracle, seed int) (*State, error) {
+// A_{βα}x_α = a_ss = 0. pos is the caller's dense position index over the
+// oracle's ids: at least o.N() entries, every one -1. The state writes the
+// β position of each id it takes in there, and Release sets those entries
+// back to -1, so one index serves one state at a time.
+func NewState(o *affinity.Oracle, seed int, pos []int32) (*State, error) {
 	if seed < 0 || seed >= o.N() {
 		return nil, fmt.Errorf("lid: seed %d out of range [0,%d)", seed, o.N())
 	}
+	if len(pos) < o.N() {
+		return nil, fmt.Errorf("lid: position index holds %d ids, oracle %d", len(pos), o.N())
+	}
+	pos[seed] = 0
 	s := &State{
 		oracle: o,
 		beta:   []int{seed},
-		pos:    map[int]int{seed: 0},
+		pos:    pos,
 		x:      []float64{1},
 		g:      []float64{0},
 		colAt:  [][]float64{{0}},
@@ -99,16 +107,31 @@ func NewState(o *affinity.Oracle, seed int) (*State, error) {
 	return s, nil
 }
 
-// Contains reports whether the global index is already in the local range β.
-func (s *State) Contains(global int) bool {
-	_, ok := s.pos[global]
-	return ok
+// Release sets the position index entry of every β id back to -1, leaving
+// the index ready for the caller's next state. The State must not be used
+// afterwards.
+func (s *State) Release() {
+	for _, gidx := range s.beta {
+		s.pos[gidx] = -1
+	}
 }
+
+// at returns the β position of a global index, -1 when it is outside β
+// (ids outside the position index included).
+func (s *State) at(global int) int {
+	if uint(global) >= uint(len(s.pos)) {
+		return -1
+	}
+	return int(s.pos[global])
+}
+
+// Contains reports whether the global index is already in the local range β.
+func (s *State) Contains(global int) bool { return s.at(global) >= 0 }
 
 // Weight returns the current weight of a global index (0 if outside β).
 func (s *State) Weight(global int) float64 {
-	p, ok := s.pos[global]
-	if !ok {
+	p := s.at(global)
+	if p < 0 {
 		return 0
 	}
 	return s.x[p]
@@ -196,20 +219,16 @@ func SetParGatesForTest(stepGrainN, stepMin, extendMin, immuneMin int) func() {
 // selectVertex runs the Eq. 6 argmax over positions [lo,hi): the strongest
 // payoff deviation over C1 ∪ C2, first position winning ties (the serial
 // scan's strictly-greater rule). Returns best = -1 when no deviation in the
-// range exceeds tol.
+// range exceeds tol. The scan compares |r| first and checks membership of
+// C1 (r > 0) or C2 (r < 0 on a support vertex) only for a new maximum, so
+// the common position costs one subtraction and one compare; r = ±0 and a
+// NaN payoff are never selected, whatever tol is.
 func (s *State) selectVertex(lo, hi int, pi, tol float64) (best int, bestAbs, bestR float64) {
 	best, bestAbs = -1, tol
-	for p := lo; p < hi; p++ {
-		r := s.g[p] - pi
-		switch {
-		case r > 0: // C1: infective vertex
-			if r > bestAbs {
-				best, bestAbs, bestR = p, r, r
-			}
-		case r < 0 && s.x[p] > simplex.WeightEps: // C2: weak member vertex
-			if -r > bestAbs {
-				best, bestAbs, bestR = p, -r, r
-			}
+	for k, gp := range s.g[lo:hi] {
+		p, r := lo+k, gp-pi
+		if a := math.Abs(r); a > bestAbs && (r > 0 || (r < 0 && s.x[p] > simplex.WeightEps)) {
+			best, bestAbs, bestR = p, a, r
 		}
 	}
 	return best, bestAbs, bestR
@@ -352,29 +371,26 @@ func (s *State) Solve(ctx context.Context, maxIter int, tol float64) (int, error
 // Extend grows the local range with new global indices (the CIVS update
 // β ← α ∪ ψ of Eq. 17): cached support columns gain rows for the new
 // vertices, x gains zero weights, and g gains the rows (A_{ψα}x̂_α).
-// Indices already in β are ignored. Columns cached for vertices that have
-// left the support are dropped, keeping the cache within the a*(a*+δ) space
-// bound of Section 4.5.
+// Indices already in β, or repeated in newGlobal, are ignored. Columns
+// cached for vertices that have left the support are dropped, keeping the
+// cache within the a*(a*+δ) space bound of Section 4.5.
 func (s *State) Extend(newGlobal []int) int {
-	var fresh []int
-	for _, gidx := range newGlobal {
-		if _, ok := s.pos[gidx]; !ok {
-			fresh = append(fresh, gidx)
-		}
-	}
-	if len(fresh) == 0 {
-		s.dropNonSupportColumns()
-		return 0
-	}
 	oldLen := len(s.beta)
-	for _, gidx := range fresh {
-		s.pos[gidx] = len(s.beta)
+	for _, gidx := range newGlobal {
+		if s.pos[gidx] >= 0 {
+			continue
+		}
+		s.pos[gidx] = int32(len(s.beta))
 		s.beta = append(s.beta, gidx)
 		s.x = append(s.x, 0)
 		s.g = append(s.g, 0)
 		s.colAt = append(s.colAt, nil)
 	}
 	s.dropNonSupportColumns()
+	nf := len(s.beta) - oldLen
+	if nf == 0 {
+		return 0
+	}
 	// Extend the retained (support) columns with the new rows and accumulate
 	// the new g entries: g_j = Σ_{i∈α} a_{j,i}·x_i for j ∈ ψ. Columns are
 	// processed in ascending global index, the fixed floating-point
@@ -392,7 +408,6 @@ func (s *State) Extend(newGlobal []int) int {
 	// submatrix materialization fans out over the pool. Each slot's entries
 	// depend only on its own (column, row) pairs — the slab content is
 	// bit-identical however the chunks are scheduled.
-	nf := len(fresh)
 	if need := len(colPos) * nf; cap(s.tails) < need {
 		s.tails = make([]float64, need)
 	}
@@ -423,7 +438,7 @@ func (s *State) Extend(newGlobal []int) int {
 	}
 	s.cached += len(tails)
 	s.trackPeak()
-	return len(fresh)
+	return nf
 }
 
 // extendParMin is the minimum tail-slab size (in kernel evaluations) before
@@ -469,7 +484,7 @@ func (s *State) Immune(candidates []int, tol float64) bool {
 	// infective returns the verdict for one candidate and the kernel
 	// evaluations it took.
 	infective := func(gidx int) (bool, int) {
-		if p, ok := s.pos[gidx]; ok {
+		if p := s.at(gidx); p >= 0 {
 			return s.payoff(p, pi) > tol, 0
 		}
 		var gj float64

@@ -36,7 +36,7 @@ func cliquePoints(sizes ...int) [][]float64 {
 
 func newFullState(t *testing.T, o *affinity.Oracle, seed int) *State {
 	t.Helper()
-	s, err := NewState(o, seed)
+	s, err := NewState(o, seed, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,13 +50,16 @@ func newFullState(t *testing.T, o *affinity.Oracle, seed int) *State {
 
 func TestNewStateValidation(t *testing.T) {
 	o := mustOracle(t, cliquePoints(2), affinity.DefaultKernel())
-	if _, err := NewState(o, -1); err == nil {
+	if _, err := NewState(o, -1, freshPos(o.N())); err == nil {
 		t.Error("negative seed accepted")
 	}
-	if _, err := NewState(o, 99); err == nil {
+	if _, err := NewState(o, 99, freshPos(o.N())); err == nil {
 		t.Error("out-of-range seed accepted")
 	}
-	s, err := NewState(o, 1)
+	if _, err := NewState(o, 0, freshPos(o.N()-1)); err == nil {
+		t.Error("position index shorter than the oracle accepted")
+	}
+	s, err := NewState(o, 1, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +177,7 @@ func TestExtendIncremental(t *testing.T) {
 		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 	}
 	o := mustOracle(t, pts, affinity.Kernel{K: 1, P: 2})
-	s, err := NewState(o, 0)
+	s, err := NewState(o, 0, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +212,7 @@ func TestExtendIncremental(t *testing.T) {
 func TestImmune(t *testing.T) {
 	pts := cliquePoints(3, 3)
 	o := mustOracle(t, pts, affinity.Kernel{K: 5, P: 2})
-	s, err := NewState(o, 0)
+	s, err := NewState(o, 0, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,7 @@ func TestImmune(t *testing.T) {
 	}
 	// A co-located vertex (same position as the converged clique) IS
 	// infective against a partially-converged subgraph with lower density.
-	s2, _ := NewState(o, 0)
+	s2, _ := NewState(o, 0, freshPos(o.N()))
 	s2.Extend([]int{1})
 	s2.Solve(context.Background(), 200, 1e-9) // density 1/2 on the pair
 	if s2.Immune([]int{2}, 1e-7) {
@@ -255,7 +258,7 @@ func TestColumnsBoundedBySupport(t *testing.T) {
 func TestSingletonConverges(t *testing.T) {
 	pts := [][]float64{{0, 0}, {100, 100}}
 	o := mustOracle(t, pts, affinity.Kernel{K: 5, P: 2})
-	s, err := NewState(o, 0)
+	s, err := NewState(o, 0, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +315,13 @@ func BenchmarkLIDSolve200(b *testing.B) {
 	for i := range all {
 		all[i] = i
 	}
+	pos := freshPos(o.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, _ := NewState(o, 0)
+		s, _ := NewState(o, 0, pos)
 		s.Extend(all)
 		s.Solve(context.Background(), 2000, 1e-8)
+		s.Release()
 	}
 }
 

@@ -23,7 +23,7 @@ func lowerParGates(t *testing.T) {
 // returns the final state for comparison.
 func runScript(t *testing.T, o *affinity.Oracle, pool *par.Pool) (*State, []bool) {
 	t.Helper()
-	s, err := NewState(o, 0)
+	s, err := NewState(o, 0, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestRandomInterleavingInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := NewState(o, rng.Intn(n))
+		s, err := NewState(o, rng.Intn(n), freshPos(o.N()))
 		if err != nil {
 			return false
 		}
@@ -63,7 +63,7 @@ func TestStepKeepsWeightsValid(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := NewState(o, 0)
+		s, err := NewState(o, 0, freshPos(o.N()))
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestSupportAccessorsConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewState(o, 3)
+	s, err := NewState(o, 3, freshPos(o.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,10 @@ type refState struct {
 
 	cached, peakEntries, iterations int
 	// infections and immunizations count the steps of each kind, so a
-	// comparison can show it covered both branches of Step.
-	infections, immunizations int
+	// comparison can show it covered both branches of Step; ties counts the
+	// steps whose winner shared its |r| with another C1 ∪ C2 position, so
+	// one can show the first-position tie rule was exercised.
+	infections, immunizations, ties int
 }
 
 func newRefState(o *affinity.Oracle, seed int) *refState {
@@ -60,24 +62,41 @@ func (s *refState) column(global int) []float64 {
 	return c
 }
 
-func (s *refState) step(tol float64) bool {
-	pi := s.density()
-	best, bestAbs, bestR := -1, tol, 0.0
-	for p := range s.beta {
-		r := s.g[p] - pi
+// refSelect is the Eq. 6 scan written as a switch on the sign of
+// r = g_p − π: C1 (r > 0) or C2 (r < 0 with x_p > WeightEps), where a
+// strictly greater |r| than the best so far (initially tol) wins, so the
+// first position wins a tie. State.selectVertex must pick the same
+// position, |r| and r.
+func refSelect(g, x []float64, pi, tol float64) (best int, bestAbs, bestR float64) {
+	best, bestAbs = -1, tol
+	for p := range g {
+		r := g[p] - pi
 		switch {
 		case r > 0:
 			if r > bestAbs {
 				best, bestAbs, bestR = p, r, r
 			}
-		case r < 0 && s.x[p] > simplex.WeightEps:
+		case r < 0 && x[p] > simplex.WeightEps:
 			if -r > bestAbs {
 				best, bestAbs, bestR = p, -r, r
 			}
 		}
 	}
+	return best, bestAbs, bestR
+}
+
+func (s *refState) step(tol float64) bool {
+	pi := s.density()
+	best, bestAbs, bestR := refSelect(s.g, s.x, pi, tol)
 	if best < 0 {
 		return false
+	}
+	for p := best + 1; p < len(s.g); p++ {
+		r := s.g[p] - pi
+		if math.Abs(r) == bestAbs && (r > 0 || (r < 0 && s.x[p] > simplex.WeightEps)) {
+			s.ties++
+			break
+		}
 	}
 	s.iterations++
 	col := s.column(s.beta[best])
@@ -225,24 +244,32 @@ func sameAsRef(s *State, ref *refState) error {
 // Extend, Solve and Immune calls on random fixtures (Euclidean and L1
 // kernels), agree bit for bit after every call, with a serial pool and with
 // a parallel one whose gates are forced open. State evaluates no more
-// kernels than the reference, and strictly fewer over the run.
+// kernels than the reference, and strictly fewer over the run. In the last
+// fixture three points in four repeat an earlier one: copies that enter β
+// in one Extend carry equal g bits while outside the support, so exact
+// ties in |r| reach Step's selection.
 func TestStateMatchesReference(t *testing.T) {
 	lowerParGates(t)
 	kernels := []affinity.Kernel{{K: 1, P: 2}, {K: 0.7, P: 1}}
+	const dupFixture = 12
 	for _, pool := range []*par.Pool{nil, par.New(4)} {
-		for fixture := 0; fixture < 12; fixture++ {
+		for fixture := 0; fixture <= dupFixture; fixture++ {
 			k := kernels[fixture%len(kernels)]
 			label := fmt.Sprintf("workers=%d fixture=%d p=%v", pool.Workers(), fixture, k.P)
 			rng := rand.New(rand.NewSource(int64(100 + fixture)))
 			n := 80 + rng.Intn(200)
 			pts := make([][]float64, n)
 			for i := range pts {
+				if fixture == dupFixture && i > 0 && rng.Intn(4) != 0 {
+					pts[i] = pts[rng.Intn(i)]
+					continue
+				}
 				c := float64(rng.Intn(4))
 				pts[i] = []float64{c*5 + rng.NormFloat64(), c*5 + rng.NormFloat64(), rng.NormFloat64()}
 			}
 			o, ro := mustOracle(t, pts, k), mustOracle(t, pts, k)
 			seed := rng.Intn(n)
-			s, err := NewState(o, seed)
+			s, err := NewState(o, seed, freshPos(o.N()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -299,6 +326,62 @@ func TestStateMatchesReference(t *testing.T) {
 			}
 			if ref.infections == 0 || ref.immunizations == 0 {
 				t.Fatalf("%s: %d infections, %d immunizations: a Step branch went unchecked", label, ref.infections, ref.immunizations)
+			}
+			if fixture == dupFixture && ref.ties == 0 {
+				t.Fatalf("%s: no step selected among tied payoffs: the tie rule went unchecked", label)
+			}
+		}
+	}
+}
+
+// selectVertex picks the position, |r| and r the switch-form scan picks,
+// bit for bit, on payoffs built to sit on each edge of the rule: r = +0 and
+// r = −0 (at tol −1 both pass the |r| > tol test and must still lose, as
+// they belong to neither C1 nor C2), a NaN in g, a weight exactly at
+// WeightEps and the next float above it, and equal |r| on a C1 and a C2
+// position in both orders (the first wins). Every case runs at tol 1e-7,
+// 0 and −1, over the whole range and over the range without its first
+// position, as a chunk of the parallel scan sees it.
+func TestSelectVertexMatchesSwitchForm(t *testing.T) {
+	const pi = 0.5
+	eps := simplex.WeightEps
+	above := math.Nextafter(eps, 1)
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		g, x []float64
+		pi   float64
+	}{
+		{"r=+0 on a member", []float64{pi, pi}, []float64{0.5, 0.5}, pi},
+		{"r=+0 outside the support", []float64{pi, pi - 1e-3}, []float64{0, 1}, pi},
+		{"r=-0 on a member", []float64{negZero, negZero}, []float64{0.5, 0.5}, 0},
+		{"r=-0 beside a weak member", []float64{negZero, -1e-9}, []float64{0.5, 0.5}, 0},
+		{"NaN in g first", []float64{math.NaN(), pi + 0.1}, []float64{0.5, 0.5}, pi},
+		{"NaN in g last", []float64{pi + 0.1, math.NaN()}, []float64{0.5, 0.5}, pi},
+		{"only NaN", []float64{math.NaN(), math.NaN()}, []float64{0.5, 0.5}, pi},
+		{"NaN π", []float64{pi, pi + 0.1}, []float64{0.5, 0.5}, math.NaN()},
+		{"x at WeightEps", []float64{pi - 0.2, pi + 0.1}, []float64{eps, 1 - eps}, pi},
+		{"x above WeightEps", []float64{pi - 0.2, pi + 0.1}, []float64{above, 1 - above}, pi},
+		{"C1 then C2, equal |r|", []float64{pi + 0.125, pi - 0.125}, []float64{0, 1}, pi},
+		{"C2 then C1, equal |r|", []float64{pi - 0.125, pi + 0.125}, []float64{1, 0}, pi},
+		{"C2 at WeightEps then C1, equal |r|", []float64{pi - 0.125, pi + 0.125}, []float64{eps, 0}, pi},
+		{"equal C1 pair", []float64{pi + 0.25, pi + 0.25, pi + 0.25}, []float64{1, 0, 0}, pi},
+		{"below tol", []float64{pi + 1e-9, pi - 1e-9}, []float64{0.5, 0.5}, pi},
+		{"single position", []float64{pi + 0.3}, []float64{1}, pi},
+	}
+	for _, tc := range cases {
+		for _, tol := range []float64{1e-7, 0, -1} {
+			s := &State{g: tc.g, x: tc.x}
+			for lo := 0; lo < min(2, len(tc.g)); lo++ {
+				best, bestAbs, bestR := s.selectVertex(lo, len(tc.g), tc.pi, tol)
+				wBest, wAbs, wR := refSelect(tc.g[lo:], tc.x[lo:], tc.pi, tol)
+				if wBest >= 0 {
+					wBest += lo
+				}
+				if best != wBest || math.Float64bits(bestAbs) != math.Float64bits(wAbs) || math.Float64bits(bestR) != math.Float64bits(wR) {
+					t.Errorf("%s, tol %v, from %d: selectVertex = (%d, %v, %v), switch form (%d, %v, %v)",
+						tc.name, tol, lo, best, bestAbs, bestR, wBest, wAbs, wR)
+				}
 			}
 		}
 	}

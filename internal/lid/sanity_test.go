@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// Sanity verifies the state's invariants: x on the simplex, pos the inverse
-// of beta, every cached column at its β position with len(β) rows and the
-// oracle's values bit for bit, the cached-entry count their total, g
-// consistent with a recomputation from scratch, and the carried π equal bit
-// for bit to the density summed afresh. It is O(|β|·|α|) and meant for
-// tests.
+// Sanity verifies the state's invariants: x on the simplex, the position
+// index the inverse of beta and -1 everywhere else, every cached column at
+// its β position with len(β) rows and the oracle's values bit for bit, the
+// cached-entry count their total, g consistent with a recomputation from
+// scratch, and the carried π equal bit for bit to the density summed
+// afresh. It is O(n + |β|·|α|) and meant for tests.
 func (s *State) Sanity() error {
 	for p, xi := range s.x {
 		if xi < -1e-6 {
@@ -21,9 +21,18 @@ func (s *State) Sanity() error {
 		return fmt.Errorf("lid: x off simplex (sum=%v)", total)
 	}
 	for p, gidx := range s.beta {
-		if s.pos[gidx] != p {
-			return fmt.Errorf("lid: pos map inconsistent at %d", p)
+		if int(s.pos[gidx]) != p {
+			return fmt.Errorf("lid: position index inconsistent at %d", p)
 		}
+	}
+	inBeta := 0
+	for _, p := range s.pos {
+		if p >= 0 {
+			inBeta++
+		}
+	}
+	if inBeta != len(s.beta) {
+		return fmt.Errorf("lid: position index holds %d ids, β has %d", inBeta, len(s.beta))
 	}
 	if len(s.colAt) != len(s.beta) {
 		return fmt.Errorf("lid: %d column slots for %d positions", len(s.colAt), len(s.beta))
@@ -88,6 +97,16 @@ func sum(a []float64) float64 {
 		s += v
 	}
 	return s
+}
+
+// freshPos returns a position index for n ids with every entry -1: the
+// scratch a detection's caller hands NewState.
+func freshPos(n int) []int32 {
+	pos := make([]int32, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return pos
 }
 
 // cachedColumns counts the positions holding a cached column.

@@ -127,9 +127,9 @@ type Clusterer struct {
 	avail    []bool  // avail[i] = assigned[i] == -1, maintained incrementally
 
 	// det is the long-lived detector: the oracle and index capture c.mat and
-	// c.index by reference (both grow in place), so only its dedup scratch
-	// needs growing per commit — reusing it avoids an O(n) scratch
-	// allocation on every commit.
+	// c.index by reference (both grow in place), and each detection grows
+	// the detector's id-indexed scratch to match — reusing it avoids an
+	// O(n) scratch allocation on every commit.
 	det *core.Detector
 
 	commits int
@@ -609,9 +609,9 @@ func (c *Clusterer) reconverge(ctx context.Context, ci int) error {
 	return err
 }
 
-// ensureDetector creates the long-lived commit detector on first use and
-// rebinds it to the grown dataset afterwards (oracle and index alias c.mat
-// and c.index, which only ever grow in place).
+// ensureDetector creates the long-lived commit detector on first use. Its
+// oracle and index alias c.mat and c.index, which only ever grow in place,
+// and each detection fits the detector's scratch to the grown dataset.
 func (c *Clusterer) ensureDetector() error {
 	if c.det == nil {
 		det, err := core.NewDetectorMatrixWithIndex(c.mat, c.cfg.Core, c.index)
@@ -619,9 +619,7 @@ func (c *Clusterer) ensureDetector() error {
 			return err
 		}
 		c.det = det
-		return nil
 	}
-	c.det.Grow()
 	return nil
 }
 

@@ -16,11 +16,18 @@
 #   - the work a detection no longer repeats: DetectAll's cluster digest,
 #     cluster count, peak submatrix and kernel-evaluation count pinned per
 #     mixture by a golden file at Parallelism 0 and -1; the LID state
-#     (columns read back by symmetry, the three-pass Step carrying π)
-#     bit-identical to a reference copy of the six-pass, map-keyed state
-#     under serial and forced-parallel pools; every kernel bit-symmetric
-#     (Column(i,[j]) = Column(j,[i]) = Pair(i,j), the SquaredL2 fallback
-#     included); and the multi-id candidate read against the brute-force
+#     (columns read back by symmetry, the three-pass Step carrying π, β
+#     positions in a dense caller-owned index) bit-identical to a
+#     reference copy of the six-pass, map-keyed state under serial and
+#     forced-parallel pools, on a fixture of repeated points too, where
+#     exact payoff ties reach the selection; the branch-free Eq. 6 scan
+#     picking what the switch-form scan picks on r = ±0, NaN payoffs,
+#     weights at and just above WeightEps, and equal |r| in C1 and C2, at
+#     tol 1e-7, 0 and -1; a DetectFrom cancelled at each of its first six
+#     context polls leaving the position index at -1 and the detector's
+#     next detection bit-identical to a fresh detector's; every kernel
+#     bit-symmetric (Column(i,[j]) = Column(j,[i]) = Pair(i,j), the
+#     SquaredL2 fallback included); and the multi-id candidate read against the brute-force
 #     co-bucketing oracle in the order of a per-id loop, before and after
 #     Evict (named in the backend group beside its conformance suite);
 #   - PR 5: the evict crosschecks — after tombstoned eviction, every LSH
@@ -105,7 +112,7 @@ crosscheck() {
 
 crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 
-crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership|TestEachInline|TestEachSlotIndexed|TestEachEmpty' \
+crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestDetectFromCancelResetsPositions|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestSelectVertexMatchesSwitchForm|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership|TestEachInline|TestEachSlotIndexed|TestEachEmpty' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
