@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -323,4 +324,55 @@ func BenchmarkChainDeltaSave(b *testing.B) {
 			b.ReportMetric(float64(deltaBytes)/float64(b.N), "delta-bytes/op")
 		})
 	}
+}
+
+// BenchmarkShardedSetup measures a 4-shard engine's whole-shard set-up and
+// persistence over 20,000 serving points: new builds it (every shard's
+// initial detection), save writes a full save of it and load restores that
+// save. The router runs each on its pool, one shard per worker, so ns/op
+// falls with GOMAXPROCS up to the shard count.
+func BenchmarkShardedSetup(b *testing.B) {
+	cfg := ShardedConfig{Engine: benchConfig(), Shards: 4}
+	pts := benchData(20000, 16)
+	b.Run("new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := NewSharded(cfg, pts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			s.Close()
+			b.StartTimer()
+		}
+	})
+	s, err := NewSharded(cfg, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	path := filepath.Join(b.TempDir(), "alid.snap")
+	if err := s.SaveFiles(path); err != nil { // what load restores, when run alone
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := s.SaveFiles(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r, err := LoadSharded(path, ShardedLoadOptions{Shards: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			r.Close()
+			b.StartTimer()
+		}
+	})
 }

@@ -160,7 +160,10 @@ func listSaveFiles(dir, base string) (names []string, next int, err error) {
 // writes a full snapshot when the shard's chain needs (re)rooting — first
 // save, generation changed, or `every` deltas accumulated — and a delta
 // otherwise, then the shard's new chain file; then it commits the manifest
-// (see the file comment for the crash ordering).
+// (see the file comment for the crash ordering). The shards write their
+// files concurrently on the router's pool and the results merge in shard
+// order: a failure returns the lowest failing shard's error and removes
+// every file any shard wrote.
 func (c *ChainWriter) Save() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,58 +184,37 @@ func (c *ChainWriter) Save() error {
 		return err
 	}
 
+	saves := make([]shardSave, c.s.n)
+	c.s.pool.Each(c.s.n, func(_, i int) {
+		if views[i].Mat != nil { // an empty shard gets an empty manifest entry, no files
+			saves[i] = c.saveShard(dir, base, seq, i, views[i])
+		}
+	})
+	committed := false
+	defer func() {
+		if !committed {
+			for _, sv := range saves {
+				for _, name := range sv.written {
+					os.Remove(filepath.Join(dir, name))
+				}
+			}
+		}
+	}()
 	m := &snapshot.Manifest{Shards: c.s.n, Cursor: uint64(total), Entries: make([]snapshot.ShardEntry, c.s.n)}
 	chains := make([]*snapshot.Chain, c.s.n)
 	named := map[string]bool{} // every file the new manifest names
 	longest := 0
-	var written []string
-	committed := false
-	defer func() {
-		if !committed {
-			for _, name := range written {
-				os.Remove(filepath.Join(dir, name))
-			}
+	for i, sv := range saves {
+		if sv.err != nil {
+			return sv.err
 		}
-	}()
-	for i, v := range views {
-		if v.Mat == nil {
-			continue // empty shard: empty manifest entry, no files
+		if sv.chain == nil {
+			continue
 		}
-		ch := c.chains[i]
-		full := ch == nil || c.every <= 0 || v.Generation != ch.Generation || len(ch.Deltas) >= c.every
-		var e snapshot.ChainEntry
-		if full {
-			e, err = writeFile(dir, saveName(base, i, seq, "base"), func(w io.Writer) error {
-				return c.s.shards[i].writeSnapshotView(w, v)
-			})
-		} else {
-			d := buildDelta(c.prev[i], v)
-			e, err = writeFile(dir, saveName(base, i, seq, "delta"), func(w io.Writer) error {
-				return snapshot.WriteDelta(w, d)
-			})
-		}
-		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		written = append(written, e.Name)
-		e.ToN = uint64(v.Mat.N)
-		if full {
-			chains[i] = &snapshot.Chain{Generation: v.Generation, Base: e}
-		} else {
-			c.s.shards[i].met.deltaBytes.Add(int64(e.Size))
-			chains[i] = &snapshot.Chain{Generation: ch.Generation, Base: ch.Base, Deltas: append(slices.Clip(ch.Deltas), e)}
-		}
-		ce, err := writeFile(dir, saveName(base, i, seq, "chain"), func(w io.Writer) error {
-			return snapshot.WriteChain(w, chains[i])
-		})
-		if err != nil {
-			return fmt.Errorf("engine: shard %d: %w", i, err)
-		}
-		written = append(written, ce.Name)
-		m.Entries[i] = snapshot.ShardEntry{Name: ce.Name, CRC: ce.CRC, Size: ce.Size}
-		longest = max(longest, len(chains[i].Deltas))
-		named[ce.Name], named[chains[i].Base.Name] = true, true
-		for _, d := range chains[i].Deltas {
+		chains[i], m.Entries[i] = sv.chain, sv.entry
+		longest = max(longest, len(sv.chain.Deltas))
+		named[sv.entry.Name], named[sv.chain.Base.Name] = true, true
+		for _, d := range sv.chain.Deltas {
 			named[d.Name] = true
 		}
 	}
@@ -259,4 +241,56 @@ func (c *ChainWriter) Save() error {
 		}
 	}
 	return nil
+}
+
+// shardSave is one shard's slot in Save's fan-out: its manifest entry, its
+// new chain, the files it wrote and its error.
+type shardSave struct {
+	entry   snapshot.ShardEntry
+	chain   *snapshot.Chain
+	written []string
+	err     error
+}
+
+// saveShard writes shard i's files of save seq from its pinned view v: a
+// base snapshot or a delta, then the chain file naming it. It reads the
+// writer's state of shard i and changes none, so the shards of one save
+// can write concurrently.
+func (c *ChainWriter) saveShard(dir, base string, seq, i int, v stream.View) (sv shardSave) {
+	ch := c.chains[i]
+	full := ch == nil || c.every <= 0 || v.Generation != ch.Generation || len(ch.Deltas) >= c.every
+	var e snapshot.ChainEntry
+	var err error
+	if full {
+		e, err = writeFile(dir, saveName(base, i, seq, "base"), func(w io.Writer) error {
+			return c.s.shards[i].writeSnapshotView(w, v)
+		})
+	} else {
+		d := buildDelta(c.prev[i], v)
+		e, err = writeFile(dir, saveName(base, i, seq, "delta"), func(w io.Writer) error {
+			return snapshot.WriteDelta(w, d)
+		})
+	}
+	if err != nil {
+		sv.err = fmt.Errorf("engine: shard %d: %w", i, err)
+		return sv
+	}
+	sv.written = append(sv.written, e.Name)
+	e.ToN = uint64(v.Mat.N)
+	if full {
+		sv.chain = &snapshot.Chain{Generation: v.Generation, Base: e}
+	} else {
+		c.s.shards[i].met.deltaBytes.Add(int64(e.Size))
+		sv.chain = &snapshot.Chain{Generation: ch.Generation, Base: ch.Base, Deltas: append(slices.Clip(ch.Deltas), e)}
+	}
+	ce, err := writeFile(dir, saveName(base, i, seq, "chain"), func(w io.Writer) error {
+		return snapshot.WriteChain(w, sv.chain)
+	})
+	if err != nil {
+		sv.err = fmt.Errorf("engine: shard %d: %w", i, err)
+		return sv
+	}
+	sv.written = append(sv.written, ce.Name)
+	sv.entry = snapshot.ShardEntry{Name: ce.Name, CRC: ce.CRC, Size: ce.Size}
+	return sv
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -302,16 +303,8 @@ func TestChainWriterFullOnly(t *testing.T) {
 				want = append(want, m.Entries[i].Name, ch.Base.Name)
 			}
 		}
-		ents, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []string
-		for _, e := range ents {
-			got = append(got, e.Name())
-		}
 		slices.Sort(want)
-		if !slices.Equal(got, want) {
+		if got := dirNames(t, dir); !slices.Equal(got, want) {
 			t.Fatalf("directory holds %v, manifest names %v", got, want)
 		}
 		restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
@@ -323,6 +316,83 @@ func TestChainWriterFullOnly(t *testing.T) {
 	})
 }
 
+// failedSaveKeepsPrevious saves an n-shard engine twice through a writer
+// that keeps every deltas, then makes renameHook fail the files of a third
+// save that fail names. The failed save must return the injected error
+// under the prefix want, leave the directory holding exactly the files it
+// held before, and leave the previous save restorable byte-identically;
+// the next save must then succeed. The hook runs on every shard's
+// goroutine, so it reads nothing but its arguments and fail.
+func failedSaveKeepsPrevious(t *testing.T, n, every int, fail func(name string) bool, want string) {
+	t.Helper()
+	s := blobSharded(t, n, 0)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "alid.snap")
+	c := NewChainWriter(s, path, every)
+	chainWave(t, s, 0)
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	chainWave(t, s, 1)
+	if err := c.Save(); err != nil {
+		t.Fatal(err)
+	}
+	prev := shardBytes(t, s)
+	files := dirNames(t, dir)
+
+	chainWave(t, s, 2)
+	injected := errors.New("injected rename failure")
+	renameHook = func(name string) error {
+		if fail(name) {
+			return injected
+		}
+		return nil
+	}
+	err := c.Save()
+	renameHook = nil
+	if !errors.Is(err, injected) || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("every=%d: save err %v, want the injected failure under %q", every, err, want)
+	}
+	if got := dirNames(t, dir); !slices.Equal(got, files) {
+		t.Fatalf("every=%d: the failed save left %v, the directory held %v", every, got, files)
+	}
+
+	restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+	if err != nil {
+		t.Fatalf("every=%d: previous save lost: %v", every, err)
+	}
+	got := shardBytes(t, restored)
+	restored.Close()
+	for i := range prev {
+		if !slices.Equal(prev[i], got[i]) {
+			t.Fatalf("every=%d: shard %d restores %d bytes, previous save had %d", every, i, len(got[i]), len(prev[i]))
+		}
+	}
+	if err := c.Save(); err != nil {
+		t.Fatalf("every=%d: save after a failed one: %v", every, err)
+	}
+	again, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameShardBytes(t, s, again)
+	again.Close()
+}
+
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
 // A save that fails right before its manifest rename — every new data and
 // chain file already written — leaves the previous save exactly
 // restorable, for a full save and for a delta save alike, and the next
@@ -330,55 +400,27 @@ func TestChainWriterFullOnly(t *testing.T) {
 func TestSaveFailureKeepsPreviousSave(t *testing.T) {
 	forShards(t, func(t *testing.T, n int) {
 		for _, every := range []int{0, 8} {
-			s := blobSharded(t, n, 0)
-			path := filepath.Join(t.TempDir(), "alid.snap")
-			c := NewChainWriter(s, path, every)
-			chainWave(t, s, 0)
-			if err := c.Save(); err != nil {
-				t.Fatal(err)
-			}
-			chainWave(t, s, 1)
-			if err := c.Save(); err != nil {
-				t.Fatal(err)
-			}
-			want := shardBytes(t, s)
-
-			chainWave(t, s, 2)
-			injected := errors.New("injected failure before the manifest rename")
-			renameHook = func(name string) error {
-				if name == filepath.Base(path) {
-					return injected
-				}
-				return nil
-			}
-			err := c.Save()
-			renameHook = nil
-			if !errors.Is(err, injected) {
-				t.Fatalf("every=%d: save err %v, want the injected failure", every, err)
-			}
-
-			restored, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
-			if err != nil {
-				t.Fatalf("every=%d: previous save lost: %v", every, err)
-			}
-			got := shardBytes(t, restored)
-			restored.Close()
-			for i := range want {
-				if !slices.Equal(want[i], got[i]) {
-					t.Fatalf("every=%d: shard %d restores %d bytes, previous save had %d", every, i, len(got[i]), len(want[i]))
-				}
-			}
-			if err := c.Save(); err != nil {
-				t.Fatalf("every=%d: save after a failed one: %v", every, err)
-			}
-			again, err := LoadSharded(path, ShardedLoadOptions{Shards: n})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameShardBytes(t, s, again)
-			again.Close()
+			failedSaveKeepsPrevious(t, n, every, func(name string) bool { return name == "alid.snap" }, "engine: write alid.snap: ")
 		}
 	})
+}
+
+// A save in which one shard fails to write a file, while the other shards
+// write theirs concurrently, returns that shard's error, removes every
+// file of the save and keeps the previous save: shard 0 failing its base
+// file in a full save, shard 3 failing its chain file in a delta save.
+func TestSaveShardFailureKeepsPreviousSave(t *testing.T) {
+	for _, tc := range []struct {
+		every       int
+		shard, kind string
+	}{{0, "0", ".base"}, {8, "3", ".chain"}} {
+		t.Run("shard="+tc.shard+tc.kind, func(t *testing.T) {
+			fail := func(name string) bool {
+				return strings.HasPrefix(name, "alid.snap.s"+tc.shard+".") && strings.HasSuffix(name, tc.kind)
+			}
+			failedSaveKeepsPrevious(t, 4, tc.every, fail, "engine: shard "+tc.shard+": ")
+		})
+	}
 }
 
 // Save is safe for concurrent use — the daemon's periodic loop and its

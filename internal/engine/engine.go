@@ -292,11 +292,36 @@ type Engine struct {
 // (the stream layer builds its index from the literal config, so leaving
 // them zero would fail at the first commit deep inside the writer).
 func New(cfg Config, initial [][]float64) (*Engine, error) {
+	p, err := prepare(cfg, initial)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.commit(); err != nil {
+		return nil, err
+	}
+	return start(p.cfg, p.reg, p.c), nil
+}
+
+// prepared is an engine between New's three steps: prepare has checked and
+// defaulted its config and built its clusterer over the initial batch,
+// which registers the stream's metric families; commit runs the initial
+// commit; start registers the engine's own families, publishes and starts
+// the writer. NewSharded runs the commits of all shards concurrently
+// between the other two steps, which it runs in shard order, so every
+// family still lists its samples in shard order.
+type prepared struct {
+	cfg Config
+	reg *obs.Registry
+	c   *stream.Clusterer
+}
+
+// prepare is New's first step.
+func prepare(cfg Config, initial [][]float64) (prepared, error) {
 	if cfg.Core.Kernel == (affinity.Kernel{}) {
 		cfg.Core.Kernel = affinity.DefaultKernel()
 	}
 	if err := cfg.Core.Kernel.Validate(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return prepared{}, fmt.Errorf("engine: %w", err)
 	}
 	switch index.Normalize(cfg.Core.Backend) {
 	case index.BackendLSH:
@@ -304,17 +329,17 @@ func New(cfg Config, initial [][]float64) (*Engine, error) {
 			cfg.Core.LSH = lsh.DefaultConfig()
 		}
 		if err := cfg.Core.LSH.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return prepared{}, fmt.Errorf("engine: %w", err)
 		}
 	case index.BackendMinHash:
 		if cfg.Core.MinHash == (minhash.Config{}) {
 			cfg.Core.MinHash = minhash.DefaultConfig()
 		}
 		if err := cfg.Core.MinHash.Validate(); err != nil {
-			return nil, fmt.Errorf("engine: %w", err)
+			return prepared{}, fmt.Errorf("engine: %w", err)
 		}
 	default:
-		return nil, fmt.Errorf("engine: unknown index backend %q", cfg.Core.Backend)
+		return prepared{}, fmt.Errorf("engine: unknown index backend %q", cfg.Core.Backend)
 	}
 	// Default the registry into a local, never into the stored config: a
 	// config recovered via Engine.Config must stay re-usable for a second
@@ -325,14 +350,18 @@ func New(cfg Config, initial [][]float64) (*Engine, error) {
 	}
 	c, err := stream.New(initial, stream.Config{Core: cfg.Core, BatchSize: cfg.BatchSize, Retention: cfg.Retention, Obs: reg, ObsLabels: shardFrag(cfg.ShardLabel)})
 	if err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
+		return prepared{}, fmt.Errorf("engine: %w", err)
 	}
-	if len(initial) > 0 {
-		if err := c.Commit(context.Background()); err != nil {
-			return nil, fmt.Errorf("engine: initial commit: %w", err)
-		}
+	return prepared{cfg: cfg, reg: reg, c: c}, nil
+}
+
+// commit is New's second step: the commit of the initial batch (a no-op
+// without one).
+func (p prepared) commit() error {
+	if err := p.c.Commit(context.Background()); err != nil {
+		return fmt.Errorf("engine: initial commit: %w", err)
 	}
-	return start(cfg, reg, c), nil
+	return nil
 }
 
 // RestoreGeneration builds an engine from persisted state — the
@@ -354,6 +383,9 @@ func RestoreGeneration(cfg Config, mat *matrix.Matrix, idx index.Index, clusters
 	return start(cfg, reg, c), nil
 }
 
+// start is New's third step, and RestoreGeneration's last: it registers
+// the engine's metric families, publishes the first state and starts the
+// writer.
 func start(cfg Config, reg *obs.Registry, c *stream.Clusterer) *Engine {
 	if cfg.QueueSize <= 0 {
 		cfg.QueueSize = 1024

@@ -96,26 +96,33 @@ func (e *Engine) writeSnapshotView(w io.Writer, v stream.View) error {
 	return err
 }
 
-// restoreShard builds shard i of an n-shard engine from a decoded snapshot:
-// configuration, data and retention policy come from the snapshot, the
-// runtime knobs from o. A non-nil o.Retention is the TOTAL policy and
-// replaces the stored one with this shard's share.
-func restoreShard(s *snapshot.Snapshot, o ShardedLoadOptions, reg *obs.Registry, i, n int) (*Engine, error) {
-	if o.Backend != "" {
-		if got, want := index.Normalize(s.Core.Backend), index.Normalize(o.Backend); got != want {
-			return nil, fmt.Errorf("engine: snapshot index backend is %q, engine configured for %q: %w", got, want, snapshot.ErrBackendMismatch)
-		}
-	}
-	s.Core.Pool = o.Pool
+// restoreConfig is the engine config of shard i of an n-shard engine
+// restored from s: configuration and retention policy come from the
+// snapshot, the runtime knobs from o. A non-nil o.Retention is the TOTAL
+// policy and replaces the stored one with this shard's share.
+func restoreConfig(s *snapshot.Snapshot, o ShardedLoadOptions, reg *obs.Registry, i, n int) Config {
+	core := s.Core
+	core.Pool = o.Pool
 	cfg := shardConfig(Config{
-		Core: s.Core, BatchSize: s.BatchSize, QueueSize: o.QueueSize, Logger: o.Logger,
+		Core: core, BatchSize: s.BatchSize, QueueSize: o.QueueSize, Logger: o.Logger,
 		CompactEvictedShare: o.CompactEvictedShare,
 	}, reg, i, n)
 	cfg.Retention = s.Retention
 	if o.Retention != nil {
 		cfg.Retention = shareOf(*o.Retention, n)
 	}
-	return RestoreGeneration(cfg, s.Mat, s.Index, s.Clusters, s.Labels, s.Commits, s.Generation, s.RetiredIDs)
+	return cfg
+}
+
+// restoreShard builds shard i of an n-shard engine from a decoded snapshot
+// under restoreConfig.
+func restoreShard(s *snapshot.Snapshot, o ShardedLoadOptions, reg *obs.Registry, i, n int) (*Engine, error) {
+	if o.Backend != "" {
+		if got, want := index.Normalize(s.Core.Backend), index.Normalize(o.Backend); got != want {
+			return nil, fmt.Errorf("engine: snapshot index backend is %q, engine configured for %q: %w", got, want, snapshot.ErrBackendMismatch)
+		}
+	}
+	return RestoreGeneration(restoreConfig(s, o, reg, i, n), s.Mat, s.Index, s.Clusters, s.Labels, s.Commits, s.Generation, s.RetiredIDs)
 }
 
 // renameHook, when set (by tests), runs just before writeFile renames a

@@ -2,7 +2,7 @@
 // independent Engines — each with its own single-writer queue, LSH index and
 // RCU snapshot chain — behind the same Serving surface as one Engine.
 //
-// The two single-core ceilings it breaks:
+// The three single-core ceilings it breaks:
 //
 //   - Write throughput: every ingested point belongs to exactly one shard,
 //     so N writer goroutines commit concurrently instead of one. Commit
@@ -10,6 +10,12 @@
 //   - Assign latency on multicore: one query fans out to all shards through
 //     par.Pool.Each and the per-shard scans run in parallel over
 //     N-times-smaller indexes.
+//   - Set-up and restore: NewSharded commits every shard's initial batch,
+//     LoadSharded replays every shard's chain and ChainWriter.Save writes
+//     every shard's files on the same pool. Metric registration, writer
+//     start, the choice of error and every merge stay in shard order, so
+//     /metrics lists each family's samples in shard order and a failure
+//     reports the lowest failing shard, as a shard-by-shard loop would.
 //
 // Routing and id stability. The router mints globally-unique point ids:
 // the j-th point accepted by shard s has global id j·N + s, so
@@ -233,17 +239,30 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}
-	for i := 0; i < n; i++ {
+	// New's three steps, with only the commits fanned out: registration and
+	// writer start stay in shard order, and a failed commit returns before
+	// any writer runs.
+	ps := make([]prepared, n)
+	for i := range ps {
 		ecfg := shardConfig(cfg.Engine, reg, i, n)
 		ecfg.Retention = shareOf(cfg.Engine.Retention, n)
-		eng, err := New(ecfg, subs[i])
+		p, err := prepare(ecfg, subs[i])
 		if err != nil {
-			for _, sh := range s.shards {
-				sh.Close()
-			}
 			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
 		}
-		s.shards = append(s.shards, eng)
+		ps[i] = p
+	}
+	errs := make([]error, n)
+	s.pool.Each(n, func(_, i int) {
+		errs[i] = ps[i].commit()
+	})
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("engine: shard %d: %w", i, err)
+		}
+	}
+	for _, p := range ps {
+		s.shards = append(s.shards, start(p.cfg, p.reg, p.c))
 	}
 	s.rr = len(initial) % n
 	if len(initial) > 0 {

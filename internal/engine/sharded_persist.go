@@ -17,6 +17,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"alid/internal/obs"
 	"alid/internal/par"
@@ -64,8 +66,10 @@ type ShardedLoadOptions struct {
 // tail falls back to an earlier save of that shard, while a damaged delta
 // followed by an intact one, or a damaged base, refuses with
 // snapshot.ErrDeltaChainBroken. Shards the save records as empty are
-// rebuilt empty under the restored configuration. Any failure closes every
-// shard already built and returns the error — there is no partial restore.
+// rebuilt empty under the restored configuration. The shards replay
+// concurrently on the router's pool; they are then built in shard order,
+// and the first failure in shard order closes every shard already built
+// and is returned — there is no partial restore.
 func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 	cursor, chains, err := readSave(path)
 	if err != nil {
@@ -76,12 +80,44 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		return nil, fmt.Errorf("engine: save %s has %d shards, asked to restore %d: %w",
 			path, n, o.Shards, snapshot.ErrShardCountMismatch)
 	}
+	first := slices.IndexFunc(chains, func(c *snapshot.Chain) bool { return c != nil })
+	if first < 0 {
+		return nil, fmt.Errorf("engine: save %s records no shard files", path)
+	}
 	reg := o.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 
+	// replayed is one shard's slot in the replay fan-out: its decoded state,
+	// the bytes and time the replay took, and its error.
+	type replayed struct {
+		snap *snapshot.Snapshot
+		read int64
+		took time.Duration
+		err  error
+	}
+	pool := par.New(-1)
 	dir := filepath.Dir(path)
+	res := make([]replayed, n)
+	pool.Each(n, func(_, i int) {
+		if chains[i] == nil {
+			return
+		}
+		start := obs.Now()
+		snap, read, err := replay(dir, chains[i])
+		if err != nil {
+			res[i].err = fmt.Errorf("engine: shard %d: %w", i, err)
+			return
+		}
+		res[i] = replayed{snap: snap, read: read, took: obs.Now().Sub(start)}
+	})
+	// Empty shards adopt the first restored shard's configuration (the
+	// whole save shares one) with their own label and retention share, so
+	// they need its replay: a shard-by-shard restore stops there too.
+	if err := res[first].err; err != nil {
+		return nil, err
+	}
 	shards := make([]*Engine, n)
 	fail := func(err error) (*Sharded, error) {
 		for _, sh := range shards {
@@ -91,64 +127,48 @@ func LoadSharded(path string, o ShardedLoadOptions) (*Sharded, error) {
 		}
 		return nil, err
 	}
-	first := -1
-	for i, ch := range chains {
-		if ch == nil {
-			continue // empty shard; built below from the restored template
+	for i, r := range res {
+		if chains[i] == nil {
+			eng, err := New(restoreConfig(res[first].snap, o, reg, i, n), nil)
+			if err != nil {
+				return fail(fmt.Errorf("engine: shard %d: %w", i, err))
+			}
+			shards[i] = eng
+			continue
 		}
-		start := obs.Now()
-		s, read, err := replay(dir, ch)
-		if err != nil {
-			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
+		if r.err != nil {
+			return fail(r.err)
 		}
-		eng, err := restoreShard(s, o, reg, i, n)
+		// Back-dated by the replay, the clock covers this shard's replay and
+		// restore but not its wait for the other shards.
+		start := obs.Now().Add(-r.took)
+		eng, err := restoreShard(r.snap, o, reg, i, n)
 		if err != nil {
 			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
 		}
 		// The engine's metrics exist only now, so load cost is credited to
 		// the registry of the engine the load produced.
-		eng.met.loadBytes.Add(read)
+		eng.met.loadBytes.Add(r.read)
 		eng.met.snapLoad.ObserveSince(start)
 		shards[i] = eng
-		if first < 0 {
-			first = i
-		}
-	}
-	if first < 0 {
-		return fail(fmt.Errorf("engine: save %s records no shard files", path))
 	}
 
 	// The router's template Config keeps the TOTAL retention policy
 	// (matching NewSharded's contract): the operational override verbatim,
-	// else the per-shard persisted budget scaled back up. Empty shards adopt
-	// the first restored shard's configuration (the whole save shares one)
-	// with their own label and retention share.
+	// else the per-shard persisted budget scaled back up.
 	total := shards[first].Config()
 	total.Obs, total.Logger, total.ShardLabel = reg, o.Logger, ""
-	shardRetention := total.Retention
 	if o.Retention != nil {
 		total.Retention = *o.Retention
 	} else if total.Retention.MaxPoints > 0 {
 		total.Retention.MaxPoints *= n
-	}
-	for i := range shards {
-		if shards[i] != nil {
-			continue
-		}
-		ecfg := shardConfig(total, reg, i, n)
-		ecfg.Retention = shardRetention
-		eng, err := New(ecfg, nil)
-		if err != nil {
-			return fail(fmt.Errorf("engine: shard %d: %w", i, err))
-		}
-		shards[i] = eng
 	}
 
 	s := &Sharded{
 		cfg:    ShardedConfig{Engine: total, Shards: n},
 		shards: shards,
 		n:      n,
-		pool:   par.New(-1),
+		pool:   pool,
 		split:  make([][][]float64, n),
 		obsReg: reg,
 	}

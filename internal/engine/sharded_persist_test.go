@@ -6,8 +6,13 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
+	"alid/internal/obs"
 	"alid/internal/snapshot"
 	"alid/internal/testutil"
 )
@@ -286,6 +291,32 @@ func TestShardedLoadFailures(t *testing.T) {
 	r.Close()
 }
 
+// When the replays of several shards fail, the restore returns the lowest
+// shard's error — the one a shard-by-shard restore meets first — and
+// leaves no goroutine behind: no replay helper, and no writer of the shard
+// it had already built.
+func TestShardedLoadReturnsLowestShardError(t *testing.T) {
+	s := blobSharded(t, 4, 0)
+	path := filepath.Join(t.TempDir(), "alid.snap")
+	if err := s.SaveFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	damage(t, baseFile(t, path, 1))
+	damage(t, baseFile(t, path, 3))
+	before := runtime.NumGoroutine()
+	_, err := LoadSharded(path, ShardedLoadOptions{Shards: 4})
+	if !errors.Is(err, snapshot.ErrDeltaChainBroken) || !strings.HasPrefix(err.Error(), "engine: shard 1: ") {
+		t.Fatalf("err %v, want shard 1's ErrDeltaChainBroken", err)
+	}
+	// A goroutine may still be exiting after it signalled its end.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after the failed restore, %d before", got, before)
+	}
+}
+
 // A sharded save with genuinely empty shards (fewer committed points than
 // shards) round-trips: empty entries in the manifest, empty engines on
 // restore, and the placement cursor still resumes exactly.
@@ -337,4 +368,94 @@ func TestShardedSaveLoadEmptyShards(t *testing.T) {
 	if err := e.SaveFiles(filepath.Join(dir, "empty.snap")); err == nil {
 		t.Fatal("all-empty sharded save accepted")
 	}
+}
+
+// shardSeries parses reg's text exposition into the shard label of every
+// shard-labeled sample, per family, in the order WriteText lists them —
+// the order the shards registered in.
+func shardSeries(t *testing.T, reg *obs.Registry) map[string][]int {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]int{}
+	fam := ""
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fam, _, _ = strings.Cut(name, " ")
+			continue
+		}
+		_, rest, ok := strings.Cut(line, `shard="`)
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, _, _ := strings.Cut(rest, `"`)
+		k, err := strconv.Atoi(v)
+		if err != nil {
+			t.Fatalf("family %s: shard label %q", fam, v)
+		}
+		out[fam] = append(out[fam], k)
+	}
+	return out
+}
+
+// requireShardOrder fails unless every shard-labeled family of reg lists
+// its samples in shard order and alid_commits_total lists all n shards.
+func requireShardOrder(t *testing.T, reg *obs.Registry, n int) {
+	t.Helper()
+	fams := shardSeries(t, reg)
+	for fam, shards := range fams {
+		for j := 1; j < len(shards); j++ {
+			if shards[j] < shards[j-1] {
+				t.Errorf("%s lists shard %d after shard %d: %v", fam, shards[j], shards[j-1], shards)
+				break
+			}
+		}
+	}
+	if got := fams["alid_commits_total"]; len(got) != n {
+		t.Errorf("alid_commits_total lists shards %v, want %d shards", got, n)
+	}
+}
+
+// /metrics lists every family's samples in shard order after a
+// construction, whose commits run concurrently, and after a restore of a
+// save whose shard 1 is empty, whose replays run concurrently and whose
+// empty shard is rebuilt between restored ones.
+func TestShardedMetricsShardOrder(t *testing.T) {
+	ctx := context.Background()
+	pts, _ := testutil.ServeWorkload(4000, 16, 50)
+	cfg := benchConfig()
+	cfg.Obs = obs.NewRegistry()
+	cfg.CompactEvictedShare = 0.5
+	s, err := NewSharded(ShardedConfig{Engine: cfg, Shards: 4}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	requireShardOrder(t, cfg.Obs, 4)
+
+	// Evicting all of shard 1 compacts it back to the empty state, so the
+	// save records it as empty.
+	var ids []int
+	for local := 0; local < s.shards[1].Stats().N; local++ {
+		ids = append(ids, local*4+1)
+	}
+	if _, err := s.Evict(ctx, ids); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "alid.snap")
+	if err := s.SaveFiles(path); err != nil {
+		t.Fatal(err)
+	}
+	if m, _ := readLayout(t, path); m.Entries[1].Name != "" {
+		t.Fatalf("shard 1 saved as %q, want an empty entry", m.Entries[1].Name)
+	}
+	reg := obs.NewRegistry()
+	r, err := LoadSharded(path, ShardedLoadOptions{Shards: 4, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	requireShardOrder(t, reg, 4)
 }

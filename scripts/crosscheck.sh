@@ -53,6 +53,11 @@
 #     Sharded(1) field-for-field identical to a plain Engine, the sharded
 #     manifest save/load a byte-identical fixed point with every failure
 #     sentinel (count mismatch, missing file, corrupt file) distinguished;
+#     construction and restore run their shards concurrently, yet /metrics
+#     lists every family's samples in shard order (after a restore whose
+#     empty shard sits between restored ones too), and a restore whose
+#     replays fail on shards 1 and 3 returns shard 1's error and leaves no
+#     goroutine running;
 #   - PALID's concurrent map: DetectParallel's clusters, Assign and seed
 #     count equal at every executor count (also with more executors than
 #     seeds) and pinned by a golden digest at Parallelism 0 and -1, and a
@@ -74,8 +79,10 @@
 #     byte-identical, shard by shard, to a restore of an equivalent full
 #     save, with the damaged-tail prefix fallback, the broken-middle/base
 #     refusals, a compaction re-rooting only its own shard's chain, and a
-#     save failed before its manifest rename leaving the previous save
-#     restorable; every legacy layout (v1–v5 files, the single-engine
+#     save failed before its manifest rename, or by one shard while the
+#     others write concurrently (shard 0's base, shard 3's chain), returning
+#     that shard's error, leaving the directory as it was and the previous
+#     save restorable; every legacy layout (v1–v5 files, the single-engine
 #     chain, the version 1 manifest) restoring to its golden v5 bytes.
 #
 # Usage: scripts/crosscheck.sh
@@ -121,7 +128,7 @@ crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|
 crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
-crosscheck 'TestSharded|TestNewShardedRejectsRaggedInitial|TestManifest' \
+crosscheck 'TestSharded|TestShardedMetricsShardOrder|TestShardedLoadReturnsLowestShardError|TestNewShardedRejectsRaggedInitial|TestManifest' \
 	./internal/engine/ ./internal/snapshot/
 
 crosscheck 'TestDetectParallelExecutorInvariance|TestDetectParallelGolden|TestExecutorCountInvariance|TestExecutorsBeyondSeeds|TestContextCancel|TestMidMapCancelStopsSeeds|TestCancelAfterMap' \
@@ -130,7 +137,7 @@ crosscheck 'TestDetectParallelExecutorInvariance|TestDetectParallelGolden|TestEx
 crosscheck 'TestConformance|TestConformanceCandidatesByIDs|TestV4|TestMinHash|TestDenseSnapshotRefusesMinHashRestore|TestSignature|TestAssignIngestSetForms|TestBackendMismatchTyped400' \
 	./internal/index/ ./internal/minhash/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestChainWriterConcurrentSaves|TestSaveFailureKeepsPreviousSave|TestLegacyLayoutsRestore|TestLegacyManifestResumesCursor|TestSaveReplacesLegacyLayout|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
+crosscheck 'TestCompactGeneration|TestAutoCompaction|TestShardedCompactGeneration|TestChainRestore|TestChainGenerationCompactionRerootsChain|TestChainWriterFullOnly|TestChainWriterConcurrentSaves|TestSaveFailureKeepsPreviousSave|TestSaveShardFailureKeepsPreviousSave|TestLegacyLayoutsRestore|TestLegacyManifestResumesCursor|TestSaveReplacesLegacyLayout|TestVersionsWriteReadRewriteFixedPoint|TestGenerationPersistsOnlyInV5|TestDelta|TestApplyDelta|TestChainManifestRoundTrip|TestStatsGenerationFields|TestEvictAlreadyDead' \
 	./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
 echo "crosscheck (with -race): OK" >&2
