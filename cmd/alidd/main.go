@@ -117,7 +117,7 @@ func main() {
 	bands := flag.Int("bands", 16, "MinHash bands, i.e. bucket tables (minhash backend only)")
 	rows := flag.Int("rows", 4, "MinHash rows per band; bands*rows hashes per signature (minhash backend only)")
 	threshold := flag.Float64("threshold", 0.75, "density threshold for maintained clusters")
-	parallelism := flag.Int("parallelism", 0, "intra-detection worker count for commit-side detection (0/1 = serial, -1 = GOMAXPROCS; results are identical at any setting)")
+	parallelism := flag.Int("parallelism", 0, "intra-detection worker count for commit-side detection (0/1 = serial, -1 = GOMAXPROCS; results are identical at any setting). The initial commit peels its LSH components on GOMAXPROCS workers at any setting")
 	retPoints := flag.Int("retention-points", 0, "evict the oldest live points beyond this cap after each commit (0 = unlimited; bounds daemon memory under continuous ingest)")
 	retAge := flag.Duration("retention-age", 0, "evict points older than this (0 = unlimited). Passing EITHER retention flag explicitly replaces a restored snapshot's whole stored policy — pass both as 0 to disable retention on restore")
 	assignBatchMax := flag.Int("assign-batch-max", 1024, "maximum points per batched /v1/assign request (larger batches get 413)")

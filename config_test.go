@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"alid/internal/engine"
 )
 
 // DensityThreshold is a probability-like knob (π(x) is a weighted mean of
@@ -131,6 +133,56 @@ func TestClusterScaleStaysBelowGap(t *testing.T) {
 			if got >= 100 {
 				t.Errorf("lowLen=%d: clusterScale = %v picked the noise mode", lowLen, got)
 			}
+		}
+	}
+}
+
+// Every public constructor refuses an initial batch holding a NaN or an
+// infinite coordinate, with an error naming the caller's index of the
+// point, before anything reaches the matrix or the index. Point 6 of the
+// batch lands on shard 2, at that shard's index 1, in the 4-shard engine.
+func TestConstructorsRejectNonFiniteRows(t *testing.T) {
+	cfg, err := AutoConfig(benchPoints(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ecfg := engine.Config{Core: cfg.toCore()}
+	build := map[string]func([][]float64) error{
+		"NewDetector": func(pts [][]float64) error {
+			_, err := NewDetector(pts, cfg)
+			return err
+		},
+		"NewStreamClusterer": func(pts [][]float64) error {
+			_, err := NewStreamClusterer(pts, cfg, StreamOptions{})
+			return err
+		},
+		"engine.New": func(pts [][]float64) error {
+			e, err := engine.New(ecfg, pts)
+			if err == nil {
+				e.Close()
+			}
+			return err
+		},
+		"engine.NewSharded": func(pts [][]float64) error {
+			s, err := engine.NewSharded(engine.ShardedConfig{Engine: ecfg, Shards: 4}, pts)
+			if err == nil {
+				s.Close()
+			}
+			return err
+		},
+	}
+	for name, fn := range build {
+		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+			pts := benchPoints(400)
+			pts[6] = []float64{pts[6][0], bad}
+			if err := fn(pts); err == nil {
+				t.Errorf("%s accepted a row holding %v", name, bad)
+			} else if !strings.Contains(err.Error(), "point 6") {
+				t.Errorf("%s, row holding %v: error %q does not name point 6", name, bad, err)
+			}
+		}
+		if err := fn(benchPoints(400)); err != nil {
+			t.Errorf("%s refused finite rows: %v", name, err)
 		}
 	}
 }

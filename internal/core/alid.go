@@ -520,57 +520,77 @@ func selectNearest(c []civsCand, k int) {
 	}
 }
 
-// DetectAll runs the peeling scheme of Section 4.4: detect a cluster, peel
-// its support off, and reiterate on the remaining vertices until everything
-// is peeled. Subgraphs passing the density threshold and minimum size are
-// returned, ordered by decreasing density.
-//
-// With a parallel Pool, the connected components of the index's
-// co-bucketing graph (index.Components) peel concurrently, largest first.
-// A detection reads and consumes only vertices of its seed's component, so
-// peeling each component in ascending seed order reproduces the serial peel
-// exactly: clusters, their order, weights, densities, PeakEntries and the
-// oracle's evaluation count are bit-identical to a nil Pool. A one-point
-// component is consumed without a detection: from a seed that shares no
-// bucket, Algorithm 2 ends at β = {seed} with density 0 after no LID
-// iteration and no kernel evaluation, holding one cached entry, and that
-// subgraph is never accepted. Evicted rows of the matrix are never seeds;
-// the index must have evicted the same ids (the stream evicts both
-// together), so no candidate is dead either. On error, a cancelled context
-// included, DetectAll returns the clusters accepted so far, unsorted, after
-// every worker has stopped.
+// DetectAll runs the peeling scheme of Section 4.4 over every live vertex,
+// Peel from id 0 on Config.Pool, and returns the accepted clusters (on
+// error, those accepted so far) ordered by decreasing density.
 func (d *Detector) DetectAll(ctx context.Context) ([]*Cluster, error) {
 	active := make([]bool, d.oracle.N())
 	for i := range active {
 		active[i] = d.oracle.Mat.Live(i)
 	}
-	if !d.cfg.Pool.Parallel() {
-		return d.peelSerial(ctx, active)
-	}
-	return d.peelComponents(ctx, active)
+	clusters, err := d.Peel(ctx, 0, active, d.cfg.Pool, nil)
+	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Density > clusters[j].Density })
+	return clusters, err
 }
 
-// peelComponents is DetectAll's parallel peel: the components, largest
-// first, on the pool's workers, each in ascending seed order on its
-// worker's CIVS scratch. Every write lands on the component's own entries
-// of active and accepted, or on the worker's own slots. One-point
-// components poll no context, so a cancellation that arrives while only
-// they remain is caught by one poll after the peel.
-func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluster, error) {
-	n := len(active)
+// Peel detects a cluster from every id in [from, N) still in active, in
+// ascending order, and consumes each detection's support and seed from
+// active, accepted (density threshold and minimum size) or not. Ids below
+// from may be absorbed but never seed. Peel returns the accepted clusters
+// in seed order; a non-nil consumed receives every id it consumed, in no
+// set order. Evicted ids must be inactive and evicted from the index too.
+//
+// With a parallel pool, the components of the index's co-bucketing graph
+// (index.Components) peel concurrently, largest first, each in ascending
+// seed order on its worker's CIVS scratch. A detection reads and consumes
+// only its seed's component, so clusters, weights, densities, PeakEntries
+// and the oracle's evaluation count are bit-identical to the serial peel. A
+// one-point component is left alone: Algorithm 2 would end at β = {seed}
+// with density 0, no LID iteration, no kernel evaluation and one cached
+// entry, and reject it. On error, a cancelled context included, Peel
+// returns the clusters accepted so far, after every worker has stopped.
+func (d *Detector) Peel(ctx context.Context, from int, active []bool, pool *par.Pool, consumed *[]int) ([]*Cluster, error) {
+	if pool.Parallel() {
+		return d.peelComponents(ctx, from, active, pool, consumed)
+	}
+	var clusters []*Cluster
+	for seed := from; seed < len(active); seed++ {
+		if !active[seed] {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return clusters, err
+		}
+		cl, err := d.DetectFrom(ctx, seed, active)
+		if err != nil {
+			return clusters, err
+		}
+		if d.consume(cl, active, consumed) {
+			clusters = append(clusters, cl)
+		}
+	}
+	return clusters, nil
+}
+
+// peelComponents is Peel's parallel arm. Every write lands on a component's
+// own entries of active and accepted or on a worker's own slots (worker 0's
+// scratch is the Detector's). One-point components poll no context, so a
+// cancellation arriving while only they remain is caught by a final poll.
+func (d *Detector) peelComponents(ctx context.Context, from int, active []bool, pool *par.Pool, consumed *[]int) ([]*Cluster, error) {
 	comps := index.Components(d.index)
 	sort.SliceStable(comps, func(a, b int) bool { return len(comps[a]) > len(comps[b]) })
 
-	workers := d.cfg.Pool.Workers()
+	workers := pool.Workers()
 	scratch := make([]*civsScratch, workers)
+	scratch[0] = &d.scratch
 	peaks := make([]int, workers)
 	errs := make([]error, workers)
+	consumedBy := make([]*[]int, workers)
 	var failed atomic.Bool
-	accepted := make([]*Cluster, n) // by seed
-	d.cfg.Pool.Each(len(comps), func(w, c int) {
+	accepted := make([]*Cluster, len(active)-from) // by seed − from
+	pool.Each(len(comps), func(w, c int) {
 		if len(comps[c]) == 1 {
-			if id := comps[c][0]; active[id] {
-				active[id] = false
+			if id := int(comps[c][0]); id >= from && active[id] {
 				peaks[w] = max(peaks[w], 1)
 			}
 			return
@@ -578,9 +598,12 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 		if scratch[w] == nil {
 			scratch[w] = &civsScratch{}
 		}
+		if consumed != nil && consumedBy[w] == nil {
+			consumedBy[w] = new([]int)
+		}
 		for _, id := range comps[c] {
 			seed := int(id)
-			if !active[seed] {
+			if seed < from || !active[seed] {
 				continue
 			}
 			if failed.Load() {
@@ -592,15 +615,18 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 				failed.Store(true)
 				return
 			}
-			peel(cl, active)
 			peaks[w] = max(peaks[w], cl.PeakEntries)
-			if d.accepts(cl) {
-				accepted[seed] = cl
+			if d.consume(cl, active, consumedBy[w]) {
+				accepted[seed-from] = cl
 			}
 		}
 	})
 	d.peakEntries = max(d.peakEntries, slices.Max(peaks))
-	// Seed order is the order the serial loop appends in.
+	for _, ids := range consumedBy {
+		if ids != nil {
+			*consumed = append(*consumed, *ids...)
+		}
+	}
 	var clusters []*Cluster
 	for _, cl := range accepted {
 		if cl != nil {
@@ -612,52 +638,26 @@ func (d *Detector) peelComponents(ctx context.Context, active []bool) ([]*Cluste
 			return clusters, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return clusters, err
-	}
-	sortByDensity(clusters)
-	return clusters, nil
+	return clusters, ctx.Err()
 }
 
-// peelSerial is DetectAll's serial loop: every unpeeled seed in index
-// order, on the Detector's own scratch.
-func (d *Detector) peelSerial(ctx context.Context, active []bool) ([]*Cluster, error) {
-	var clusters []*Cluster
-	for seed := range active {
-		if !active[seed] {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return clusters, err
-		}
-		cl, err := d.DetectFrom(ctx, seed, active)
-		if err != nil {
-			return clusters, err
-		}
-		peel(cl, active)
-		if d.accepts(cl) {
-			clusters = append(clusters, cl)
-		}
-	}
-	sortByDensity(clusters)
-	return clusters, nil
-}
-
-// peel removes a detection's support and its seed from the active set.
-func peel(cl *Cluster, active []bool) {
+// consume removes a detection's support and seed from active, appends them
+// to consumed when it is non-nil, and reports whether the detection is
+// accepted.
+func (d *Detector) consume(cl *Cluster, active []bool, consumed *[]int) bool {
 	for _, m := range cl.Members {
 		active[m] = false
 	}
-	active[cl.Seed] = false // defensive: seed is always consumed
+	active[cl.Seed] = false
+	if consumed != nil {
+		*consumed = append(append(*consumed, cl.Members...), cl.Seed)
+	}
+	return d.accepts(cl)
 }
 
 // accepts reports whether a peeled subgraph is reported as a cluster.
 func (d *Detector) accepts(cl *Cluster) bool {
 	return cl.Density >= d.cfg.DensityThreshold && cl.Size() >= d.cfg.MinClusterSize
-}
-
-func sortByDensity(clusters []*Cluster) {
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Density > clusters[j].Density })
 }
 
 // Labels converts a cluster list to a per-point assignment: label[i] is the

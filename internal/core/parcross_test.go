@@ -323,7 +323,7 @@ func TestDetectAllCancelMidPeel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				peel(cl, active)
+				det.consume(cl, active, nil)
 			}
 		}
 		return ctx.polls.Load()

@@ -20,8 +20,10 @@ package dataset
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"alid/internal/vec"
@@ -129,7 +131,8 @@ func boundingBox(pts [][]float64) (lo, hi []float64) {
 // distances: k = -ln(0.85)/median intra distance, r = 8× median intra
 // distance (wide enough that co-cluster points collide under ~10 concatenated
 // projections). The 0.85 target puts planted-cluster densities comfortably
-// above the paper's 0.75 selection threshold.
+// above the paper's 0.75 selection threshold. Clusters are sampled in label
+// order, so the scales are a function of the seed alone.
 func (d *Dataset) tuneScales(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	byCluster := make(map[int][]int)
@@ -139,7 +142,8 @@ func (d *Dataset) tuneScales(seed int64) {
 		}
 	}
 	var dists []float64
-	for _, members := range byCluster {
+	for _, l := range slices.Sorted(maps.Keys(byCluster)) {
+		members := byCluster[l]
 		if len(members) < 2 {
 			continue
 		}

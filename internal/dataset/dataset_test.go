@@ -260,3 +260,34 @@ func (d *Dataset) ClusterSizes() []int {
 	}
 	return sizes
 }
+
+// The suggested scales are a function of the generator's seed: building
+// each mixture regime and each real-world stand-in twice in one process
+// gives bit-identical SuggestedK and SuggestedLSHR.
+func TestSuggestedScalesDeterministic(t *testing.T) {
+	nart := DefaultNARTConfig()
+	nart.N, nart.EventDocs = 1200, 260
+	gens := map[string]func() (*Dataset, error){
+		"nart": func() (*Dataset, error) { return NARTLike(nart) },
+		"ndi":  func() (*Dataset, error) { return NDILike(SubNDIConfig()) },
+		"sift": func() (*Dataset, error) { return SIFTLike(DefaultSIFTConfig(4000)) },
+	}
+	for _, r := range []Regime{RegimeOmega, RegimeEta, RegimeCap} {
+		gens[r.String()] = func() (*Dataset, error) { return Mixture(DefaultMixtureConfig(2000, r)) }
+	}
+	for name, gen := range gens {
+		a, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a.SuggestedK) != math.Float64bits(b.SuggestedK) ||
+			math.Float64bits(a.SuggestedLSHR) != math.Float64bits(b.SuggestedLSHR) {
+			t.Errorf("%s: SuggestedK %v then %v, SuggestedLSHR %v then %v",
+				name, a.SuggestedK, b.SuggestedK, a.SuggestedLSHR, b.SuggestedLSHR)
+		}
+	}
+}

@@ -10,11 +10,12 @@
 // copy-on-write contract keeps already-published views frozen while the
 // writer's matrix and index advance).
 //
-// Commit-side detection work honors Config.Core.Pool, the deterministic
-// intra-detection parallel layer: the single writer goroutine fans each
-// detection's inner loops out over the pool, cutting recluster latency on
-// multicore boxes without changing any published result (and without ever
-// involving the reader paths, which stay lock-free).
+// Commit-side detection fans each detection's inner loops out over
+// Config.Core.Pool, the deterministic intra-detection parallel layer, and
+// the initial commit in New peels its LSH components concurrently on a
+// GOMAXPROCS-wide pool whatever that pool is (see package stream). Neither
+// changes any published result, and neither involves the reader paths,
+// which stay lock-free.
 //
 // The new read path is Assign: hash a query point into the published LSH
 // index, retrieve co-bucketed candidates, and score the query's π-affinity

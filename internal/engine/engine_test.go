@@ -2,13 +2,17 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/lsh"
+	"alid/internal/par"
 	"alid/internal/testutil"
 	"alid/internal/vec"
 )
@@ -29,6 +33,56 @@ func blobEngine(t testing.TB) (*Engine, [][]float64) {
 		t.Fatal(err)
 	}
 	return e, pts
+}
+
+// New's initial clusters are DetectAll's over the same rows: seeds,
+// members, weight bits and density bits, and the initial commit's
+// kernel-evaluation count, at Parallelism 0 and -1 and at GOMAXPROCS 1 and
+// 4. The engine keeps the first commit's seed order, DetectAll sorts by
+// density, so the test compares them in seed order.
+func TestInitialCommitMatchesDetectAll(t *testing.T) {
+	pts := benchData(3000, 16)
+	for _, procs := range []int{1, 4} {
+		for _, parallelism := range []int{0, -1} {
+			func() {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				label := fmt.Sprintf("GOMAXPROCS=%d parallelism=%d", procs, parallelism)
+				cfg := benchConfig()
+				cfg.Core.Pool = par.New(parallelism)
+				det, err := core.NewDetector(pts, cfg.Core)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := det.DetectAll(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := New(cfg, pts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				if evals := e.View().KernelEvals; evals != det.Oracle().Computed() {
+					t.Fatalf("%s: initial commit made %d kernel evaluations, DetectAll %d", label, evals, det.Oracle().Computed())
+				}
+				got := e.Clusters()
+				if len(got) != len(want) || len(want) < 2 {
+					t.Fatalf("%s: %d clusters, DetectAll %d", label, len(got), len(want))
+				}
+				slices.SortFunc(want, func(a, b *core.Cluster) int { return a.Seed - b.Seed })
+				for i, w := range want {
+					g := got[i]
+					if g.Seed != w.Seed || math.Float64bits(g.Density) != math.Float64bits(w.Density) ||
+						!slices.Equal(g.Members, w.Members) || !slices.EqualFunc(g.Weights, w.Weights, func(x, y float64) bool {
+						return math.Float64bits(x) == math.Float64bits(y)
+					}) {
+						t.Fatalf("%s cluster %d: seed %d density %v size %d, DetectAll seed %d density %v size %d",
+							label, i, g.Seed, g.Density, g.Size(), w.Seed, w.Density, w.Size())
+					}
+				}
+			}()
+		}
+	}
 }
 
 func TestEngineServesInitialDetection(t *testing.T) {

@@ -216,12 +216,13 @@ func NewSharded(cfg ShardedConfig, initial [][]float64) (*Sharded, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("engine: shard count %d, want >= 1", n)
 	}
-	// Router-edge dimension check, mirroring stream.New: sub-batches must be
-	// rejected atomically here — shard j discovering ragged input after
-	// shard i already committed its subset would be a partial construction.
+	// Router-edge dimension and finiteness check, mirroring stream.New:
+	// sub-batches must be rejected atomically here, naming the caller's
+	// index — shard j discovering bad input after shard i already
+	// committed its subset would be a partial construction.
 	for i, p := range initial {
-		if len(p) != len(initial[0]) {
-			return nil, fmt.Errorf("engine: initial point %d has dimension %d, want %d", i, len(p), len(initial[0]))
+		if err := queryErr(p, len(initial[0])); err != nil {
+			return nil, fmt.Errorf("engine: initial point %d: %w", i, err)
 		}
 	}
 	reg := cfg.Engine.Obs

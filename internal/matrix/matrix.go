@@ -38,6 +38,7 @@ package matrix
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"alid/internal/vec"
@@ -121,19 +122,40 @@ func allLiveWords() []uint64 {
 }
 
 // FromRows flattens a [][]float64 dataset into a new Matrix, validating that
-// every row has the same dimensionality. This is the single conversion point
-// at the public API boundary; the input rows are copied and never retained.
+// every row has the same dimensionality and a finite squared norm. This is
+// the single conversion point at the public API boundary; the input rows are
+// copied and never retained. The squared norm is non-finite exactly when a
+// coordinate is NaN or ±Inf or when a finite row's norm overflows, and such
+// a row is refused in every case: its fused distances would be NaN.
 func FromRows(rows [][]float64) (*Matrix, error) {
 	d, err := RowsDim(rows)
 	if err != nil {
 		return nil, err
 	}
 	m := &Matrix{D: d}
-	for _, r := range rows {
-		m.appendRow(r, vec.Dot(r, r))
+	for i, r := range rows {
+		if err := m.appendFinite(i, r, vec.Dot(r, r)); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
+
+// appendFinite is appendRow for the constructors: it refuses row i when its
+// squared norm is not finite.
+func (m *Matrix) appendFinite(i int, r []float64, normSq float64) error {
+	if !finite(normSq) {
+		return fmt.Errorf("matrix: point %d is not finite (squared norm %v)", i, normSq)
+	}
+	m.appendRow(r, normSq)
+	return nil
+}
+
+// Finite reports whether FromRows accepts row r: whether its squared norm
+// is finite.
+func Finite(r []float64) bool { return finite(vec.Dot(r, r)) }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // RowsDim returns the common dimensionality of rows, or an error when rows
 // is empty, zero-dimensional or ragged — the shape rule FromRows enforces,
@@ -157,7 +179,9 @@ func RowsDim(rows [][]float64) (int, error) {
 // FromFlat copies a row-major slice of n points of dimension d into chunked
 // storage. A nil norms computes the norm cache; otherwise norms is adopted
 // as the cache, which makes the legacy v1 snapshot restore bit-identical by
-// construction, independent of any future change to the norm kernel.
+// construction, independent of any future change to the norm kernel. Like
+// FromRows, it refuses a row whose squared norm (computed or adopted) is not
+// finite.
 func FromFlat(data []float64, n, d int, norms []float64) (*Matrix, error) {
 	if n <= 0 || d <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %d×%d", n, d)
@@ -171,10 +195,14 @@ func FromFlat(data []float64, n, d int, norms []float64) (*Matrix, error) {
 	m := &Matrix{D: d}
 	for i := 0; i < n; i++ {
 		row := data[i*d : (i+1)*d]
+		var normSq float64
 		if norms != nil {
-			m.appendRow(row, norms[i])
+			normSq = norms[i]
 		} else {
-			m.appendRow(row, vec.Dot(row, row))
+			normSq = vec.Dot(row, row)
+		}
+		if err := m.appendFinite(i, row, normSq); err != nil {
+			return nil, err
 		}
 	}
 	return m, nil

@@ -3,6 +3,7 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"alid/internal/vec"
@@ -51,6 +52,30 @@ func TestFromRowsErrors(t *testing.T) {
 	}
 	if _, err := FromRows([][]float64{{}}); err == nil {
 		t.Error("zero-dimensional dataset accepted")
+	}
+}
+
+// A row whose squared norm is not finite is refused by FromRows and FromFlat
+// and reported by Finite: a NaN or ±Inf coordinate, and a finite row whose
+// norm overflows, since its fused distances would be NaN. FromFlat checks
+// an adopted norm too.
+func TestConstructorsRefuseNonFiniteRows(t *testing.T) {
+	for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.Inf(1)}, {math.Inf(-1), 0}, {1e200, 0}} {
+		if Finite(bad) {
+			t.Errorf("Finite(%v) = true", bad)
+		}
+		if _, err := FromRows([][]float64{{1, 2}, bad}); err == nil || !strings.Contains(err.Error(), "point 1") {
+			t.Errorf("FromRows with %v: error %v, want one naming point 1", bad, err)
+		}
+		if _, err := FromFlat(append([]float64{1, 2}, bad...), 2, 2, nil); err == nil || !strings.Contains(err.Error(), "point 1") {
+			t.Errorf("FromFlat with %v: error %v, want one naming point 1", bad, err)
+		}
+	}
+	if !Finite([]float64{1e150, -1e150}) {
+		t.Error("Finite refused a row whose squared norm is finite")
+	}
+	if _, err := FromFlat([]float64{1, 2, 3, 4}, 2, 2, []float64{5, math.NaN()}); err == nil {
+		t.Error("FromFlat adopted a NaN norm")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/lsh"
+	"alid/internal/testutil"
 )
 
 // commitBenchConfig mirrors the serving benchmark geometry (d=16 blobs of
@@ -236,5 +237,30 @@ func BenchmarkCommitAfterPublish(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFirstCommit measures a stream's first commit over 20,000 points
+// of the serving geometry with the serving fixture's configuration, its
+// retention window switched off so the commit evicts nothing: the matrix
+// and index build, then the whole-set peel, whose LSH components run on a
+// GOMAXPROCS-wide pool (serially at -cpu 1).
+func BenchmarkFirstCommit(b *testing.B) {
+	pts, _ := testutil.ServeWorkload(20000, serveDim, serveBlobs)
+	cfg := serveStreamConfig()
+	cfg.Retention = Retention{}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := New(pts, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Commit(ctx); err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(len(c.clusters)), "clusters")
+		}
 	}
 }

@@ -180,7 +180,7 @@ func TestStreamGolden(t *testing.T) {
 		Clusters:    len(v.Clusters),
 		KernelEvals: v.KernelEvals,
 	}
-	want := streamGolden{Digest: "0bc6ede825e47751", Clusters: 50, KernelEvals: 953562}
+	want := streamGolden{Digest: "0bc6ede825e47751", Clusters: 50, KernelEvals: 952840}
 	if got != want {
 		t.Errorf("serving fixture: got %+v, golden %+v", got, want)
 	}

@@ -17,15 +17,24 @@
 //     instead of the exhaustive O(batch·n) member scan;
 //  3. dirty clusters are re-converged by re-running Algorithm 2 from their
 //     densest member;
-//  4. unassigned points (old noise and new arrivals) are probed as seeds for
-//     newly formed clusters.
+//  4. the unassigned arrivals are peeled as seeds for new clusters with
+//     core.Detector.Peel, the loop DetectAll runs: every detection consumes
+//     its support and seed, accepted or not, so a point a detection took
+//     without keeping it (a rejected support, a seed left outside its
+//     support) is skipped for the rest of the commit, then given back, free
+//     for later commits. Unassigned old points may be absorbed by a new
+//     cluster but never seed one.
 //
 // The amortized per-batch cost is the cost of re-running ALID on the touched
 // neighborhoods only, preserving the locality that makes offline ALID scale.
-// When Config.Core.Pool is set, the detections inside each commit (dirty
-// re-convergence and new-seed probing) fan out their inner loops over the
-// pool — the recluster latency of a commit drops on multicore boxes while
-// the committed clusters stay bit-identical to a serial commit.
+// A first commit, where every point is an arrival and no cluster exists
+// yet, is DetectAll's peel over the initial batch: it peels the LSH
+// components concurrently on a GOMAXPROCS-wide par pool, whatever
+// Config.Core.Pool says, and keeps DetectAll's clusters in seed order.
+// Later commits peel serially, since the components cost O(n·tables). When
+// Config.Core.Pool is set, the detections inside each commit (dirty
+// re-convergence and new-seed peeling) fan out their inner loops over it.
+// The committed clusters are bit-identical at any pool width.
 //
 // Published views follow the share-and-seal protocol: View seals the current
 // matrix and index state into structurally shared immutable snapshots
@@ -56,6 +65,7 @@ import (
 	"alid/internal/index"
 	"alid/internal/matrix"
 	"alid/internal/obs"
+	"alid/internal/par"
 )
 
 // Config controls the online clusterer.
@@ -162,6 +172,8 @@ type Clusterer struct {
 	cmark   []uint32
 	markGen uint32
 	cand    []int32
+	// consumed holds the ids step 4's peel consumed, reused across commits.
+	consumed []int
 
 	// met is the commit/eviction instrumentation — always non-nil, so hot
 	// paths observe unconditionally (one atomic add; a no-op under the
@@ -169,7 +181,8 @@ type Clusterer struct {
 	met *streamMetrics
 }
 
-// New creates an online clusterer seeded with an optional initial batch.
+// New creates an online clusterer seeded with an optional initial batch,
+// refusing a ragged or non-finite one (see Add).
 func New(initial [][]float64, cfg Config) (*Clusterer, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 256
@@ -178,6 +191,9 @@ func New(initial [][]float64, cfg Config) (*Clusterer, error) {
 	for i, p := range initial {
 		if len(p) != len(initial[0]) {
 			return nil, fmt.Errorf("stream: initial point %d has dimension %d, want %d", i, len(p), len(initial[0]))
+		}
+		if !matrix.Finite(p) {
+			return nil, fmt.Errorf("stream: initial point %d is not finite", i)
 		}
 	}
 	if len(initial) > 0 {
@@ -392,14 +408,18 @@ func (c *Clusterer) Clusters() []*core.Cluster { return append([]*core.Cluster(n
 func (c *Clusterer) Labels() []int { return c.assigned.Flat() }
 
 // Add buffers a point and commits automatically when the batch is full.
-// A point of the wrong width is rejected here, at the boundary, never
-// surfacing as a late commit failure or an internal panic.
+// A point of the wrong width, or one matrix.FromRows would refuse as not
+// finite, is rejected here, at the boundary, never surfacing as a late
+// commit failure (which would keep it buffered) or an internal panic.
 func (c *Clusterer) Add(ctx context.Context, p []float64) error {
 	if d := c.Dim(); d != 0 && len(p) != d {
 		return fmt.Errorf("stream: point has dimension %d, want %d", len(p), d)
 	}
 	if len(p) == 0 {
 		return fmt.Errorf("stream: empty point")
+	}
+	if !matrix.Finite(p) {
+		return fmt.Errorf("stream: point is not finite")
 	}
 	c.buffer = append(c.buffer, p)
 	if len(c.buffer) >= c.cfg.BatchSize {
@@ -552,9 +572,11 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 }
 
 // detectDirtyAndNew runs Commit's steps 3 and 4: it re-converges every
-// dirty cluster from its densest member, then probes the unassigned new
-// points (ids from firstNew on) as seeds for new clusters. On an error it
-// returns with every cluster claimed; the caller compacts.
+// dirty cluster from its densest member, then peels from the new points
+// (ids from firstNew on) on c.avail itself, gives back all the peel
+// consumed and claims the clusters it accepted. A first commit peels its
+// LSH components on a GOMAXPROCS-wide pool. On an error it returns with
+// every cluster claimed; the caller compacts.
 func (c *Clusterer) detectDirtyAndNew(ctx context.Context, dirty []bool, firstNew int) error {
 	for ci, d := range dirty {
 		if !d {
@@ -568,27 +590,21 @@ func (c *Clusterer) detectDirtyAndNew(ctx context.Context, dirty []bool, firstNe
 		}
 		c.met.dirtyReconverged.Inc()
 	}
-	cfg := c.det.Config()
-	for j := firstNew; j < c.mat.N; j++ {
-		if c.assigned.At(j) != -1 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cl, err := c.det.DetectFrom(ctx, j, c.avail)
-		if err != nil {
-			return err
-		}
-		if cl.Density < cfg.DensityThreshold || cl.Size() < cfg.MinClusterSize {
-			continue
-		}
-		ci := len(c.clusters)
+	var pool *par.Pool
+	if firstNew == 0 {
+		pool = par.New(-1)
+	}
+	c.consumed = c.consumed[:0]
+	found, err := c.det.Peel(ctx, firstNew, c.avail, pool, &c.consumed)
+	for _, id := range c.consumed {
+		c.avail[id] = true
+	}
+	for _, cl := range found {
 		c.clusters = append(c.clusters, cl)
-		c.claim(ci)
+		c.claim(len(c.clusters) - 1)
 		c.met.newClusters.Inc()
 	}
-	return nil
+	return err
 }
 
 // reconverge releases cluster ci's members, re-runs Algorithm 2 from its

@@ -13,12 +13,19 @@ import (
 // checkLabelClusterConsistency asserts the bidirectional invariant between
 // Labels() and Clusters(): every label points into a cluster that contains
 // the point, and every member carries its cluster's label unless a strictly
-// denser overlapping cluster claimed it.
+// denser overlapping cluster claimed it. It also asserts that the available
+// set is exactly the live unlabeled points.
 func checkLabelClusterConsistency(t *testing.T, c *Clusterer) {
 	t.Helper()
 	lbl := c.Labels()
 	cls := c.Clusters()
+	if len(c.avail) != len(lbl) {
+		t.Fatalf("%d available-set entries for %d labels", len(c.avail), len(lbl))
+	}
 	for i, l := range lbl {
+		if want := l == -1 && c.mat.Live(i); c.avail[i] != want {
+			t.Fatalf("point %d labeled %d, live %v: available %v, want %v", i, l, c.mat.Live(i), c.avail[i], want)
+		}
 		if l == -1 {
 			continue
 		}

@@ -13,6 +13,17 @@
 #     the cancel lands while only one-point components, consumed without a
 #     detection, remain), and the index conformance check that CIVS
 #     candidates never leave their seed's component;
+#   - one peel for batch and stream: a stream's first commit, and so
+#     engine.New's initial clusters, equal DetectAll on the same rows
+#     (seeds, members, weight and density bits, kernel-evaluation count)
+#     at Parallelism 0 and -1 and GOMAXPROCS 1 and 4, its components
+#     peeled on a GOMAXPROCS-wide pool, on the serving geometry and a
+#     many-component eta mixture; a first commit cancelled mid-peel
+#     returning the context's error after every worker stopped, with
+#     labels agreeing with clusters, the available set exactly the live
+#     unlabeled points, and the next commit proceeding; and an arrival
+#     that a later commit's rejected detection consumed ending that
+#     commit free (label -1, available);
 #   - the work a detection no longer repeats: DetectAll's cluster digest,
 #     cluster count, peak submatrix and kernel-evaluation count pinned per
 #     mixture by a golden file at Parallelism 0 and -1; the LID state
@@ -121,6 +132,9 @@ crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 
 crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestDetectFromCancelResetsPositions|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestSelectVertexMatchesSwitchForm|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership|TestEachInline|TestEachSlotIndexed|TestEachEmpty' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
+
+crosscheck 'TestFirstCommitMatchesDetectAll|TestFirstCommitCancelMidPeel|TestRejectedArrivalEndsCommitFree|TestInitialCommitMatchesDetectAll' \
+	./internal/stream/ ./internal/engine/
 
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
