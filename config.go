@@ -94,7 +94,8 @@ const autoQ = 10
 // keeping only its 10 smallest distances (no sort) and abandoning a
 // distance part-way once it exceeds the current 10th; the samples fan out
 // over GOMAXPROCS goroutines. The result does not depend on GOMAXPROCS. Rows
-// of unequal or zero length, and any NaN or ±Inf coordinate, are rejected
+// of unequal or zero length, and rows NewDetector refuses as not finite (a
+// NaN or ±Inf coordinate, or a squared norm that overflows), are rejected
 // with an error naming the point.
 func AutoConfig(points [][]float64) (Config, error) {
 	cfg := DefaultConfig()
@@ -108,10 +109,8 @@ func AutoConfig(points [][]float64) (Config, error) {
 	// A NaN distance has no place in the nearest-neighbour order, and an
 	// infinite coordinate makes NaN distances (Inf − Inf).
 	for i, p := range points {
-		for j, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return cfg, fmt.Errorf("alid: point %d coordinate %d is non-finite (%v)", i, j, v)
-			}
+		if !matrix.Finite(p) {
+			return cfg, fmt.Errorf("alid: point %d is not finite", i)
 		}
 	}
 	rng := rand.New(rand.NewSource(1))

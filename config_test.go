@@ -54,7 +54,8 @@ func TestValidateParallelismRange(t *testing.T) {
 // distance: the distance kernel panics on rows of different lengths. A NaN
 // or ±Inf coordinate must be refused too: NaN distances have no
 // nearest-neighbour order, so one such row would shift the tuned scale
-// without an error.
+// without an error. So must a finite row whose squared norm overflows,
+// which NewDetector refuses.
 func TestAutoConfigRejectsBadShape(t *testing.T) {
 	for name, tc := range map[string]struct {
 		pts  [][]float64
@@ -62,9 +63,10 @@ func TestAutoConfigRejectsBadShape(t *testing.T) {
 	}{
 		"ragged":   {[][]float64{{0, 0}, {1, 1}, {2}, {3, 3}, {4, 4}}, "point 2"},
 		"zero-dim": {[][]float64{{}, {}, {}}, "zero-dimensional"},
-		"nan":      {append(benchPoints(2000), []float64{math.NaN(), 0}), "point 2000 coordinate 0"},
-		"-inf":     {[][]float64{{0, 0}, {1, math.Inf(-1)}, {2, 2}, {3, 3}}, "point 1 coordinate 1"},
-		"+inf":     {[][]float64{{0, 0}, {1, 1}, {2, 2}, {math.Inf(1), 3}}, "point 3 coordinate 0"},
+		"nan":      {append(benchPoints(2000), []float64{math.NaN(), 0}), "point 2000 is not finite"},
+		"-inf":     {[][]float64{{0, 0}, {1, math.Inf(-1)}, {2, 2}, {3, 3}}, "point 1 is not finite"},
+		"+inf":     {[][]float64{{0, 0}, {1, 1}, {2, 2}, {math.Inf(1), 3}}, "point 3 is not finite"},
+		"overflow": {[][]float64{{0, 0}, {1, 1}, {1e200, 0}, {3, 3}}, "point 2 is not finite"},
 	} {
 		_, err := AutoConfig(tc.pts)
 		if err == nil {
@@ -138,9 +140,10 @@ func TestClusterScaleStaysBelowGap(t *testing.T) {
 }
 
 // Every public constructor refuses an initial batch holding a NaN or an
-// infinite coordinate, with an error naming the caller's index of the
-// point, before anything reaches the matrix or the index. Point 6 of the
-// batch lands on shard 2, at that shard's index 1, in the 4-shard engine.
+// infinite coordinate, or a finite row whose squared norm overflows, with
+// an error naming the caller's index of the point, before anything reaches
+// the matrix or the index. Point 6 of the batch lands on shard 2, at that
+// shard's index 1, in the 4-shard engine.
 func TestConstructorsRejectNonFiniteRows(t *testing.T) {
 	cfg, err := AutoConfig(benchPoints(400))
 	if err != nil {
@@ -172,13 +175,13 @@ func TestConstructorsRejectNonFiniteRows(t *testing.T) {
 		},
 	}
 	for name, fn := range build {
-		for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, bad := range [][]float64{{0, math.NaN()}, {0, math.Inf(1)}, {1e200, 0}} {
 			pts := benchPoints(400)
-			pts[6] = []float64{pts[6][0], bad}
+			pts[6] = bad
 			if err := fn(pts); err == nil {
-				t.Errorf("%s accepted a row holding %v", name, bad)
+				t.Errorf("%s accepted row %v", name, bad)
 			} else if !strings.Contains(err.Error(), "point 6") {
-				t.Errorf("%s, row holding %v: error %q does not name point 6", name, bad, err)
+				t.Errorf("%s, row %v: error %q does not name point 6", name, bad, err)
 			}
 		}
 		if err := fn(benchPoints(400)); err != nil {

@@ -610,15 +610,34 @@ func (e *Engine) Dim() int {
 }
 
 // queryErr is the single validation gate shared by the single-point and
-// batched Assign paths: the dimension check and the non-finite rejection (a
-// NaN coordinate would make every score NaN and no cluster comparable).
+// batched Assign paths and NewSharded's initial batch: the dimension check
+// and matrix.Finite, the rule the matrix constructors apply (a point whose
+// squared norm is NaN or ±Inf would make every score NaN and no cluster
+// comparable).
 func queryErr(q []float64, dim int) error {
 	if len(q) != dim {
 		return fmt.Errorf("point has dimension %d, want %d", len(q), dim)
 	}
-	for i, v := range q {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("non-finite coordinate %d", i)
+	if !matrix.Finite(q) {
+		return fmt.Errorf("point is not finite")
+	}
+	return nil
+}
+
+// ingestErr is the edge check Engine.Ingest and Sharded.Ingest share. It
+// refuses exactly what the writer's stream.Clusterer.Add refuses (an empty
+// point, a wrong width, a point matrix.Finite rejects), so the writer never
+// drops a point the caller was told it accepted.
+func ingestErr(pts [][]float64, dim int) error {
+	for i, p := range pts {
+		if len(p) == 0 {
+			return fmt.Errorf("engine: point %d is empty", i)
+		}
+		if len(p) != dim {
+			return fmt.Errorf("engine: point %d has dimension %d, want %d", i, len(p), dim)
+		}
+		if !matrix.Finite(p) {
+			return fmt.Errorf("engine: point %d is not finite", i)
 		}
 	}
 	return nil
@@ -728,18 +747,8 @@ func (e *Engine) Ingest(ctx context.Context, pts [][]float64) error {
 	if dim == 0 {
 		dim = len(pts[0])
 	}
-	for i, p := range pts {
-		if len(p) == 0 {
-			return fmt.Errorf("engine: point %d is empty", i)
-		}
-		if len(p) != dim {
-			return fmt.Errorf("engine: point %d has dimension %d, want %d", i, len(p), dim)
-		}
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("engine: point %d has a non-finite coordinate", i)
-			}
-		}
+	if err := ingestErr(pts, dim); err != nil {
+		return err
 	}
 	// Copy the rows: the caller may recycle its buffers (HTTP handlers do).
 	cp := make([][]float64, len(pts))

@@ -5,14 +5,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/lsh"
-	"alid/internal/par"
 	"alid/internal/testutil"
 	"alid/internal/vec"
 )
@@ -35,52 +34,64 @@ func blobEngine(t testing.TB) (*Engine, [][]float64) {
 	return e, pts
 }
 
-// New's initial clusters are DetectAll's over the same rows: seeds,
-// members, weight bits and density bits, and the initial commit's
-// kernel-evaluation count, at Parallelism 0 and -1 and at GOMAXPROCS 1 and
-// 4. The engine keeps the first commit's seed order, DetectAll sorts by
-// density, so the test compares them in seed order.
-func TestInitialCommitMatchesDetectAll(t *testing.T) {
-	pts := benchData(3000, 16)
-	for _, procs := range []int{1, 4} {
-		for _, parallelism := range []int{0, -1} {
-			func() {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				label := fmt.Sprintf("GOMAXPROCS=%d parallelism=%d", procs, parallelism)
-				cfg := benchConfig()
-				cfg.Core.Pool = par.New(parallelism)
-				det, err := core.NewDetector(pts, cfg.Core)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := det.DetectAll(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := New(cfg, pts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				if evals := e.View().KernelEvals; evals != det.Oracle().Computed() {
-					t.Fatalf("%s: initial commit made %d kernel evaluations, DetectAll %d", label, evals, det.Oracle().Computed())
-				}
-				got := e.Clusters()
-				if len(got) != len(want) || len(want) < 2 {
-					t.Fatalf("%s: %d clusters, DetectAll %d", label, len(got), len(want))
-				}
-				slices.SortFunc(want, func(a, b *core.Cluster) int { return a.Seed - b.Seed })
-				for i, w := range want {
-					g := got[i]
-					if g.Seed != w.Seed || math.Float64bits(g.Density) != math.Float64bits(w.Density) ||
-						!slices.Equal(g.Members, w.Members) || !slices.EqualFunc(g.Weights, w.Weights, func(x, y float64) bool {
-						return math.Float64bits(x) == math.Float64bits(y)
-					}) {
-						t.Fatalf("%s cluster %d: seed %d density %v size %d, DetectAll seed %d density %v size %d",
-							label, i, g.Seed, g.Density, g.Size(), w.Seed, w.Density, w.Size())
-					}
-				}
-			}()
+// The ingest edge refuses what the writer refuses: a point holding NaN or
+// ±Inf, and a finite point whose squared norm overflows. An edge that let
+// the overflowing point through would answer success while the writer
+// dropped it, moving every later point's id down by one. On a plain engine
+// and on routers of 1 and 4 shards, each refusal names the offending
+// index, assign refuses the same points, and after the refusals the k-th
+// accepted point still has global id k.
+func TestIngestRefusesNonFinitePoint(t *testing.T) {
+	ctx := context.Background()
+	initial, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 10, 0, 15)
+	wave, _ := testutil.Blobs(55, [][]float64{{0, 0}}, 20, 0.3, 0, 0, 15)
+	all := append(slices.Clone(initial), wave...)
+	type servingEngine interface {
+		Ingest(context.Context, [][]float64) error
+		Assign([]float64) (Assignment, error)
+		Flush(context.Context) error
+		Stats() Stats
+		Close() error
+	}
+	build := map[string]func() (servingEngine, func(id int) []float64, error){
+		"engine": func() (servingEngine, func(int) []float64, error) {
+			e, err := New(engineConfig(), initial)
+			return e, func(id int) []float64 { return e.View().Mat.Row(id) }, err
+		},
+	}
+	for _, n := range []int{1, 4} {
+		build[fmt.Sprintf("shards=%d", n)] = func() (servingEngine, func(int) []float64, error) {
+			s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: n}, initial)
+			return s, func(id int) []float64 { return s.shards[id%n].View().Mat.Row(id / n) }, err
+		}
+	}
+	for name, fn := range build {
+		e, row, err := fn()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.Inf(-1)}, {1e200, 0}} {
+			if err := e.Ingest(ctx, [][]float64{wave[0], bad}); err == nil || !strings.Contains(err.Error(), "point 1") {
+				t.Errorf("%s: Ingest of %v: error %v, want one naming point 1", name, bad, err)
+			}
+			if _, err := e.Assign(bad); err == nil {
+				t.Errorf("%s: Assign accepted %v", name, bad)
+			}
+		}
+		if err := e.Ingest(ctx, wave); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.N != len(all) || st.WriterErrors != 0 {
+			t.Errorf("%s: n %d, writer errors %d; want %d, 0", name, st.N, st.WriterErrors, len(all))
+		}
+		for id, p := range all {
+			if !slices.Equal(row(id), p) {
+				t.Fatalf("%s: id %d holds %v, want %v", name, id, row(id), p)
+			}
 		}
 	}
 }

@@ -61,7 +61,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -364,22 +363,12 @@ func (s *Sharded) Ingest(ctx context.Context, pts [][]float64) error {
 	if dim == 0 {
 		dim = len(pts[0])
 	}
-	// Same checks, same order, same messages as Engine.Ingest — but against
-	// the router's locked-in dimension, which makes writer-side rejects
-	// (that would desynchronize per-shard id accounting) structurally
-	// impossible: every delivered point is already fully valid.
-	for i, p := range pts {
-		if len(p) == 0 {
-			return fmt.Errorf("engine: point %d is empty", i)
-		}
-		if len(p) != dim {
-			return fmt.Errorf("engine: point %d has dimension %d, want %d", i, len(p), dim)
-		}
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("engine: point %d has a non-finite coordinate", i)
-			}
-		}
+	// Engine.Ingest's check — but against the router's locked-in
+	// dimension, which makes writer-side rejects (that would desynchronize
+	// per-shard id accounting) structurally impossible: every delivered
+	// point is already fully valid.
+	if err := ingestErr(pts, dim); err != nil {
+		return err
 	}
 	for i := range s.split {
 		s.split[i] = s.split[i][:0]

@@ -61,7 +61,8 @@ const (
 // Matrix is an n×d row-major dataset stored in fixed-capacity row chunks
 // with cached per-row squared L2 norms. Rows are exposed for read-only
 // iteration by hot loops; mutate rows only through methods that keep the
-// norm cache consistent.
+// norm cache consistent. A Matrix holding only D is empty and takes rows
+// through AppendRows.
 type Matrix struct {
 	// chunks[c] holds rows [c·ChunkRows, …) contiguously; its length is
 	// rowsInChunk·D and its capacity ChunkRows·D. A nil entry is a released
@@ -177,11 +178,11 @@ func RowsDim(rows [][]float64) (int, error) {
 }
 
 // FromFlat copies a row-major slice of n points of dimension d into chunked
-// storage. A nil norms computes the norm cache; otherwise norms is adopted
-// as the cache, which makes the legacy v1 snapshot restore bit-identical by
-// construction, independent of any future change to the norm kernel. Like
-// FromRows, it refuses a row whose squared norm (computed or adopted) is not
-// finite.
+// storage. A nil norms computes the norm cache and, like FromRows, refuses a
+// row whose squared norm is not finite. Otherwise norms is adopted as the
+// cache, unchecked like every restored matrix (FromChunks), which makes the
+// legacy v1 snapshot restore bit-identical by construction, independent of
+// any future change to the norm kernel.
 func FromFlat(data []float64, n, d int, norms []float64) (*Matrix, error) {
 	if n <= 0 || d <= 0 {
 		return nil, fmt.Errorf("matrix: invalid shape %d×%d", n, d)
@@ -195,13 +196,9 @@ func FromFlat(data []float64, n, d int, norms []float64) (*Matrix, error) {
 	m := &Matrix{D: d}
 	for i := 0; i < n; i++ {
 		row := data[i*d : (i+1)*d]
-		var normSq float64
 		if norms != nil {
-			normSq = norms[i]
-		} else {
-			normSq = vec.Dot(row, row)
-		}
-		if err := m.appendFinite(i, row, normSq); err != nil {
+			m.appendRow(row, norms[i])
+		} else if err := m.appendFinite(i, row, vec.Dot(row, row)); err != nil {
 			return nil, err
 		}
 	}

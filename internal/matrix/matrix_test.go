@@ -57,8 +57,8 @@ func TestFromRowsErrors(t *testing.T) {
 
 // A row whose squared norm is not finite is refused by FromRows and FromFlat
 // and reported by Finite: a NaN or ±Inf coordinate, and a finite row whose
-// norm overflows, since its fused distances would be NaN. FromFlat checks
-// an adopted norm too.
+// norm overflows, since its fused distances would be NaN. An adopted norm
+// cache is restored state, taken as saved like FromChunks takes it.
 func TestConstructorsRefuseNonFiniteRows(t *testing.T) {
 	for _, bad := range [][]float64{{math.NaN(), 0}, {0, math.Inf(1)}, {math.Inf(-1), 0}, {1e200, 0}} {
 		if Finite(bad) {
@@ -74,8 +74,8 @@ func TestConstructorsRefuseNonFiniteRows(t *testing.T) {
 	if !Finite([]float64{1e150, -1e150}) {
 		t.Error("Finite refused a row whose squared norm is finite")
 	}
-	if _, err := FromFlat([]float64{1, 2, 3, 4}, 2, 2, []float64{5, math.NaN()}); err == nil {
-		t.Error("FromFlat adopted a NaN norm")
+	if m, err := FromFlat([]float64{1, 2, 1e200, 0}, 2, 2, []float64{5, math.Inf(1)}); err != nil || !math.IsInf(m.NormSq(1), 1) {
+		t.Errorf("FromFlat did not adopt a saved +Inf norm: %v", err)
 	}
 }
 

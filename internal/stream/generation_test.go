@@ -2,10 +2,14 @@ package stream
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 
+	"alid/internal/core"
+	"alid/internal/matrix"
 	"alid/internal/testutil"
+	"alid/internal/vec"
 )
 
 // CompactGeneration's id-map contract: live ids are renumbered densely in
@@ -69,6 +73,46 @@ func TestCompactGenerationIDMapContract(t *testing.T) {
 	}
 	if !slices.Equal(c.mat.Row(0), pts[2]) {
 		t.Fatalf("generation-2 id 0 holds %v, want the row of original id 2", c.mat.Row(0))
+	}
+}
+
+// A restore adopts rows as saved (FromChunks checks no norm), so a save
+// written by an older release can hold a finite row whose squared norm
+// overflows, which FromRows refuses. Compacting over it must still work:
+// the row keeps its place and its +Inf norm, and the evicted ids go.
+func TestCompactGenerationKeepsRestoredNonFiniteRow(t *testing.T) {
+	ctx := context.Background()
+	pts, _ := testutil.Blobs(12, [][]float64{{0, 0}, {15, 15}}, 15, 0.3, 0, 0, 15)
+	pts = append(pts, []float64{1e200, 0})
+	var data, norms []float64
+	for _, p := range pts {
+		data = append(data, p...)
+		norms = append(norms, vec.Dot(p, p))
+	}
+	mat, err := matrix.FromChunks([][]float64{data}, [][]float64{norms}, len(pts), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := streamConfig()
+	idx, err := core.BuildIndex(mat, cfg.Core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := RestoreGeneration(cfg, mat, idx, nil, slices.Repeat([]int{-1}, len(pts)), 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Evict(ctx, []int{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	released, err := c.CompactGeneration()
+	if err != nil {
+		t.Fatalf("compaction over a restored row with a +Inf norm: %v", err)
+	}
+	last := c.N() - 1
+	if released != 3 || c.N() != len(pts)-3 || !slices.Equal(c.mat.Row(last), []float64{1e200, 0}) || !math.IsInf(c.mat.NormSq(last), 1) {
+		t.Fatalf("released %d, n %d, last row %v norm %v; want 3, %d, [1e+200 0] +Inf",
+			released, c.N(), c.mat.Row(last), c.mat.NormSq(last), len(pts)-3)
 	}
 }
 

@@ -841,10 +841,13 @@ func (c *Clusterer) repair(cl *core.Cluster, dead []int) (*core.Cluster, bool) {
 // and releases every piece of state that scaled with points EVER seen rather
 // than points live: matrix chunk headers and liveness bitmaps, index key
 // chunks and tombstone bitmaps, label chunks, the dirtiness-check scratch
-// and the eviction cursor. The rebuild takes exactly the first-commit path —
-// matrix.FromRows over the survivor rows plus core.BuildIndex under the same
-// configuration — so the compacted state is bit-identical to a fresh
-// clusterer restored from only the survivors: every maintained cluster,
+// and the eviction cursor. The rebuild appends the survivor rows to an
+// empty matrix, as a first commit's matrix.FromRows does, and runs
+// core.BuildIndex under the same configuration, so the compacted state is
+// bit-identical to a fresh clusterer restored from only the survivors. It
+// skips FromRows's finiteness check: a restore adopts rows as saved, and a
+// row an older release accepted must not make every compaction fail. Every
+// maintained cluster,
 // weight, density and label survives with its ids remapped through the
 // monotone old→new map.
 // A dead cluster seed is remapped to the cluster's heaviest surviving
@@ -896,8 +899,8 @@ func (c *Clusterer) CompactGeneration() (int, error) {
 		return released, nil
 	}
 
-	newMat, err := matrix.FromRows(liveRows)
-	if err != nil {
+	newMat := &matrix.Matrix{D: c.mat.D}
+	if _, err := newMat.AppendRows(liveRows); err != nil {
 		return 0, fmt.Errorf("stream: compact: %w", err)
 	}
 	newIdx, err := core.BuildIndex(newMat, c.cfg.Core)

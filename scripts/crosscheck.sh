@@ -133,8 +133,8 @@ crosscheck 'TestGOMAXPROCSCrosscheck|TestDetectAllGolden' .
 crosscheck 'TestDetectAllCrosscheckSerialVsPool|TestDetectAllCrosscheckEvictedIndex|TestDetectAllCancelMidPeel|TestDetectFromCancelResetsPositions|TestLIDCrosscheckSerialVsPool|TestStateMatchesReference|TestSelectVertexMatchesSwitchForm|TestColumnParMatchesColumn|TestKernelSymmetry|Test.*ForChunks.*|TestChunkOrderReduction|TestEachWorkerOwnership|TestEachInline|TestEachSlotIndexed|TestEachEmpty' \
 	./internal/core/ ./internal/lid/ ./internal/affinity/ ./internal/par/
 
-crosscheck 'TestFirstCommitMatchesDetectAll|TestFirstCommitCancelMidPeel|TestRejectedArrivalEndsCommitFree|TestInitialCommitMatchesDetectAll' \
-	./internal/stream/ ./internal/engine/
+crosscheck 'TestFirstCommitMatchesDetectAll|TestFirstCommitCancelMidPeel|TestRejectedArrivalEndsCommitFree' \
+	./internal/stream/
 
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
