@@ -8,8 +8,6 @@
 //	experiments -fig all            # everything at quick scale
 //	experiments -fig 7a -scale 4    # the ω-regime sweep, 4× larger
 //	experiments -fig tab2           # PALID speedup table
-//	experiments -fig serve -serve-clients 8 -serve-ingest 100
-//	                                # serving-path load generator (alidd engine)
 //
 // Scale 1 finishes in minutes; the paper's absolute sizes are out of reach
 // for a quick run, but the reported shapes (method ordering, growth orders,
@@ -28,7 +26,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure/table to regenerate: 6a 6b 7a 7b 7c 7d 9 10 11a 11b tab1 tab2 ablate all, or 'serve' for the serving load generator")
+	fig := flag.String("fig", "all", "figure/table to regenerate: 6a 6b 7a 7b 7c 7d 9 10 11a 11b tab1 tab2 ablate all")
 	scale := flag.Float64("scale", 1, "workload scale multiplier (1 = quick)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	csvPath := flag.String("csv", "", "also append raw measurement rows to this CSV file")
@@ -161,8 +159,6 @@ func run(ctx context.Context, target string, opts expfig.Options, csvFile *os.Fi
 			fmt.Fprintf(w, "%-16s %8.3f %12.3f %12.3f\n",
 				p.Method, p.AVGF, p.Runtime.Seconds(), float64(p.MemoryBytes)/(1<<20))
 		}
-	case "serve":
-		return serveLoad(ctx)
 	default:
 		return fmt.Errorf("unknown target %q", target)
 	}

@@ -346,100 +346,24 @@ func (o *Oracle) ColumnPoint(q []float64, qNormSq float64, rows []int, dst []flo
 	o.computed.Add(int64(len(rows)))
 }
 
-// ColumnPointPacked is ColumnPoint over rows packed contiguously (row-major,
-// len(q)-strided) with their precomputed squared norms, instead of gathered
-// by dataset index. Packing trades memory for a sequential scan — the batched
-// Assign path stores each cluster's member rows back-to-back so the hot exact
-// scan streams instead of gathers. The arithmetic is ColumnPoint's
-// exactly: same Dot2 lane order, same cancellation fallback, same fused
-// transform pass — packed copies of the same rows yield bit-identical
-// affinities. Unlike ColumnPoint it does not touch the evaluation counter;
-// the caller accounts scanned rows via AddComputed (one add per batch).
-func (o *Oracle) ColumnPointPacked(q []float64, qNormSq float64, rows, norms, dst []float64) {
-	d := len(q)
-	if d != o.Mat.D {
-		panic(fmt.Sprintf("affinity: query dimension %d, want %d", d, o.Mat.D))
-	}
-	n := len(norms)
-	if len(rows) != n*d || len(dst) != n {
-		panic(fmt.Sprintf("affinity: packed shape %d/%d for %d rows of dim %d", len(rows), len(dst), n, d))
-	}
-	k := o.Kernel.K
-	if o.Kernel.P == 2 {
-		r := 0
-		for ; r+2 <= n; r += 2 {
-			va := rows[r*d : r*d+d : r*d+d]
-			vb := rows[r*d+d : r*d+2*d : r*d+2*d]
-			n0 := norms[r]
-			n1 := norms[r+1]
-			// vec.Dot2's body, inlined: the call, its length checks and the
-			// slice-header traffic are measurable at this call rate, and the
-			// accumulation order must be Dot2's exactly for bit-identity.
-			var a0, a1, a2, a3, b0, b1, b2, b3 float64
-			i := 0
-			for ; i+4 <= d; i += 4 {
-				x0, x1, x2, x3 := q[i], q[i+1], q[i+2], q[i+3]
-				a0 += va[i] * x0
-				a1 += va[i+1] * x1
-				a2 += va[i+2] * x2
-				a3 += va[i+3] * x3
-				b0 += vb[i] * x0
-				b1 += vb[i+1] * x1
-				b2 += vb[i+2] * x2
-				b3 += vb[i+3] * x3
-			}
-			for ; i < d; i++ {
-				a0 += va[i] * q[i]
-				b0 += vb[i] * q[i]
-			}
-			dotA := (a0 + a1) + (a2 + a3)
-			dotB := (b0 + b1) + (b2 + b3)
-			d0 := n0 + qNormSq - 2*dotA
-			if d0 < matrix.CancelGuard*(n0+qNormSq) {
-				d0 = vec.SquaredL2(va, q)
-			}
-			d1 := n1 + qNormSq - 2*dotB
-			if d1 < matrix.CancelGuard*(n1+qNormSq) {
-				d1 = vec.SquaredL2(vb, q)
-			}
-			dst[r] = d0
-			dst[r+1] = d1
-		}
-		for ; r < n; r++ {
-			va := rows[r*d : r*d+d : r*d+d]
-			n0 := norms[r]
-			d0 := n0 + qNormSq - 2*vec.Dot(va, q)
-			if d0 < matrix.CancelGuard*(n0+qNormSq) {
-				d0 = vec.SquaredL2(va, q)
-			}
-			dst[r] = d0
-		}
-		for r := range dst {
-			dst[r] = math.Exp(-k * math.Sqrt(dst[r]))
-		}
-	} else {
-		for r := 0; r < n; r++ {
-			dst[r] = math.Exp(-k * o.Kernel.Distance(rows[r*d:r*d+d:r*d+d], q))
-		}
-	}
-}
-
-// ScorePacked is the batch pipeline's exact candidate score: ColumnPointPacked
-// plus the weighted sum, with the sum riding the exp pass instead of running
-// as a third traversal. It returns Σ_r w[r]·exp(-k·dist(q, row_r)) accumulated
-// in row order with a single accumulator — exactly the value (bit for bit) of
-// running ColumnPointPacked into dst and summing w[r]·dst[r] in index order,
-// which is in turn the sequential path's score. dst is caller scratch of n
-// entries (it holds the column's scaled distances mid-call; contents on
-// return are unspecified). The distance pass stays call-free — keeping
-// math.Exp out of the dot loop is worth a full pass on this host — and the
-// −k·√· post-transform rides the distance pass too, so the long-latency
-// SQRTSD overlaps the next rows' independent dot products instead of
-// serializing in front of each Exp call. Relocating the per-row sqrt and
-// scale does not change their bits: each row still computes
-// exp(-k·sqrt(d²)) with the same operations in the same order. Like
-// ColumnPointPacked it leaves the evaluation counter to the caller
-// (AddComputed).
+// ScorePacked is the batch pipeline's exact candidate score over rows packed
+// contiguously (row-major, len(q)-strided) with their precomputed squared
+// norms: the batched Assign path stores each cluster's member rows
+// back-to-back, so the hot exact scan streams instead of gathers. It returns
+// Σ_r w[r]·exp(-k·dist(q, row_r)) accumulated in row order with a single
+// accumulator — exactly the value (bit for bit) of running ColumnPoint over
+// the same rows and summing w[r]·dst[r] in index order, which is the
+// sequential path's score: same Dot2 lane order, same cancellation fallback,
+// with the sum riding the exp pass instead of running as a third traversal.
+// dst is caller scratch of n entries (it holds the column's scaled distances
+// mid-call; contents on return are unspecified). The distance pass stays
+// call-free — keeping math.Exp out of the dot loop is worth a full pass on
+// this host — and the −k·√· post-transform rides the distance pass too, so
+// the long-latency SQRTSD overlaps the next rows' independent dot products
+// instead of serializing in front of each Exp call. Relocating the per-row
+// sqrt and scale does not change their bits: each row still computes
+// exp(-k·sqrt(d²)) with the same operations in the same order. Unlike
+// ColumnPoint it leaves the evaluation counter to the caller (AddComputed).
 func (o *Oracle) ScorePacked(q []float64, qNormSq float64, rows, norms, w, dst []float64) float64 {
 	d := len(q)
 	if d != o.Mat.D {
@@ -458,7 +382,9 @@ func (o *Oracle) ScorePacked(q []float64, qNormSq float64, rows, norms, w, dst [
 			vb := rows[r*d+d : r*d+2*d : r*d+2*d]
 			n0 := norms[r]
 			n1 := norms[r+1]
-			// vec.Dot2's body, inlined — see ColumnPointPacked.
+			// vec.Dot2's body, inlined: the call, its length checks and the
+			// slice-header traffic are measurable at this call rate, and the
+			// accumulation order must be Dot2's exactly for bit-identity.
 			var a0, a1, a2, a3, b0, b1, b2, b3 float64
 			i := 0
 			for ; i+4 <= d; i += 4 {
@@ -509,10 +435,10 @@ func (o *Oracle) ScorePacked(q []float64, qNormSq float64, rows, norms, w, dst [
 	return sc
 }
 
-// AddComputed credits n kernel evaluations to the oracle's counter. The
-// packed scan primitives (ColumnPointPacked, ScorePacked) leave accounting to
-// the caller, so a batch pipeline folds a whole batch's row counts into one
-// atomic add instead of paying one per candidate scan.
+// AddComputed credits n kernel evaluations to the oracle's counter.
+// ScorePacked leaves accounting to the caller, so a batch pipeline folds a
+// whole batch's row counts into one atomic add instead of paying one per
+// candidate scan.
 func (o *Oracle) AddComputed(n int64) { o.computed.Add(n) }
 
 // Computed returns the total number of kernel evaluations so far.

@@ -98,51 +98,12 @@ func TestColumnPointCounts(t *testing.T) {
 	}
 }
 
-// ColumnPointPacked must be bit-identical to ColumnPoint over packed copies
-// of the same rows — random external queries plus a dataset-row query (the
-// cancellation-guard fallback), both kernel branches, odd row count so the
-// tail lane runs.
-func TestColumnPointPackedMatchesGathered(t *testing.T) {
-	for _, kern := range []Kernel{{K: 0.7, P: 2}, {K: 0.4, P: 1}} {
-		o := randOracle(t, 44, 100, 7, kern)
-		rows := []int{3, 99, 0, 41, 17, 58, 7}
-		d := 7
-		packed := make([]float64, len(rows)*d)
-		norms := make([]float64, len(rows))
-		for r, m := range rows {
-			copy(packed[r*d:(r+1)*d], o.Mat.Row(m))
-			norms[r] = o.Mat.NormSq(m)
-		}
-		rng := rand.New(rand.NewSource(45))
-		qs := make([][]float64, 4)
-		for i := range qs {
-			q := make([]float64, d)
-			for j := range q {
-				q[j] = rng.NormFloat64() * 3
-			}
-			qs[i] = q
-		}
-		qs[0] = append([]float64(nil), o.Mat.Row(3)...)
-		want := make([]float64, len(rows))
-		got := make([]float64, len(rows))
-		for qi, q := range qs {
-			qn := vec.Dot(q, q)
-			o.ColumnPoint(q, qn, rows, want)
-			o.ColumnPointPacked(q, qn, packed, norms, got)
-			for r := range rows {
-				if got[r] != want[r] {
-					t.Fatalf("P=%v query %d row %d: packed %v, gathered %v",
-						kern.P, qi, r, got[r], want[r])
-				}
-			}
-		}
-	}
-}
-
-// ScorePacked must be bit-identical to ColumnPointPacked followed by a
-// single-accumulator index-order weighted sum — the fusion may not perturb a
-// single ulp, because the batch pipeline's scores must equal the sequential
-// path's exactly. Same fixtures as the packed/gathered crosscheck.
+// ScorePacked over packed copies of some rows must be bit-identical to
+// ColumnPoint over the same rows followed by a single-accumulator
+// index-order weighted sum: the batch pipeline's scores must equal the
+// sequential path's exactly. Both kernel branches, an odd row count so the
+// tail lane runs, random external queries plus a dataset-row query (the
+// cancellation-guard fallback).
 func TestScorePackedMatchesColumnSum(t *testing.T) {
 	for _, kern := range []Kernel{{K: 0.7, P: 2}, {K: 0.4, P: 1}} {
 		o := randOracle(t, 46, 100, 7, kern)
@@ -170,14 +131,14 @@ func TestScorePackedMatchesColumnSum(t *testing.T) {
 		scratch := make([]float64, len(rows))
 		for qi, q := range qs {
 			qn := vec.Dot(q, q)
-			o.ColumnPointPacked(q, qn, packed, norms, col)
+			o.ColumnPoint(q, qn, rows, col)
 			var want float64
 			for r := range col {
 				want += w[r] * col[r]
 			}
 			got := o.ScorePacked(q, qn, packed, norms, w, scratch)
 			if got != want {
-				t.Fatalf("P=%v query %d: fused %v, column+sum %v", kern.P, qi, got, want)
+				t.Fatalf("P=%v query %d: packed score %v, gathered column+sum %v", kern.P, qi, got, want)
 			}
 		}
 	}

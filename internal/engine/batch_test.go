@@ -110,7 +110,7 @@ func exactTieFixture(t *testing.T) assignFixture {
 // than 64 members, so the crosschecks cover large supports.
 func requireLargeCluster(t *testing.T, e *Engine) {
 	t.Helper()
-	for _, cl := range e.Clusters() {
+	for _, cl := range clustersOf(e) {
 		if len(cl.Members) > 64 {
 			return
 		}
@@ -379,31 +379,30 @@ func TestAssignBatchEmptyEngine(t *testing.T) {
 	}
 }
 
-// The batch path must be allocation-free per query in steady state, through
-// the one-shard router too: the pooled arenas grow to the high-water batch
-// once and are then reused.
+// The batch path must be allocation-free per query in steady state, on both
+// backends and through the one-shard router too: the pooled arenas grow to
+// the high-water batch once and are then reused.
 func TestAssignBatchAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
 	pts, _ := testutil.Blobs(61, [][]float64{{0, 0}, {12, 12}}, 200, 0.05, 20, -15, 20)
-	queries := mixedQueries(pts, 64, 62)
-	for name, e := range allocFreeServers(t, pts) {
+	for _, s := range allocFreeServers(t, pts, mixedQueries(pts, 64, 62)) {
 		var out []Assignment
 		var err error
 		for i := 0; i < 30; i++ { // warm the pooled arenas to steady capacity
-			if out, err = e.AssignBatchInto(queries, out); err != nil {
+			if out, err = s.srv.AssignBatchInto(s.queries, out); err != nil {
 				t.Fatal(err)
 			}
 		}
 		allocs := testing.AllocsPerRun(100, func() {
 			var err error
-			if out, err = e.AssignBatchInto(queries, out); err != nil {
+			if out, err = s.srv.AssignBatchInto(s.queries, out); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("%s: AssignBatchInto allocates %v per batch, want 0", name, allocs)
+			t.Errorf("%s: AssignBatchInto allocates %v per batch, want 0", s.name, allocs)
 		}
 	}
 }

@@ -15,21 +15,17 @@ import (
 	"alid/internal/testutil"
 )
 
-// benchData builds the acceptance-gate serving workload: n=10k, d=16, fifty
-// well-separated Gaussian blobs plus background noise (the shared
-// testutil.ServeWorkload generator — the experiments load generator
-// measures the identical workload). Many moderate clusters is the
-// serving-representative shape: assign cost is dominated by scoring the
-// winning cluster's support, which scales with cluster size, not with n.
+// benchData builds the serving benchmark workload: n points in d
+// dimensions as fifty well-separated Gaussian blobs plus background noise
+// (the shared testutil.ServeWorkload generator). Many moderate clusters is
+// the serving-representative shape: assign cost is dominated by scoring
+// the winning cluster's support, which scales with cluster size, not with
+// n.
 func benchData(n, d int) [][]float64 {
 	pts, _ := testutil.ServeWorkload(n, d, 50)
 	return pts
 }
 
-// BenchmarkAssign measures serve-path throughput on the published state:
-// parallel lock-free assigns at n=10k, d=16. scripts/bench.sh records the
-// ns/op (wall time per assign across all procs — throughput is its inverse)
-// into BENCH_PR2.json; the acceptance target is ≥50k assigns/sec.
 // benchConfig tunes the kernel and LSH segment to the benchData geometry:
 // intra-blob distances concentrate near σ·√(2d) ≈ 1.7, so K puts such pairs
 // at affinity ≈ 0.9 (mirroring AutoConfig's rule) and R makes them collide
@@ -41,6 +37,9 @@ func benchConfig() Config {
 	return cfg
 }
 
+// BenchmarkAssign measures serve-path throughput on the published state:
+// parallel lock-free assigns at n=10k, d=16; ns/op is wall time per assign
+// across all procs, so throughput is its inverse.
 func BenchmarkAssign(b *testing.B) {
 	pts := benchData(10000, 16)
 	e, err := New(benchConfig(), pts)
@@ -48,7 +47,7 @@ func BenchmarkAssign(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		b.Fatal("no clusters to serve")
 	}
 
@@ -80,8 +79,7 @@ func BenchmarkAssign(b *testing.B) {
 // BenchmarkAssignBatch measures the batched pipeline at several batch
 // widths on the BenchmarkAssign workload. Each op is ONE QUERY (b.N is
 // scaled by the batch size), so ns/op is directly comparable with
-// BenchmarkAssign: the PR-6 acceptance gate is q=64 serving ≥2× the
-// single-point assigns/sec per query.
+// BenchmarkAssign.
 func BenchmarkAssignBatch(b *testing.B) {
 	pts := benchData(10000, 16)
 	e, err := New(benchConfig(), pts)
@@ -89,7 +87,7 @@ func BenchmarkAssignBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		b.Fatal("no clusters to serve")
 	}
 	rng := rand.New(rand.NewSource(72))
@@ -131,10 +129,8 @@ func BenchmarkAssignBatch(b *testing.B) {
 // the modes at ~10ms block granularity makes the ratio robust to the
 // host-load phases (seconds to minutes) that can skew two series benchmarked
 // a minute apart, while each block is long enough that both modes run at
-// their steady-state cache warmth. Note the baseline here is the SEQUENTIAL
-// Assign loop (pure latency, no parallel-harness overhead), so this ratio
-// reads slightly below the recorded gate, which by PR-2 convention compares
-// against BenchmarkAssign's parallel serving throughput.
+// their steady-state cache warmth. The baseline is the SEQUENTIAL Assign
+// loop (pure latency, no parallel-harness overhead).
 func BenchmarkAssignBatchSpeedup(b *testing.B) {
 	const width = 64
 	const block = 32
@@ -144,7 +140,7 @@ func BenchmarkAssignBatchSpeedup(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		b.Fatal("no clusters to serve")
 	}
 	rng := rand.New(rand.NewSource(72))
@@ -199,9 +195,9 @@ func BenchmarkAssignBatchSpeedup(b *testing.B) {
 // through the router and the final Flush (inside the timer) drains every
 // shard, so ns/op reflects true committed throughput, not enqueue speed.
 // Retention pins the live set at ~10k so commit cost stays steady-state.
-// The PR-8 acceptance gate compares shards=4 against shards=1 — ≥1.5× on
-// hosts with ≥4 CPUs, where four writers genuinely run concurrently
-// (shards=1 must stay within noise of the plain engine either way).
+// shards=4 against shards=1 shows what four concurrent writers and
+// quarter-size shard indexes buy; the writers only run concurrently on
+// hosts with ≥ 4 CPUs.
 func BenchmarkIngestSharded(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -253,7 +249,7 @@ func BenchmarkAssignSequential(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		b.Fatal("no clusters to serve")
 	}
 	q := append([]float64(nil), pts[17]...)
@@ -266,61 +262,72 @@ func BenchmarkAssignSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkChainDeltaSave is the acceptance gate of delta snapshots: the
-// bytes written per delta save must scale with the WINDOW of change (one
-// batch of appends plus bookkeeping), not with the committed point count n.
-// Each op ingests and commits one fresh 64-point batch, then saves a delta
-// through the ChainWriter of a one-shard engine; the reported
-// delta-bytes/op comes from the chain's own size accounting. A full v5 snapshot of the same state
-// scales with n — the recorded n=50000 / n=10000 delta-bytes ratio in
-// BENCH_PR10.json must stay near 1.
+// newDeltaChain builds BenchmarkChainDeltaSave's state: a one-shard engine
+// over n serving points and a chain writer whose first save, the full base,
+// is written.
+func newDeltaChain(tb testing.TB, n int) (*Sharded, *ChainWriter) {
+	tb.Helper()
+	cfg := benchConfig()
+	cfg.BatchSize = 256
+	e, err := NewSharded(ShardedConfig{Engine: cfg, Shards: 1}, benchData(n, 16))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { e.Close() })
+	c := NewChainWriter(e, tb.TempDir()+"/alid.snap", 1<<30)
+	if err := c.Save(); err != nil {
+		tb.Fatal(err)
+	}
+	return e, c
+}
+
+// saveDelta is BenchmarkChainDeltaSave's step: ingest and commit the i-th
+// fresh far-away 64-point batch, save it as a delta and return the delta's
+// size in bytes, from the chain's own accounting.
+func saveDelta(tb testing.TB, e *Sharded, c *ChainWriter, rng *rand.Rand, i int) int64 {
+	ctx := context.Background()
+	base := 1000 + float64(i)*100
+	bs := make([][]float64, 64)
+	for k := range bs {
+		p := make([]float64, 16)
+		for j := range p {
+			p[j] = base + rng.NormFloat64()*0.3
+		}
+		bs[k] = p
+	}
+	if err := e.Ingest(ctx, bs); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.Flush(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	before := c.Len()
+	if err := c.Save(); err != nil {
+		tb.Fatal(err)
+	}
+	if c.Len() != before+1 {
+		tb.Fatalf("chain length %d after a save, want %d (every save a delta)", c.Len(), before+1)
+	}
+	deltas := c.chains[0].Deltas
+	return int64(deltas[len(deltas)-1].Size)
+}
+
+// BenchmarkChainDeltaSave times one delta save after a fresh 64-point batch
+// at n=10000 and n=50000 committed points. A delta holds its batch plus
+// bookkeeping, so its size must not grow with n, while a full save of the
+// same state does; TestChainDeltaFollowsBatch asserts that by count.
 func BenchmarkChainDeltaSave(b *testing.B) {
 	for _, n := range []int{10000, 50000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			pts := benchData(n, 16)
-			cfg := benchConfig()
-			cfg.BatchSize = 256
-			e, err := NewSharded(ShardedConfig{Engine: cfg, Shards: 1}, pts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer e.Close()
-			ctx := context.Background()
-			c := NewChainWriter(e, b.TempDir()+"/alid.snap", 1<<30)
-			if err := c.Save(); err != nil { // full base, outside the timer
-				b.Fatal(err)
-			}
+			e, c := newDeltaChain(b, n)
 			rng := rand.New(rand.NewSource(95))
-			const batch = 64
 			var deltaBytes int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				base := 1000 + float64(i)*100
-				bs := make([][]float64, batch)
-				for k := range bs {
-					p := make([]float64, 16)
-					for j := range p {
-						p[j] = base + rng.NormFloat64()*0.3
-					}
-					bs[k] = p
-				}
-				if err := e.Ingest(ctx, bs); err != nil {
-					b.Fatal(err)
-				}
-				if err := e.Flush(ctx); err != nil {
-					b.Fatal(err)
-				}
-				if err := c.Save(); err != nil {
-					b.Fatal(err)
-				}
-				deltas := c.chains[0].Deltas
-				deltaBytes += int64(deltas[len(deltas)-1].Size)
+				deltaBytes += saveDelta(b, e, c, rng, i)
 			}
 			b.StopTimer()
-			if c.Len() != b.N {
-				b.Fatalf("chain length %d, want %d (every save a delta)", c.Len(), b.N)
-			}
 			b.ReportMetric(float64(deltaBytes)/float64(b.N), "delta-bytes/op")
 		})
 	}

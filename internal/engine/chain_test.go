@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -463,4 +464,27 @@ func TestChainWriterConcurrentSaves(t *testing.T) {
 	}
 	defer restored.Close()
 	sameShardBytes(t, s, restored)
+}
+
+// A delta holds its batch, not the committed state: a delta save after a
+// fresh 64-point batch writes as many bytes at 50,000 committed points as
+// at 10,000, by the chain's own count (≤ 1.2×).
+func TestChainDeltaFollowsBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the sizes do not depend on the race detector, and building 60,000 points under it takes about 25 s")
+	}
+	sizes := [2]int{10000, 50000}
+	var bytes [2]float64
+	for s, n := range sizes {
+		e, c := newDeltaChain(t, n)
+		rng := rand.New(rand.NewSource(95))
+		const saves = 5
+		for i := 0; i < saves; i++ {
+			bytes[s] += float64(saveDelta(t, e, c, rng, i)) / saves
+		}
+	}
+	t.Logf("delta bytes/save %.0f vs %.0f", bytes[0], bytes[1])
+	if r := bytes[1] / bytes[0]; r > 1.2 {
+		t.Errorf("a delta at n=%d writes %.0f bytes, %.2f× n=%d's %.0f (want ≤ 1.2×)", sizes[1], bytes[1], r, sizes[0], bytes[0])
+	}
 }

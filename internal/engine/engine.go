@@ -105,7 +105,6 @@ type Serving interface {
 	Ingest(ctx context.Context, pts [][]float64) error
 	Flush(ctx context.Context) error
 	Evict(ctx context.Context, ids []int) (int, error)
-	Clusters() []*core.Cluster
 	ClustersWithMeta() (clusters []*core.Cluster, n, commits int)
 	Stats() Stats
 	Config() Config
@@ -115,8 +114,9 @@ type Serving interface {
 
 // Assignment is the answer of the Assign read path.
 type Assignment struct {
-	// Cluster is the index of the winning cluster in Clusters(), or -1 when
-	// no maintained cluster shares an LSH bucket with the query (noise).
+	// Cluster is the index of the winning cluster in ClustersWithMeta, or
+	// -1 when no maintained cluster shares an LSH bucket with the query
+	// (noise).
 	Cluster int
 	// Score is g(q, x) = Σ_t w_t·a(q, s_t), the query's π-affinity against
 	// the winning cluster.
@@ -856,20 +856,12 @@ func (e *Engine) Close() error {
 	return e.closeErr
 }
 
-// Clusters returns the published dominant clusters. The slice is fresh; the
-// cluster values are the immutable published ones and must not be mutated.
-func (e *Engine) Clusters() []*core.Cluster {
-	st := e.state.Load()
-	if st == nil {
-		return nil
-	}
-	return append([]*core.Cluster(nil), st.view.Clusters...)
-}
-
 // ClustersWithMeta returns the published dominant clusters together with the
 // committed point count and commit counter of the SAME generation — one
 // atomic state load, so the three stay coherent even while commits land
-// concurrently (the /v1/clusters handler's contract).
+// concurrently (the /v1/clusters handler's contract). The slice is fresh;
+// the cluster values are the immutable published ones and must not be
+// mutated.
 func (e *Engine) ClustersWithMeta() (clusters []*core.Cluster, n, commits int) {
 	st := e.state.Load()
 	if st == nil {

@@ -24,6 +24,12 @@ func engineConfig() Config {
 	return Config{Core: c, BatchSize: 50}
 }
 
+// clustersOf returns a server's published clusters.
+func clustersOf(s Serving) []*core.Cluster {
+	cls, _, _ := s.ClustersWithMeta()
+	return cls
+}
+
 func blobEngine(t testing.TB) (*Engine, [][]float64) {
 	t.Helper()
 	pts, _ := testutil.Blobs(3, [][]float64{{0, 0}, {15, 15}}, 30, 0.3, 20, 0, 15)
@@ -99,7 +105,7 @@ func TestIngestRefusesNonFinitePoint(t *testing.T) {
 func TestEngineServesInitialDetection(t *testing.T) {
 	e, pts := blobEngine(t)
 	defer e.Close()
-	cls := e.Clusters()
+	cls := clustersOf(e)
 	if len(cls) < 2 {
 		t.Fatalf("clusters = %d, want ≥ 2", len(cls))
 	}
@@ -265,7 +271,7 @@ func TestIngestFlushAbsorbs(t *testing.T) {
 	if st := e.Stats(); st.N != len(pts) || st.Ingested != int64(len(pts)) || st.QueuedPoints != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		t.Fatal("no cluster after ingest")
 	}
 	a, err := e.Assign([]float64{0.1, 0.1})
@@ -289,7 +295,7 @@ func TestLabelsMatchClusters(t *testing.T) {
 	e, _ := blobEngine(t)
 	defer e.Close()
 	labels := e.View().Labels.Flat()
-	for ci, cl := range e.Clusters() {
+	for ci, cl := range clustersOf(e) {
 		for _, m := range cl.Members {
 			if labels[m] != ci {
 				t.Fatalf("label[%d] = %d, want %d", m, labels[m], ci)
@@ -384,47 +390,74 @@ func TestAssignMatchesFullScan(t *testing.T) {
 	}
 }
 
-// allocFreeServers builds the servers whose assign paths must allocate
-// nothing in steady state: a plain Engine and a one-shard Sharded router,
-// which alidd serves at -shards 1.
-func allocFreeServers(t *testing.T, pts [][]float64) map[string]Serving {
-	t.Helper()
-	e, err := New(engineConfig(), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { e.Close() })
-	s, err := NewSharded(ShardedConfig{Engine: engineConfig(), Shards: 1}, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s.Close() })
-	return map[string]Serving{"Engine": e, "Sharded(1)": s}
+// allocFreeServer is a server whose assign paths must allocate nothing in
+// steady state, with the queries to ask it.
+type allocFreeServer struct {
+	name    string
+	srv     Serving
+	queries [][]float64
 }
 
-// The assign path must stay allocation-free in steady state, through the
-// one-shard router too.
+// allocFreeServers builds a plain Engine and a one-shard Sharded router,
+// which alidd serves at -shards 1, on each backend: the dense one over pts,
+// asked queries, and the set one over two MinHash communities, asked as
+// many fresh members of those and of a third, unseen community.
+func allocFreeServers(t *testing.T, pts, queries [][]float64) []allocFreeServer {
+	t.Helper()
+	sigs := append(communitySigs(t, 7, 0, 25), communitySigs(t, 7, 1, 25)...)
+	sigQueries := make([][]float64, len(queries))
+	for i := range sigQueries {
+		sigQueries[i] = communitySigs(t, int64(100+i), i%3, 1)[0]
+	}
+	var out []allocFreeServer
+	for _, b := range []struct {
+		name         string
+		cfg          Config
+		pts, queries [][]float64
+	}{
+		{"dense", engineConfig(), pts, queries},
+		{"minhash", minhashEngineConfig(), sigs, sigQueries},
+	} {
+		e, err := New(b.cfg, b.pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		s, err := NewSharded(ShardedConfig{Engine: b.cfg, Shards: 1}, b.pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		out = append(out,
+			allocFreeServer{b.name + "/Engine", e, b.queries},
+			allocFreeServer{b.name + "/Sharded(1)", s, b.queries})
+	}
+	return out
+}
+
+// The assign path must stay allocation-free in steady state, on both
+// backends and through the one-shard router too.
 func TestAssignAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without -race")
 	}
 	pts, _ := testutil.Blobs(57, [][]float64{{0, 0}, {12, 12}}, 200, 0.05, 20, -15, 20)
 	queries := [][]float64{{0.1, -0.2}, {11.8, 12.3}, {6, 6}, {-14, 19}}
-	for name, e := range allocFreeServers(t, pts) {
+	for _, s := range allocFreeServers(t, pts, queries) {
 		for i := 0; i < 50; i++ { // warm the pooled scratch to steady capacity
-			if _, err := e.Assign(queries[i%len(queries)]); err != nil {
+			if _, err := s.srv.Assign(s.queries[i%len(s.queries)]); err != nil {
 				t.Fatal(err)
 			}
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := e.Assign(queries[i%len(queries)]); err != nil {
+			if _, err := s.srv.Assign(s.queries[i%len(s.queries)]); err != nil {
 				t.Fatal(err)
 			}
 			i++
 		})
 		if allocs != 0 {
-			t.Errorf("%s: Assign allocates %v per call, want 0", name, allocs)
+			t.Errorf("%s: Assign allocates %v per call, want 0", s.name, allocs)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func TestEvictCrosscheckSurvivorRebuild(t *testing.T) {
 	e, pts := blobEngine(t)
 	defer e.Close()
 	ctx := context.Background()
-	if len(e.Clusters()) < 2 {
+	if len(clustersOf(e)) < 2 {
 		t.Fatal("need ≥ 2 clusters — crosscheck is vacuous")
 	}
 

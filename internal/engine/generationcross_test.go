@@ -115,7 +115,7 @@ func TestCompactGenerationCrosscheckSurvivorRebuild(t *testing.T) {
 	e, pts := compactingEngine(t)
 	defer e.Close()
 	ctx := context.Background()
-	if len(e.Clusters()) < 2 {
+	if len(clustersOf(e)) < 2 {
 		t.Fatal("need ≥ 2 clusters — crosscheck is vacuous")
 	}
 
@@ -209,8 +209,8 @@ func TestCompactGenerationCrosscheckMinHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) < 2 {
-		t.Fatalf("clusters = %d, want ≥ 2", len(e.Clusters()))
+	if len(clustersOf(e)) < 2 {
+		t.Fatalf("clusters = %d, want ≥ 2", len(clustersOf(e)))
 	}
 
 	ids := []int{0, 3, 9}

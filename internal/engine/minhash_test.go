@@ -67,8 +67,8 @@ func TestMinHashEngineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) < 2 {
-		t.Fatalf("clusters = %d, want ≥ 2", len(e.Clusters()))
+	if len(clustersOf(e)) < 2 {
+		t.Fatalf("clusters = %d, want ≥ 2", len(clustersOf(e)))
 	}
 
 	// Fresh near-duplicates of each community land in distinct clusters.
@@ -199,7 +199,7 @@ func TestMinHashDeterministicAcrossParallelism(t *testing.T) {
 				as = append(as, a)
 			}
 		}
-		return as, e.Clusters()
+		return as, clustersOf(e)
 	}
 
 	prev := runtime.GOMAXPROCS(1)
@@ -252,8 +252,8 @@ func benchCommunitySigs(b *testing.B, nCommunities, size int) [][]float64 {
 // 10k-signature state (200 near-duplicate communities of 50) under the
 // Jaccard kernel. Probes are fresh community variations, pre-signed outside
 // the timer — the signing cost itself is BenchmarkMinHashSignature
-// (internal/minhash). scripts/bench.sh records the ns/op into
-// BENCH_PR9.json.
+// (internal/minhash). TestAssignAllocFree keeps the set path at 0 allocs
+// per assign.
 func BenchmarkAssignSet(b *testing.B) {
 	const nCommunities = 200
 	cfg := core.DefaultConfig()
@@ -267,7 +267,7 @@ func BenchmarkAssignSet(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer e.Close()
-	if len(e.Clusters()) == 0 {
+	if len(clustersOf(e)) == 0 {
 		b.Fatal("no clusters to serve")
 	}
 

@@ -60,7 +60,7 @@ func TestConcurrentAssignIngest(t *testing.T) {
 				}
 				switch rng.Intn(8) {
 				case 0:
-					e.Clusters()
+					clustersOf(e)
 				case 1:
 					e.View().Labels.Flat()
 				case 2:
@@ -184,7 +184,7 @@ func TestConcurrentAssignIngest(t *testing.T) {
 	}
 	// Final consistency between the published labels and clusters.
 	labels := e.View().Labels.Flat()
-	for ci, cl := range e.Clusters() {
+	for ci, cl := range clustersOf(e) {
 		for _, m := range cl.Members {
 			if labels[m] != ci {
 				t.Fatalf("label[%d] = %d, want %d", m, labels[m], ci)

@@ -60,7 +60,7 @@ func refMerge(t *testing.T, baselines []*Engine, q []float64) Assignment {
 			best.Cluster = off + a.Cluster
 			bestShard = i
 		}
-		off += len(sh.Clusters())
+		off += len(clustersOf(sh))
 	}
 	if bestShard < 0 {
 		return Assignment{Cluster: -1, Candidates: cands}
@@ -75,7 +75,7 @@ func refClusters(baselines []*Engine) []*core.Cluster {
 	n := len(baselines)
 	var out []*core.Cluster
 	for si, sh := range baselines {
-		for _, cl := range sh.Clusters() {
+		for _, cl := range clustersOf(sh) {
 			cp := *cl
 			cp.Members = make([]int, len(cl.Members))
 			for i, m := range cl.Members {
@@ -129,7 +129,7 @@ func checkShardedStage(t *testing.T, stage string, s *Sharded, baselines []*Engi
 	}
 	offs := make([]int, len(baselines)+1)
 	for i, sh := range baselines {
-		offs[i+1] = offs[i] + len(sh.Clusters())
+		offs[i+1] = offs[i] + len(clustersOf(sh))
 	}
 	for qi, q := range queries {
 		single, err := s.Assign(q)
@@ -163,7 +163,7 @@ func checkShardedStage(t *testing.T, stage string, s *Sharded, baselines []*Engi
 		}
 	}
 
-	got, want := s.Clusters(), refClusters(baselines)
+	got, want := clustersOf(s), refClusters(baselines)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d clusters vs reference %d", stage, len(got), len(want))
 	}
@@ -376,7 +376,7 @@ func TestShardedSingleShardMatchesEngine(t *testing.T) {
 		}
 	}
 
-	sc, pc := s.Clusters(), plain.Clusters()
+	sc, pc := clustersOf(s), clustersOf(plain)
 	if len(sc) != len(pc) {
 		t.Fatalf("clusters %d vs %d", len(sc), len(pc))
 	}

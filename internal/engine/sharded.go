@@ -34,22 +34,23 @@
 // index wins, the shard-level analogue of the engine's first-seen candidate
 // order. Winning cluster ids are translated to global ids by offsetting with
 // the prefix sum of per-shard cluster counts (shard 0's clusters first), the
-// same order Clusters() concatenates in. The merge iterates shards in index
-// order over slot-indexed scatter results, so answers are bit-identical at
-// any GOMAXPROCS — and a 1-shard router answers bit-identically to its
-// inner Engine. Per-shard answers are exact (PR 6), so the merged winner is
-// the best-scoring cluster across ALL shards over the union of the shards'
-// candidates: exactly the DALID partition argument (paper §5) — partitions
-// are scored independently and only the maximum survives the merge. What
-// sharding does change is detection itself: each shard detects clusters over
-// its own partition, so the maintained cluster STRUCTURE at N > 1 matches N
-// independent engines fed the routed subsets, not one engine fed everything
-// (engine/shardcross_test.go pins exactly that contract).
+// same order ClustersWithMeta concatenates in. The merge iterates shards in
+// index order over slot-indexed scatter results, so answers are
+// bit-identical at any GOMAXPROCS — and a 1-shard router answers
+// bit-identically to its inner Engine. Per-shard answers are exact (PR 6),
+// so the merged winner is the best-scoring cluster across ALL shards over
+// the union of the shards' candidates: exactly the DALID partition argument
+// (paper §5) — partitions are scored independently and only the maximum
+// survives the merge. What sharding does change is detection itself: each
+// shard detects clusters over its own partition, so the maintained cluster
+// STRUCTURE at N > 1 matches N independent engines fed the routed subsets,
+// not one engine fed everything (engine/shardcross_test.go pins exactly that
+// contract).
 //
 // Aggregation. Stats sums per-shard counters (Assigns comes from the
 // router: each logical query touches all N shards, and the per-shard
-// alid_assigns_total{shard=…} counters reflect that fan-out). Clusters and
-// ClustersWithMeta concatenate in shard order with member/seed ids
+// alid_assigns_total{shard=…} counters reflect that fan-out).
+// ClustersWithMeta concatenates in shard order with member/seed ids
 // translated to global ids. Evict routes each global id to its owning
 // shard. Every shard registers its metric families into one shared
 // registry, with a constant shard="…" label when N > 1 (at N = 1 the
@@ -450,9 +451,9 @@ func (s *Sharded) Evict(ctx context.Context, ids []int) (int, error) {
 // Assign scatters the query to every shard, pins one published generation
 // per shard, and merges by best affinity score (ties → lowest shard index).
 // The winning cluster id is GLOBAL: the shard's local id offset by the
-// cluster counts of all lower shards, matching Clusters() order. Candidates
-// sums the per-shard diagnostics. Bit-identical at any GOMAXPROCS; a
-// 1-shard router answers bit-identically to a plain Engine.
+// cluster counts of all lower shards, matching ClustersWithMeta's order.
+// Candidates sums the per-shard diagnostics. Bit-identical at any
+// GOMAXPROCS; a 1-shard router answers bit-identically to a plain Engine.
 func (s *Sharded) Assign(q []float64) (Assignment, error) {
 	gs := s.gpool.Get().(*gatherScratch)
 	defer s.gpool.Put(gs)
@@ -517,23 +518,12 @@ func (s *Sharded) globalCluster(cl *core.Cluster, shard int) *core.Cluster {
 	return &cp
 }
 
-// Clusters returns the maintained clusters of every shard, concatenated in
-// shard order (the order Assign's global cluster ids index into), with
-// member/seed ids translated to global ids.
-func (s *Sharded) Clusters() []*core.Cluster {
-	var out []*core.Cluster
-	for si, sh := range s.shards {
-		for _, cl := range sh.Clusters() {
-			out = append(out, s.globalCluster(cl, si))
-		}
-	}
-	return out
-}
-
-// ClustersWithMeta is Clusters plus the summed committed point count and
-// commit counter. Each shard's triple is internally coherent (one pinned
-// generation per shard); the sums across shards are monitoring-grade, like
-// Stats.
+// ClustersWithMeta returns the maintained clusters of every shard,
+// concatenated in shard order (the order Assign's global cluster ids index
+// into) with member/seed ids translated to global ids, plus the summed
+// committed point count and commit counter. Each shard's triple is
+// internally coherent (one pinned generation per shard); the sums across
+// shards are monitoring-grade, like Stats.
 func (s *Sharded) ClustersWithMeta() (clusters []*core.Cluster, n, commits int) {
 	for si, sh := range s.shards {
 		cls, sn, sc := sh.ClustersWithMeta()

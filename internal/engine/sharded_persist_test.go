@@ -176,7 +176,7 @@ func TestShardedSaveLoadRoundTrip(t *testing.T) {
 			t.Fatalf("batch query %d: saved %+v vs restored %+v", qi, ba[qi], bb[qi])
 		}
 	}
-	sc, rc := s.Clusters(), r.Clusters()
+	sc, rc := clustersOf(s), clustersOf(r)
 	if len(sc) != len(rc) {
 		t.Fatalf("clusters %d vs %d", len(sc), len(rc))
 	}

@@ -25,7 +25,7 @@ func (e *Engine) WriteSnapshot(w io.Writer) error {
 
 func sameClusters(t *testing.T, live, restored *Engine) {
 	t.Helper()
-	a, b := live.Clusters(), restored.Clusters()
+	a, b := clustersOf(live), clustersOf(restored)
 	if len(a) != len(b) {
 		t.Fatalf("cluster counts differ: %d vs %d", len(a), len(b))
 	}
@@ -103,7 +103,7 @@ func crossQueries(n int) [][]float64 {
 func TestSnapshotCrosscheckAssignClusters(t *testing.T) {
 	live, _ := blobEngine(t)
 	defer live.Close()
-	if len(live.Clusters()) == 0 {
+	if len(clustersOf(live)) == 0 {
 		t.Fatal("no clusters — crosscheck is vacuous")
 	}
 

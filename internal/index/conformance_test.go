@@ -36,8 +36,8 @@ type conformanceBackend struct {
 	name  string
 	gen   func(seed int64, n int) [][]float64
 	build func(pts [][]float64) (index.Index, error)
-	// restore round-trips through the backend's chunked dump; live == nil
-	// uses the plain constructor, otherwise the liveness-aware one.
+	// restore round-trips n ids through the backend's chunked dump and
+	// restore constructor, with live as the ids' liveness.
 	restore func(ix index.Index, n int, live func(int) bool) (index.Index, error)
 }
 
@@ -65,10 +65,7 @@ func backends() []conformanceBackend {
 			build: func(pts [][]float64) (index.Index, error) { return lsh.Build(pts, confLSHCfg) },
 			restore: func(ix index.Index, n int, live func(int) bool) (index.Index, error) {
 				cfg, dim, tables := ix.(*lsh.Index).DumpChunks()
-				if live == nil {
-					return lsh.FromDumpChunks(cfg, dim, tables)
-				}
-				return lsh.FromDumpChunksLive(cfg, dim, n, tables, live)
+				return lsh.FromDumpChunks(cfg, dim, n, tables, live)
 			},
 		},
 		{
@@ -103,10 +100,7 @@ func backends() []conformanceBackend {
 			},
 			restore: func(ix index.Index, n int, live func(int) bool) (index.Index, error) {
 				mh := ix.(*minhash.Index)
-				if live == nil {
-					return minhash.FromKeyChunks(mh.Config(), mh.KeyChunks())
-				}
-				return minhash.FromKeyChunksLive(mh.Config(), n, mh.KeyChunks(), live)
+				return minhash.FromKeyChunks(mh.Config(), n, mh.KeyChunks(), live)
 			},
 		},
 	}
@@ -373,7 +367,7 @@ func TestConformanceDumpRestore(t *testing.T) {
 			}
 			probes := pts[:70]
 
-			plain, err := b.restore(ix, len(pts), nil)
+			plain, err := b.restore(ix, len(pts), func(int) bool { return true })
 			if err != nil {
 				t.Fatal(err)
 			}

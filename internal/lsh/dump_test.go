@@ -39,8 +39,8 @@ func TestDumpRestoreIdenticalQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dcfg, dim, tables := idx.Dump()
-	restored, err := FromDump(dcfg, dim, tables)
+	dcfg, dim, tables := idx.DumpChunks()
+	restored, err := FromDumpChunks(dcfg, dim, idx.N(), tables, allLive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +63,31 @@ func TestDumpRestoreIdenticalQueries(t *testing.T) {
 	}
 }
 
+// The flat (v1) layout restores through ChunkKeys and FromDumpChunks, which
+// refuse a bad dimension, a table-count mismatch, and a key list whose
+// length is not the id count.
 func TestFromDumpValidation(t *testing.T) {
 	pts := randPoints(5, 50, 4)
 	idx, err := Build(pts, Config{Projections: 4, Tables: 3, R: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, dim, tables := idx.Dump()
-	if _, err := FromDump(cfg, 0, tables); err == nil {
+	cfg, dim, tables := idx.dumpFlat()
+	n := idx.N()
+	if _, err := FromDumpChunks(cfg, 0, n, tables, allLive); err == nil {
 		t.Fatal("accepted zero dimension")
 	}
-	if _, err := FromDump(cfg, dim, tables[:1]); err == nil {
+	if _, err := FromDumpChunks(cfg, dim, n, tables[:1], allLive); err == nil {
 		t.Fatal("accepted table-count mismatch")
 	}
-	bad := make([]TableDump, len(tables))
+	bad := make([]TableChunks, len(tables))
 	copy(bad, tables)
-	bad[1].Keys = bad[1].Keys[:10]
-	if _, err := FromDump(cfg, dim, bad); err == nil {
+	bad[1].KeyChunks = ChunkKeys(tables[1].KeyChunks[0][:10])
+	if _, err := FromDumpChunks(cfg, dim, n, bad, allLive); err == nil {
 		t.Fatal("accepted ragged key lists")
+	}
+	if _, err := FromDumpChunks(cfg, dim, n+1, tables, allLive); err == nil {
+		t.Fatal("accepted key lists shorter than the id count")
 	}
 }
 

@@ -225,7 +225,7 @@ func TestEvictKeyChunkReleaseAndRestore(t *testing.T) {
 	}
 
 	dcfg, dim, tables := idx.DumpChunks()
-	restored, err := FromDumpChunksLive(dcfg, dim, n, tables, func(id int) bool { return id >= KeyChunk })
+	restored, err := FromDumpChunks(dcfg, dim, n, tables, func(id int) bool { return id >= KeyChunk })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestEvictKeyChunkReleaseAndRestore(t *testing.T) {
 	}
 
 	// Validation: an empty chunk whose range still has live ids is rejected.
-	if _, err := FromDumpChunksLive(dcfg, dim, n, tables, func(id int) bool { return id != 0 }); err == nil {
+	if _, err := FromDumpChunks(dcfg, dim, n, tables, func(id int) bool { return id != 0 }); err == nil {
 		t.Fatal("released chunk with live ids accepted")
 	}
 }

@@ -153,21 +153,6 @@ func (v *keyvec) snapshot() *keyvec {
 	return s
 }
 
-// fromKeyChunks adopts canonically chunked keys without copying.
-func fromKeyChunks(chunks [][]uint64) (*keyvec, error) {
-	n := 0
-	for c, ch := range chunks {
-		if c < len(chunks)-1 && len(ch) != KeyChunk {
-			return nil, fmt.Errorf("lsh: key chunk %d has %d keys, want %d", c, len(ch), KeyChunk)
-		}
-		if len(ch) == 0 || len(ch) > KeyChunk {
-			return nil, fmt.Errorf("lsh: key chunk %d has %d keys", c, len(ch))
-		}
-		n += len(ch)
-	}
-	return &keyvec{chunks: chunks, n: n}, nil
-}
-
 // segment is one sealed (or, for the tail, still-mutable) portion of a
 // table's buckets, covering a contiguous ascending range of point ids.
 // Sealed segments are immutable and shared by every snapshot taken after the
@@ -734,19 +719,6 @@ func (i *Index) VisitLiveBuckets(f func(table int, key uint64, ids []int32)) {
 	}
 }
 
-// TableDump is the flat serializable state of one hash table (the legacy v1
-// snapshot layout; the v2 codec uses DumpChunks). Buckets are not dumped:
-// they are a deterministic function of Keys (bucket fill inserts points in
-// ascending id order), so restore rebuilds them bit-identically.
-type TableDump struct {
-	// Proj is the row-major Projections×dim projection matrix a_t.
-	Proj []float64
-	// Off holds the Projections offsets b_t.
-	Off []float64
-	// Keys is the inverted list: Keys[i] is point i's bucket key.
-	Keys []uint64
-}
-
 // TableChunks is the chunked serializable state of one hash table: the
 // inverted list in canonical KeyChunk-sized chunks, exactly as stored. The
 // v2 snapshot codec streams these without materializing a flat copy, and
@@ -810,109 +782,28 @@ func validateTable(cfg Config, dim, t int, proj, off []float64) error {
 	return nil
 }
 
-// rebuildBase fills one sealed base segment from a table's inverted list in
-// ascending point-id order — the same order BuildMatrix and Append use — so
-// a restored index answers every query identically to the dumped one.
-func rebuildBase(tb *table, n int) {
-	base := &segment{buckets: make(map[uint64][]int32, min(n, 1<<16)), size: n}
-	for i := 0; i < n; i++ {
-		key := tb.keys.at(i)
-		base.buckets[key] = append(base.buckets[key], int32(i))
+// ChunkKeys splits a flat inverted list (the legacy v1 snapshot layout) into
+// canonical KeyChunk-sized chunks for FromDumpChunks. The chunks alias keys.
+func ChunkKeys(keys []uint64) [][]uint64 {
+	var out [][]uint64
+	for c := range slices.Chunk(keys, KeyChunk) {
+		out = append(out, c)
 	}
-	tb.segs = []*segment{base}
+	return out
 }
 
-// FromDump reconstructs an index from flat dumped state (the legacy v1
-// snapshot layout), re-chunking the inverted lists and rebuilding every
-// bucket into a single sealed base segment.
-func FromDump(cfg Config, dim int, tables []TableDump) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("lsh: dump dimension %d", dim)
-	}
-	if len(tables) != cfg.Tables {
-		return nil, fmt.Errorf("lsh: dump has %d tables, config says %d", len(tables), cfg.Tables)
-	}
-	n := -1
-	idx := &Index{cfg: cfg, dim: dim, tables: make([]table, len(tables))}
-	for t, td := range tables {
-		if err := validateTable(cfg, dim, t, td.Proj, td.Off); err != nil {
-			return nil, err
-		}
-		if n == -1 {
-			n = len(td.Keys)
-		} else if len(td.Keys) != n {
-			return nil, fmt.Errorf("lsh: table %d has %d keys, table 0 has %d", t, len(td.Keys), n)
-		}
-		tb := &idx.tables[t]
-		tb.proj = td.Proj
-		tb.off = td.Off
-		tb.keys = newKeyvec(len(td.Keys))
-		for i, key := range td.Keys {
-			tb.keys.set(i, key)
-		}
-		rebuildBase(tb, n)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("lsh: dump has no points")
-	}
-	idx.n = n
-	return idx, nil
-}
-
-// FromDumpChunks reconstructs an index from chunked dumped state (the v2
-// snapshot layout), adopting the key chunks without copying and rebuilding
-// every bucket into a single sealed base segment. Runtime segmentation is
-// not persisted — it only shapes future publish costs, never query answers.
-func FromDumpChunks(cfg Config, dim int, tables []TableChunks) (*Index, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if dim <= 0 {
-		return nil, fmt.Errorf("lsh: dump dimension %d", dim)
-	}
-	if len(tables) != cfg.Tables {
-		return nil, fmt.Errorf("lsh: dump has %d tables, config says %d", len(tables), cfg.Tables)
-	}
-	n := -1
-	idx := &Index{cfg: cfg, dim: dim, tables: make([]table, len(tables))}
-	for t, td := range tables {
-		if err := validateTable(cfg, dim, t, td.Proj, td.Off); err != nil {
-			return nil, err
-		}
-		kv, err := fromKeyChunks(td.KeyChunks)
-		if err != nil {
-			return nil, fmt.Errorf("lsh: table %d: %w", t, err)
-		}
-		if n == -1 {
-			n = kv.n
-		} else if kv.n != n {
-			return nil, fmt.Errorf("lsh: table %d has %d keys, table 0 has %d", t, kv.n, n)
-		}
-		tb := &idx.tables[t]
-		tb.proj = td.Proj
-		tb.off = td.Off
-		tb.keys = kv
-		rebuildBase(tb, n)
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("lsh: dump has no points")
-	}
-	idx.n = n
-	return idx, nil
-}
-
-// FromDumpChunksLive reconstructs an index from chunked dumped state
-// together with per-id liveness — the v3 snapshot layout. Inverted-list
-// chunks may be empty: that marks released storage and is only legal when
-// every id in the chunk's range is dead. Dead ids are physically dropped
-// while rebuilding the base segments, so the restored index starts with no
-// resident tombstones yet answers every query exactly as the evicted index
-// that was dumped. n is the total id count, dead ids included (it cannot be
-// derived from the chunks once some are released).
-func FromDumpChunksLive(cfg Config, dim, n int, tables []TableChunks, live func(id int) bool) (*Index, error) {
+// FromDumpChunks reconstructs an index from its chunked dumped state and
+// per-id liveness, adopting the key chunks without copying. n is the total
+// id count, dead ids included (it cannot be derived from the chunks once
+// some are released), and every table must hold n keys in canonical
+// chunks. A key chunk may be empty: that marks released storage and is only
+// legal when every id in the chunk's range is dead. Each table's buckets
+// are rebuilt into one sealed base segment in ascending id order with the
+// dead ids dropped, so the restored index starts with no resident
+// tombstones yet answers every query exactly as the dumped one. Runtime
+// segmentation is not persisted — it only shapes future publish costs,
+// never query answers.
+func FromDumpChunks(cfg Config, dim, n int, tables []TableChunks, live func(id int) bool) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,8 @@ package lsh
 import "fmt"
 
 // Reference paths for the tests. Query is an independent, map-deduplicated
-// form of QueryInto; Dump materializes the flat inverted lists FromDump
-// (the legacy v1 snapshot layout) adopts.
+// form of QueryInto; dumpFlat materializes the flat inverted lists of the
+// legacy v1 snapshot layout and splits them as its decoder does.
 
 // Query returns the ids of all live points sharing a bucket with v in any
 // table, deduplicated, excluding nothing else. The result ordering is
@@ -35,17 +35,20 @@ func (i *Index) Query(v []float64) []int32 {
 	return out
 }
 
-// Dump exports the index state in flat form. Proj and Off alias index
-// storage (read-only); Keys is freshly materialized from the chunked
-// inverted list.
-func (i *Index) Dump() (Config, int, []TableDump) {
-	out := make([]TableDump, len(i.tables))
+// dumpFlat exports the index state the way the v1 decoder hands it to
+// FromDumpChunks: each inverted list materialized flat, then split by
+// ChunkKeys. Proj and Off alias index storage (read-only).
+func (i *Index) dumpFlat() (Config, int, []TableChunks) {
+	out := make([]TableChunks, len(i.tables))
 	for t := range i.tables {
 		tb := &i.tables[t]
-		out[t] = TableDump{Proj: tb.proj, Off: tb.off, Keys: tb.keys.flat()}
+		out[t] = TableChunks{Proj: tb.proj, Off: tb.off, KeyChunks: ChunkKeys(tb.keys.flat())}
 	}
 	return i.cfg, i.dim, out
 }
+
+// allLive is the liveness of an index that never evicted.
+func allLive(int) bool { return true }
 
 // flat materializes the keys into a fresh slice (compat/diagnostic path).
 func (v *keyvec) flat() []uint64 {

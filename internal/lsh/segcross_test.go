@@ -97,20 +97,20 @@ func TestSegmentedDumpRestore(t *testing.T) {
 		idx.Publish()
 	}
 
-	dcfg, dim, flatTables := idx.Dump()
-	fromFlat, err := FromDump(dcfg, dim, flatTables)
+	dcfg, dim, flatTables := idx.dumpFlat()
+	fromFlat, err := FromDumpChunks(dcfg, dim, idx.N(), flatTables, allLive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ccfg, cdim, chunkTables := idx.DumpChunks()
-	fromChunks, err := FromDumpChunks(ccfg, cdim, chunkTables)
+	fromChunks, err := FromDumpChunks(ccfg, cdim, idx.N(), chunkTables, allLive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < idx.N(); id += 11 {
 		want := idx.CandidatesByID(id)
-		sameIDs(t, want, fromFlat.CandidatesByID(id), "FromDump CandidatesByID")
-		sameIDs(t, want, fromChunks.CandidatesByID(id), "FromDumpChunks CandidatesByID")
+		sameIDs(t, want, fromFlat.CandidatesByID(id), "flat CandidatesByID")
+		sameIDs(t, want, fromChunks.CandidatesByID(id), "chunked CandidatesByID")
 	}
 }
 
@@ -122,16 +122,20 @@ func TestFromDumpChunksValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	dcfg, dim, tables := idx.DumpChunks()
-	if _, err := FromDumpChunks(dcfg, 0, tables); err == nil {
+	n := idx.N()
+	if _, err := FromDumpChunks(dcfg, 0, n, tables, allLive); err == nil {
 		t.Fatal("accepted zero dimension")
 	}
-	if _, err := FromDumpChunks(dcfg, dim, tables[:1]); err == nil {
+	if _, err := FromDumpChunks(dcfg, dim, n, tables[:1], allLive); err == nil {
 		t.Fatal("accepted table-count mismatch")
+	}
+	if _, err := FromDumpChunks(dcfg, dim, 0, tables, allLive); err == nil {
+		t.Fatal("accepted an empty dump")
 	}
 	bad := make([]TableChunks, len(tables))
 	copy(bad, tables)
 	bad[1].KeyChunks = [][]uint64{tables[1].KeyChunks[0][:10]}
-	if _, err := FromDumpChunks(dcfg, dim, bad); err == nil {
+	if _, err := FromDumpChunks(dcfg, dim, n, bad, allLive); err == nil {
 		t.Fatal("accepted ragged key chunks")
 	}
 }

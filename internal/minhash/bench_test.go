@@ -33,7 +33,7 @@ func benchSigs(b *testing.B, cfg Config, nCommunities, size int) [][]float64 {
 
 // BenchmarkMinHashQuery measures the allocation-free candidate-query path on
 // a 10k-signature near-duplicate index (200 communities of 50): one
-// QueryInto per op. scripts/bench.sh records the ns/op into BENCH_PR9.json.
+// QueryInto per op.
 func BenchmarkMinHashQuery(b *testing.B) {
 	cfg := DefaultConfig()
 	sigs := benchSigs(b, cfg, 200, 50)

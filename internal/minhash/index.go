@@ -173,30 +173,17 @@ func fromChunks(cfg Config, chunks [][][]uint64) ([]lsh.TableChunks, error) {
 	return tables, nil
 }
 
-// FromKeyChunks reconstructs an index from dumped key chunks, rebuilding
-// every bucket into a single sealed base segment in ascending id order —
-// bit-identical answers to the dumped index.
-func FromKeyChunks(cfg Config, chunks [][][]uint64) (*Index, error) {
+// FromKeyChunks reconstructs an index of n ids from dumped key chunks and
+// per-id liveness, exactly as lsh.FromDumpChunks does for the dense backend:
+// every bucket is rebuilt into a single sealed base segment in ascending id
+// order, dead ids dropped, so the restored index answers bit-identically to
+// the dumped one.
+func FromKeyChunks(cfg Config, n int, chunks [][][]uint64, live func(id int) bool) (*Index, error) {
 	tables, err := fromChunks(cfg, chunks)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := lsh.FromDumpChunks(lshConfig(cfg), cfg.SigLen(), tables)
-	if err != nil {
-		return nil, err
-	}
-	return &Index{cfg: cfg, inner: inner}, nil
-}
-
-// FromKeyChunksLive is FromKeyChunks with retention-style liveness: ids for
-// which live returns false are restored as tombstones, exactly as
-// lsh.FromDumpChunksLive does for the dense backend.
-func FromKeyChunksLive(cfg Config, n int, chunks [][][]uint64, live func(id int) bool) (*Index, error) {
-	tables, err := fromChunks(cfg, chunks)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := lsh.FromDumpChunksLive(lshConfig(cfg), cfg.SigLen(), n, tables, live)
+	inner, err := lsh.FromDumpChunks(lshConfig(cfg), cfg.SigLen(), n, tables, live)
 	if err != nil {
 		return nil, err
 	}

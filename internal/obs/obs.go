@@ -15,9 +15,8 @@
 // Metrics are diagnostics, carved out of the determinism contract exactly
 // like the engine's kernel-evaluation counters: nothing on a deterministic
 // path may ever read a metric to make a decision, and the `noobs` build tag
-// compiles every mutator down to a no-op so the overhead of the enabled
-// build can be measured against a disabled one (scripts/bench.sh records
-// the delta).
+// compiles every mutator down to a no-op so a build can leave the
+// observability layer out entirely.
 package obs
 
 import (

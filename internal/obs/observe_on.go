@@ -7,8 +7,7 @@ import "time"
 // This file holds every mutator of the metrics kernel. Its `noobs` twin
 // (observe_off.go) compiles each one down to an empty body, so a `-tags
 // noobs` build disables the entire observability layer with zero call-site
-// changes — scripts/bench.sh measures the enabled-vs-disabled Assign
-// throughput delta from exactly this switch.
+// changes.
 
 // Add increments the counter. Negative deltas are a programming error but
 // are applied as-is (counters never validate on the hot path).

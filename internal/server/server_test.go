@@ -216,8 +216,8 @@ func TestClustersEndpoint(t *testing.T) {
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", res.StatusCode)
 	}
-	if out.N != eng.Stats().N || len(out.Clusters) != len(eng.Clusters()) {
-		t.Fatalf("response %+v vs engine n=%d clusters=%d", out, eng.Stats().N, len(eng.Clusters()))
+	if st := eng.Stats(); out.N != st.N || len(out.Clusters) != st.Clusters {
+		t.Fatalf("response %+v vs engine n=%d clusters=%d", out, st.N, st.Clusters)
 	}
 	for i, c := range out.Clusters {
 		if c.ID != i || c.Size == 0 || len(c.Members) != c.Size || len(c.Weights) != c.Size {

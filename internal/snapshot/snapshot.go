@@ -626,13 +626,7 @@ func (r *reader) readSegmented(s *Snapshot, version uint32) error {
 			if mcfg.SigLen() != s.Mat.D {
 				return fmt.Errorf("snapshot: minhash signatures hold %d×%d values, matrix rows %d", mcfg.Bands, mcfg.Rows, s.Mat.D)
 			}
-			var idx *minhash.Index
-			var err error
-			if tombstoned {
-				idx, err = minhash.FromKeyChunksLive(mcfg, s.Mat.N, chunks, s.Mat.Live)
-			} else {
-				idx, err = minhash.FromKeyChunks(mcfg, chunks)
-			}
+			idx, err := minhash.FromKeyChunks(mcfg, s.Mat.N, chunks, s.Mat.Live)
 			if err != nil {
 				return fmt.Errorf("snapshot: %w", err)
 			}
@@ -654,16 +648,10 @@ func (r *reader) readSegmented(s *Snapshot, version uint32) error {
 			tables = append(tables, tb)
 		}
 		if r.err == nil {
-			var idx *lsh.Index
-			var err error
-			if tombstoned {
-				// The index's tombstones are the matrix's liveness (the stream
-				// keeps them in lockstep); dead ids are physically dropped while
-				// rebuilding buckets.
-				idx, err = lsh.FromDumpChunksLive(icfg, idim, s.Mat.N, tables, s.Mat.Live)
-			} else {
-				idx, err = lsh.FromDumpChunks(icfg, idim, tables)
-			}
+			// The index's tombstones are the matrix's liveness (the stream
+			// keeps them in lockstep); dead ids are physically dropped while
+			// rebuilding buckets.
+			idx, err := lsh.FromDumpChunks(icfg, idim, s.Mat.N, tables, s.Mat.Live)
 			if err != nil {
 				return fmt.Errorf("snapshot: %w", err)
 			}
@@ -699,16 +687,16 @@ func (r *reader) readV1(s *Snapshot) error {
 
 	icfg, idim := r.indexConfig()
 	nTables := r.length("table list")
-	var tables []lsh.TableDump
+	var tables []lsh.TableChunks
 	for t := 0; r.err == nil && t < nTables; t++ {
-		tables = append(tables, lsh.TableDump{
-			Proj: r.f64s("projections"),
-			Off:  r.f64s("offsets"),
-			Keys: r.u64s("keys"),
+		tables = append(tables, lsh.TableChunks{
+			Proj:      r.f64s("projections"),
+			Off:       r.f64s("offsets"),
+			KeyChunks: lsh.ChunkKeys(r.u64s("keys")),
 		})
 	}
 	if r.err == nil {
-		idx, err := lsh.FromDump(icfg, idim, tables)
+		idx, err := lsh.FromDumpChunks(icfg, idim, s.Mat.N, tables, s.Mat.Live)
 		if err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}

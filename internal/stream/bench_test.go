@@ -23,6 +23,9 @@ func commitBenchConfig() Config {
 	return Config{Core: c, BatchSize: 1 << 30}
 }
 
+// commitDim is the dimension of every commit benchmark's points.
+const commitDim = 16
+
 // commitBenchData builds n points in d=16 as n/200 tight, well-separated
 // Gaussian blobs — many moderate clusters, the serving-representative shape.
 func commitBenchData(n, d int) [][]float64 {
@@ -48,193 +51,186 @@ func commitBenchData(n, d int) [][]float64 {
 	return pts
 }
 
-// BenchmarkEvict is the acceptance gate of tombstoned eviction: an
-// ingest+evict loop at a fixed retention window must keep (a) the live
-// point count at the window and (b) the per-commit cost flat in the number
-// of points EVER seen. The sub-benchmarks pre-run the loop until `ever`
-// total points have been committed (10× and 50× the window), then measure
-// the steady-state cost of one more batch commit — which includes the
-// retention eviction of one expired batch, its cluster teardown and the
-// share-and-seal publish bookkeeping. scripts/bench.sh records the
-// ever=100000 / ever=20000 ratio into BENCH_PR5.json (gate: ≤ 1.3); a
-// growing ratio means some per-commit path still scales with dead state.
+// The retention loop streams one fresh far-away blob of retentionBatch
+// points per commit into a window of retentionWindow points, so in steady
+// state every commit evicts one expired blob and tears down its cluster.
+const (
+	retentionWindow = 2000
+	retentionBatch  = 64
+)
+
+// retentionLoop is BenchmarkEvict's ingest+evict loop and, with
+// compactShare > 0, BenchmarkGenerationSteadyState's: the engine's
+// compaction policy, inlined, renumbers once the evicted share of
+// committed ids exceeds compactShare. TestRetentionFlatInPointsSeen and
+// TestGenerationsBounded count the same loop.
+type retentionLoop struct {
+	c            *Clusterer
+	rng          *rand.Rand
+	compactShare float64
+	i            int
+}
+
+func newRetentionLoop(tb testing.TB, seed int64, compactShare float64) *retentionLoop {
+	tb.Helper()
+	cfg := commitBenchConfig()
+	cfg.Retention = Retention{MaxPoints: retentionWindow}
+	c, err := New(nil, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &retentionLoop{c: c, rng: rand.New(rand.NewSource(seed)), compactShare: compactShare}
+}
+
+// commit streams and commits the next blob, compacts when the policy says
+// so, and checks the bounds: the live set never exceeds the window and,
+// under compaction, the committed id space never exceeds two windows and
+// one batch.
+func (l *retentionLoop) commit(tb testing.TB) {
+	ctx := context.Background()
+	c := l.c
+	base := 1000 + float64(l.i)*100
+	l.i++
+	for k := 0; k < retentionBatch; k++ {
+		p := make([]float64, commitDim)
+		for j := range p {
+			p[j] = base + l.rng.NormFloat64()*0.3
+		}
+		if err := c.Add(ctx, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := c.Commit(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	if l.compactShare > 0 {
+		if n := c.N(); n > 0 && float64(n-c.Live())/float64(n) > l.compactShare {
+			if _, err := c.CompactGeneration(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if c.N() > 2*retentionWindow+retentionBatch {
+			tb.Fatalf("committed id space %d not bounded (want ≤ %d)", c.N(), 2*retentionWindow+retentionBatch)
+		}
+	}
+	if c.Live() > retentionWindow {
+		tb.Fatalf("live %d exceeds window %d", c.Live(), retentionWindow)
+	}
+}
+
+// BenchmarkEvict times one commit of the retention loop after `ever` points
+// have been committed (10× and 50× the window): the commit, the retention
+// eviction of one expired batch, its cluster teardown and the share-and-seal
+// publish bookkeeping. Its cost must not grow with the points ever seen;
+// TestRetentionFlatInPointsSeen asserts that by count.
 func BenchmarkEvict(b *testing.B) {
-	const window = 2000
-	const batch = 64
-	const d = 16
 	for _, ever := range []int{20000, 100000} {
 		b.Run(fmt.Sprintf("ever=%d", ever), func(b *testing.B) {
-			ctx := context.Background()
-			cfg := commitBenchConfig()
-			cfg.Retention = Retention{MaxPoints: window}
-			c, err := New(nil, cfg)
-			if err != nil {
-				b.Fatal(err)
+			l := newRetentionLoop(b, 93, 0)
+			for l.c.N() < ever {
+				l.commit(b)
 			}
-			rng := rand.New(rand.NewSource(93))
-			commitBatch := func(i int) {
-				base := 1000 + float64(i)*100
-				for k := 0; k < batch; k++ {
-					p := make([]float64, d)
-					for j := range p {
-						p[j] = base + rng.NormFloat64()*0.3
-					}
-					if err := c.Add(ctx, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := c.Commit(ctx); err != nil {
-					b.Fatal(err)
-				}
-				if c.Live() > window {
-					b.Fatalf("live %d exceeds window %d", c.Live(), window)
-				}
-			}
-			i := 0
-			for ; c.N() < ever; i++ {
-				commitBatch(i)
-			}
-			if c.Live() != window {
-				b.Fatalf("steady state not reached: live %d, want %d", c.Live(), window)
+			if l.c.Live() != retentionWindow {
+				b.Fatalf("steady state not reached: live %d, want %d", l.c.Live(), retentionWindow)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				commitBatch(i)
-				i++
+				l.commit(b)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(c.Live()), "live-points")
+			b.ReportMetric(float64(l.c.Live()), "live-points")
 		})
 	}
 }
 
-// BenchmarkGenerationSteadyState is the acceptance gate of generation
-// compaction: the BenchmarkEvict loop (fixed retention window, continuous
-// ingest) plus the auto-compaction policy — renumber whenever the evicted
-// share of committed ids exceeds 0.5. BenchmarkEvict proves the per-commit
-// COST stays flat in points ever seen; this benchmark proves the committed
-// id space ITSELF stays bounded (N ≤ 2×window + one settling batch, live
-// pinned at the window) while the amortized cost of one batch commit — now
-// including its share of the periodic renumbering — stays flat too.
-// scripts/bench.sh records the ever=100000 / ever=20000 ratio into
-// BENCH_PR10.json (gate: ≤ 1.3); a growing ratio means some per-commit or
-// per-compaction path still scales with dead history.
+// BenchmarkGenerationSteadyState times one commit of the retention loop
+// with compaction at an evicted share of 0.5, amortizing its share of the
+// periodic renumbering, after `ever` ids have been minted. The committed id
+// space itself stays bounded (N ≤ 2×window + one batch, checked on every
+// commit) and the cost must not grow with the ids ever minted;
+// TestGenerationsBounded asserts both by count.
 func BenchmarkGenerationSteadyState(b *testing.B) {
-	const window = 2000
-	const batch = 64
-	const d = 16
-	const share = 0.5
 	for _, ever := range []int{20000, 100000} {
 		b.Run(fmt.Sprintf("ever=%d", ever), func(b *testing.B) {
-			ctx := context.Background()
-			cfg := commitBenchConfig()
-			cfg.Retention = Retention{MaxPoints: window}
-			c, err := New(nil, cfg)
-			if err != nil {
-				b.Fatal(err)
+			l := newRetentionLoop(b, 94, 0.5)
+			for l.c.EverSeenIDs() < ever {
+				l.commit(b)
 			}
-			rng := rand.New(rand.NewSource(94))
-			commitBatch := func(i int) {
-				base := 1000 + float64(i)*100
-				for k := 0; k < batch; k++ {
-					p := make([]float64, d)
-					for j := range p {
-						p[j] = base + rng.NormFloat64()*0.3
-					}
-					if err := c.Add(ctx, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := c.Commit(ctx); err != nil {
-					b.Fatal(err)
-				}
-				// The engine's maybeCompact policy, inlined: renumber once
-				// the evicted share crosses the threshold.
-				if n := c.N(); n > 0 && float64(n-c.Live())/float64(n) > share {
-					if _, err := c.CompactGeneration(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if c.Live() > window {
-					b.Fatalf("live %d exceeds window %d", c.Live(), window)
-				}
-				if c.N() > 2*window+batch {
-					b.Fatalf("committed id space %d not bounded (want ≤ %d)", c.N(), 2*window+batch)
-				}
+			if l.c.Live() != retentionWindow {
+				b.Fatalf("steady state not reached: live %d, want %d", l.c.Live(), retentionWindow)
 			}
-			i := 0
-			for ; c.EverSeenIDs() < ever; i++ {
-				commitBatch(i)
-			}
-			if c.Live() != window {
-				b.Fatalf("steady state not reached: live %d, want %d", c.Live(), window)
-			}
-			if c.Generation() == 0 {
+			if l.c.Generation() == 0 {
 				b.Fatal("no compaction happened during warmup — gate is vacuous")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
-				commitBatch(i)
-				i++
+				l.commit(b)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(c.N()), "committed-ids")
-			b.ReportMetric(float64(c.Generation()), "generation")
+			b.ReportMetric(float64(l.c.N()), "committed-ids")
+			b.ReportMetric(float64(l.c.Generation()), "generation")
 		})
 	}
 }
 
-// BenchmarkCommitAfterPublish is the acceptance gate of the segmented-
-// storage refactor: the cost of a batch commit that immediately follows a
-// published View must NOT scale with the number of committed points n. The
-// pre-segmentation copy-on-write paid an O(n·d) matrix clone plus an O(n·l)
-// index clone on exactly this path; share-and-seal replaces both with
-// tail-only copies, so the ns/op at n=100k should stay within ~1.2× of
-// n=10k at the same batch size (scripts/bench.sh records the ratio into
-// BENCH_PR3.json).
-//
-// Each iteration publishes a view, streams one fresh far-away 64-point blob
-// (constant detection work per commit, no interference with the standing
-// clusters), and commits.
+// newPublishStream commits n points of commitBenchData as one first commit:
+// the standing state of BenchmarkCommitAfterPublish and
+// TestCommitAfterPublishFlatInN.
+func newPublishStream(tb testing.TB, n int) *Clusterer {
+	tb.Helper()
+	c, err := New(commitBenchData(n, commitDim), commitBenchConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := c.Commit(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	if len(c.clusters) == 0 {
+		tb.Fatal("no clusters after initial commit")
+	}
+	return c
+}
+
+// commitAfterPublish is BenchmarkCommitAfterPublish's step: publish a view,
+// then stream the i-th fresh far-away 64-point blob and commit it. The blob
+// costs the same detection work at every n and leaves the standing clusters
+// alone.
+func commitAfterPublish(tb testing.TB, c *Clusterer, rng *rand.Rand, i int) {
+	ctx := context.Background()
+	if v := c.View(); v.Mat.N != c.N() {
+		tb.Fatal("view out of sync")
+	}
+	base := 1000 + float64(i)*100
+	for k := 0; k < 64; k++ {
+		p := make([]float64, commitDim)
+		for j := range p {
+			p[j] = base + rng.NormFloat64()*0.3
+		}
+		if err := c.Add(ctx, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := c.Commit(ctx); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkCommitAfterPublish times a batch commit that immediately follows
+// a published View, at n=10k and n=100k. Share-and-seal copies only the
+// matrix and index tails on this path, where copy-on-write paid an O(n·d)
+// matrix clone plus an O(n·l) index clone, so the cost must not grow with n;
+// TestCommitAfterPublishFlatInN asserts that by count.
 func BenchmarkCommitAfterPublish(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			const d = 16
-			const batch = 64
-			ctx := context.Background()
-			c, err := New(commitBenchData(n, d), commitBenchConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := c.Commit(ctx); err != nil {
-				b.Fatal(err)
-			}
-			if len(c.Clusters()) == 0 {
-				b.Fatal("no clusters after initial commit")
-			}
+			c := newPublishStream(b, n)
 			rng := rand.New(rand.NewSource(92))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				v := c.View()
-				if v.Mat.N != c.N() {
-					b.Fatal("view out of sync")
-				}
-				base := 1000 + float64(i)*100
-				for k := 0; k < batch; k++ {
-					p := make([]float64, d)
-					for j := range p {
-						p[j] = base + rng.NormFloat64()*0.3
-					}
-					if err := c.Add(ctx, p); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := c.Commit(ctx); err != nil {
-					b.Fatal(err)
-				}
+				commitAfterPublish(b, c, rng, i)
 			}
 		})
 	}

@@ -8,18 +8,18 @@ import (
 	"slices"
 	"testing"
 
-	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/matrix"
 )
 
 // clusterDensity is the reference for eviction repair: π(x) = Σ_i Σ_j
 // w_i·w_j·a_ij over the given support (a_ii = 0), summed pair by pair.
-func (c *Clusterer) clusterDensity(kern affinity.Kernel, members []int, weights []float64) float64 {
+func (c *Clusterer) clusterDensity(members []int, weights []float64) float64 {
+	o := c.det.Oracle()
 	var pi float64
 	for i := 1; i < len(members); i++ {
 		for j := 0; j < i; j++ {
-			pi += 2 * weights[i] * weights[j] * c.affinity(kern, members[i], members[j])
+			pi += 2 * weights[i] * weights[j] * o.Pair(members[i], members[j])
 		}
 	}
 	return pi
@@ -58,12 +58,11 @@ func TestEvictRepairMatchesDirectDensity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	kern := cfg.Core.Kernel
 	var worst float64
 	check := func(when string) {
 		t.Helper()
 		for ci, cl := range c.clusters {
-			want := c.clusterDensity(kern, cl.Members, cl.Weights)
+			want := c.clusterDensity(cl.Members, cl.Weights)
 			if d := math.Abs(cl.Density - want); d > tol || cl.Density < 0 {
 				t.Fatalf("%s: cluster %d (%d members) has density %v, direct sum %v", when, ci, len(cl.Members), cl.Density, want)
 			} else {

@@ -56,11 +56,9 @@ package stream
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
-	"alid/internal/affinity"
 	"alid/internal/core"
 	"alid/internal/index"
 	"alid/internal/matrix"
@@ -172,6 +170,8 @@ type Clusterer struct {
 	cmark   []uint32
 	markGen uint32
 	cand    []int32
+	// col is the dirtiness check's affinity column, reused across commits.
+	col []float64
 	// consumed holds the ids step 4's peel consumed, reused across commits.
 	consumed []int
 
@@ -501,7 +501,6 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 	// cluster that shares no bucket with any arrival is declared clean
 	// without touching its members, so the check costs O(batch·candidates),
 	// independent of n.
-	kern := cfg.Kernel
 	dirtyStart := obs.Now()
 	dirty := make([]bool, len(c.clusters))
 	if len(c.clusters) > 0 {
@@ -531,11 +530,12 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 				}
 				c.cmark[ci] = c.markGen
 				cl := c.clusters[ci]
+				c.col = slices.Grow(c.col[:0], len(cl.Members))[:len(cl.Members)]
+				det.Oracle().Column(j, cl.Members, c.col)
 				var gj float64
-				for t, m := range cl.Members {
-					gj += cl.Weights[t] * c.affinity(kern, j, m)
+				for t, a := range c.col {
+					gj += cl.Weights[t] * a
 				}
-				c.kernelEvals += int64(len(cl.Members))
 				if gj-cl.Density > cfg.Tol {
 					dirty[ci] = true
 				}
@@ -552,7 +552,7 @@ func (c *Clusterer) Commit(ctx context.Context) error {
 	// Drop clusters that decayed below the threshold after re-convergence.
 	c.compact(cfg.DensityThreshold, cfg.MinClusterSize)
 	// The long-lived oracle's counter is drained per commit, so the delta is
-	// exactly this commit's detection work.
+	// exactly this commit's dirtiness checks and detection work.
 	c.kernelEvals += det.Oracle().ResetComputed()
 	if err != nil {
 		return err
@@ -1005,15 +1005,6 @@ func (c *Clusterer) enforceRetention(ctx context.Context) error {
 		return nil
 	}
 	return c.evictIDs(ctx, ids)
-}
-
-// affinity evaluates a_jm over committed points, using the fused squared
-// distance for the Euclidean kernel.
-func (c *Clusterer) affinity(kern affinity.Kernel, j, m int) float64 {
-	if kern.P == 2 {
-		return math.Exp(-kern.K * math.Sqrt(c.mat.PairDistSq(j, m)))
-	}
-	return kern.Affinity(c.mat.Row(j), c.mat.Row(m))
 }
 
 // claim labels every member of cluster ci, resolving overlaps to the densest

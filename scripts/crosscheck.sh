@@ -55,8 +55,8 @@
 #     full-scan reference on random, adversarial near-tie and exact-tie
 #     fixtures (an exact tie goes to the first-seen candidate), single
 #     assigns after a batch that wrapped the shared scratch's marker
-#     counter, and the packed affinity primitives matching their gathered
-#     counterparts bitwise;
+#     counter, and the packed batch scorer matching a gathered column plus
+#     an index-order sum bitwise;
 #   - PR 8: the sharded serving crosschecks — a Sharded(N) engine
 #     bit-identical to the deterministic merge of N standalone engines fed
 #     the routed subsets at N ∈ {1,2,4,7} and at gather widths {1,4}
@@ -139,7 +139,7 @@ crosscheck 'TestFirstCommitMatchesDetectAll|TestFirstCommitCancelMidPeel|TestRej
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
+crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
 crosscheck 'TestSharded|TestShardedMetricsShardOrder|TestShardedLoadReturnsLowestShardError|TestNewShardedRejectsRaggedInitial|TestManifest' \
