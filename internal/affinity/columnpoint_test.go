@@ -98,6 +98,52 @@ func TestColumnPointCounts(t *testing.T) {
 	}
 }
 
+// The packed scan must reproduce ColumnPoint's affinity for every row of
+// packed copies of the same rows, bit for bit. ScorePacked with a one-hot
+// weight vector returns that row's affinity exactly (the zero-weighted terms
+// add +0), so each row is checked on its own rather than only through a sum.
+// Both kernel branches, an odd row count so the tail lane runs, random
+// external queries plus a dataset-row query (the cancellation-guard
+// fallback).
+func TestColumnPointPackedMatchesGathered(t *testing.T) {
+	for _, kern := range []Kernel{{K: 0.7, P: 2}, {K: 0.4, P: 1}} {
+		o := randOracle(t, 44, 100, 7, kern)
+		rows := []int{3, 99, 0, 41, 17, 58, 7}
+		d := 7
+		packed := make([]float64, len(rows)*d)
+		norms := make([]float64, len(rows))
+		for r, m := range rows {
+			copy(packed[r*d:(r+1)*d], o.Mat.Row(m))
+			norms[r] = o.Mat.NormSq(m)
+		}
+		rng := rand.New(rand.NewSource(45))
+		qs := make([][]float64, 4)
+		for i := range qs {
+			q := make([]float64, d)
+			for j := range q {
+				q[j] = rng.NormFloat64() * 3
+			}
+			qs[i] = q
+		}
+		qs[0] = append([]float64(nil), o.Mat.Row(3)...)
+		want := make([]float64, len(rows))
+		w := make([]float64, len(rows))
+		scratch := make([]float64, len(rows))
+		for qi, q := range qs {
+			qn := vec.Dot(q, q)
+			o.ColumnPoint(q, qn, rows, want)
+			for r := range rows {
+				clear(w)
+				w[r] = 1
+				if got := o.ScorePacked(q, qn, packed, norms, w, scratch); got != want[r] {
+					t.Fatalf("P=%v query %d row %d: packed %v, gathered %v",
+						kern.P, qi, r, got, want[r])
+				}
+			}
+		}
+	}
+}
+
 // ScorePacked over packed copies of some rows must be bit-identical to
 // ColumnPoint over the same rows followed by a single-accumulator
 // index-order weighted sum: the batch pipeline's scores must equal the

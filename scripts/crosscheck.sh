@@ -139,7 +139,7 @@ crosscheck 'TestFirstCommitMatchesDetectAll|TestFirstCommitCancelMidPeel|TestRej
 crosscheck 'Evict|Retention|TestEvictRepairMatchesDirectDensity|TestV3Tombstone|TestV2Shim|TestFromChunksLive|TestClustersReturnsCopy|TestRestoreRejectsCorruptClusters' \
 	./internal/matrix/ ./internal/lsh/ ./internal/stream/ ./internal/snapshot/ ./internal/engine/ ./internal/server/
 
-crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestScorePackedMatchesColumnSum' \
+crosscheck 'TestAssignBatchMatchesSequential|TestAssignBatchMatchesExact|TestAssignMatchesFullScan|TestAssignMarkerWrap|TestAssignBatchAtomicValidation|TestConcurrentAssignIngest|TestColumnPointPackedMatchesGathered|TestScorePackedMatchesColumnSum' \
 	./internal/engine/ ./internal/affinity/
 
 crosscheck 'TestSharded|TestShardedMetricsShardOrder|TestShardedLoadReturnsLowestShardError|TestNewShardedRejectsRaggedInitial|TestManifest' \
